@@ -172,9 +172,10 @@ def pull_and_update(
     """One bandit iteration: pull the top_k clusters by score.
 
     Samples up to m not-yet-selected members from each pulled cluster
-    (without replacement within the batch), scores them, and applies the
-    reward update R += batch reward, T += 1. Exhausted arms are retired and
-    logged as skipped pulls.
+    (without replacement within the batch), scores every pulled cluster's
+    batch in one scorer call, and applies the reward updates R += batch
+    reward, T += 1 in pull order. Exhausted arms are retired and logged as
+    skipped pulls.
     """
     if state.n_clusters < top_k:
         raise DataError(f"top_k={top_k} exceeds cluster count {state.n_clusters}")
@@ -182,6 +183,7 @@ def pull_and_update(
     rec = IterationRecord(iteration=iteration)
     selected = ledger.selected_set()
     chosen = _top_k_by_score(cluster_scores(state), top_k)
+    batches: list[tuple[int, list[int]]] = []
     for ci in chosen:
         if state.retired[ci]:
             rec.skipped_pulls += 1
@@ -193,10 +195,13 @@ def pull_and_update(
             rec.skipped_pulls += 1
             continue
         take = min(m, avail.size)
-        ids = [int(x) for x in rng.choice(avail, size=take, replace=False)]
-        scores = scorer(ids)
-        batch_sum = float(math.fsum(scores))
-        reward = batch_sum if reward_mode == "sum" else batch_sum / take
+        batches.append((ci, [int(x) for x in rng.choice(avail, size=take, replace=False)]))
+    scores = scorer([i for _, ids in batches for i in ids]) if batches else []
+    start = 0
+    for ci, ids in batches:
+        batch_sum = float(math.fsum(scores[start : start + len(ids)]))
+        start += len(ids)
+        reward = batch_sum if reward_mode == "sum" else batch_sum / len(ids)
         state.reward[ci] += reward
         state.pulls[ci] += 1
         rec.pulls.append(PullRecord(cluster=ci, sampled_ids=ids, batch_sum=batch_sum))

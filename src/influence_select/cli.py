@@ -49,32 +49,46 @@ def _load_corpus(cfg: RunConfig) -> corpus.EmbeddingCorpus:
     return corpus.load_embeddings(path, format=cfg.paths.embedding_format)
 
 
-def _load_instances(cfg: RunConfig, emb: corpus.EmbeddingCorpus):
-    if not os.path.exists(cfg.paths.tokens):
-        raise DataError(f"token file {cfg.paths.tokens!r} not found")
-    instances = corpus.load_tokens(cfg.paths.tokens)
-    vocab = cfg.model.vocab_size
+def _load_instances(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
+    """Token records by id, checked against the corpus and the model.
+
+    With ``cover_all`` every embedding row must have a token record, since
+    the bandit and the random baseline may sample any row.
+    """
+    path = cfg.paths.tokens
+    if not os.path.exists(path):
+        raise DataError(f"token file {path!r} not found")
+    instances = corpus.load_tokens(path)
+    vocab, max_len = cfg.model.vocab_size, cfg.model.max_context
     by_id = {}
     for inst in instances:
         if inst.id >= emb.count or inst.id < 0:
             raise DataError(f"instance id {inst.id} has no embedding row (corpus count {emb.count})")
+        if not 2 <= len(inst.tokens) <= max_len:
+            raise DataError(f"instance {inst.id} has length {len(inst.tokens)}, "
+                            f"outside [2, model.max_context={max_len}]")
         if max(inst.tokens) >= vocab:
             raise DataError(f"instance {inst.id} has token id >= vocab_size {vocab}")
         by_id[inst.id] = inst
+    if cover_all and len(by_id) < emb.count:
+        first = next(i for i in range(emb.count) if i not in by_id)
+        raise DataError(f"embedding row {first} has no token record in {path!r} "
+                        f"({len(by_id)} of {emb.count} rows covered)")
     return instances, by_id
 
 
 def _load_reference(cfg: RunConfig) -> corpus.ReferenceSet:
     if not os.path.exists(cfg.paths.reference):
         raise DataError(f"reference file {cfg.paths.reference!r} not found")
-    return corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size)
+    return corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size,
+                                 max_len=cfg.model.max_context)
 
 
 def _scoring_setup(cfg: RunConfig, ref: corpus.ReferenceSet, factor_path: str | None = None):
     """Model init, factor estimation over the reference set, reference iHVP."""
     params = model_mod.init_params(cfg.model.model_config(), seed=cfg.model.init_seed)
     registry = model_mod.tracked_layers(params.config, cfg.influence.kinds())
-    factors = curvature.collect_factors(params, ref.sequences, registry)
+    factors, ref_grad = curvature.collect_factors(params, ref.sequences, registry, with_grad=True)
     if factor_path is not None:
         curvature.save_factors(factor_path, factors)
         _write_meta(factor_path, fingerprint(cfg))
@@ -82,7 +96,6 @@ def _scoring_setup(cfg: RunConfig, ref: corpus.ReferenceSet, factor_path: str | 
         name: curvature.inverse_of_factor(fac, cfg.influence.damping)
         for name, fac in factors.items()
     }
-    ref_grad = model_mod.grad_of_set(params, ref.sequences, registry)
     ihvp = influence.reference_ihvp(ref_grad, inverses, factor_id=fingerprint(cfg))
     projector = None
     if cfg.influence.use_sketch:
@@ -121,14 +134,13 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     fp = fingerprint(cfg)
     emb = _load_corpus(cfg)
     _, by_id = _load_instances(cfg, emb)
-    ref = _load_reference(cfg)
-    params, registry, ihvp, projector = _scoring_setup(cfg, ref)
     missing = [i for i in ids if i not in by_id]
     if missing:
         raise DataError(f"no token record for instance id(s) {missing[:5]}")
+    ref = _load_reference(cfg)
+    params, registry, ihvp, projector = _scoring_setup(cfg, ref)
     table = influence.score_batch(
-        [by_id[i] for i in ids], ihvp, params,
-        projector=projector, registry=registry, workers=cfg.workers,
+        [by_id[i] for i in ids], ihvp, params, projector=projector, registry=registry
     )
     path = _out(cfg, "scores.csv")
     influence.write_influence_csv(path, table, fingerprint=fp)
@@ -139,7 +151,7 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
 def cmd_select(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     emb = _load_corpus(cfg)
-    _, by_id = _load_instances(cfg, emb)
+    _, by_id = _load_instances(cfg, emb, cover_all=True)
     ref = _load_reference(cfg)
     cluster_path = _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")
     cmodel = clustering.load_cluster_model(cluster_path)
@@ -155,17 +167,13 @@ def cmd_select(cfg: RunConfig) -> int:
         )
     params, registry, ihvp, projector = _scoring_setup(cfg, ref, _out(cfg, "factors.ntc"))
 
-    if projector is None:
-        def scorer(ids):
-            return [influence.score_instance(by_id[i], ihvp, params, registry) for i in ids]
-    else:
-        sk = influence.sketch_ihvp(projector, ihvp)
+    target = ihvp if projector is None else influence.sketch_ihvp(projector, ihvp)
 
-        def scorer(ids):
-            return [
-                influence.score_instance_sketched(by_id[i], sk, projector, params, registry)
-                for i in ids
-            ]
+    def scorer(ids):
+        table = influence.score_batch(
+            [by_id[i] for i in ids], target, params, projector=projector, registry=registry
+        )
+        return table.scores()
 
     ledger = bandit_mod.run(
         cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
@@ -304,7 +312,7 @@ def cmd_simulate_bandit(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     emb = _load_corpus(cfg)
-    _, by_id = _load_instances(cfg, emb)
+    _, by_id = _load_instances(cfg, emb, cover_all=True)
     ref = _load_reference(cfg)
     cmodel = clustering.load_cluster_model(
         _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")

@@ -120,7 +120,6 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
-    workers: int = 1
 
 
 _SECTIONS = {
@@ -159,11 +158,8 @@ def _parse_value(text: str, typ):
 
 
 def apply_assignment(cfg: RunConfig, key: str, value: str) -> None:
-    """Set ``section.field`` (or top-level ``workers``) from its text form."""
+    """Set ``section.field`` from its text form."""
     key = key.strip()
-    if key == "workers":
-        cfg.workers = _parse_value(value, int)
-        return
     if "." not in key:
         raise UsageError(f"config key {key!r} must look like section.field")
     section, name = key.split(".", 1)
@@ -216,7 +212,7 @@ def load_config(path: str | None, overrides: list[str] = ()) -> RunConfig:
 
 def canonical_text(cfg: RunConfig) -> str:
     """Sorted section.key = value serialization used for fingerprinting."""
-    lines = [f"workers = {cfg.workers}"]
+    lines = []
     for sec in sorted(_SECTIONS):
         target = getattr(cfg, sec)
         for f in sorted(fields(target), key=lambda f: f.name):

@@ -194,7 +194,15 @@ def write_tokens(path, instances: list[CandidateInstance]) -> None:
             fh.write(f"{inst.id}\t{' '.join(str(t) for t in inst.tokens)}\n")
 
 
-def load_reference(path, vocab_size: int) -> ReferenceSet:
-    """Reference sequences share the token-file format; ids are ignored."""
+def load_reference(path, vocab_size: int, max_len: int | None = None) -> ReferenceSet:
+    """Reference sequences share the token-file format; ids only name rows in errors.
+
+    With ``max_len`` every sequence must have a length in [2, max_len].
+    """
     instances = load_tokens(path)
+    if max_len is not None:
+        for inst in instances:
+            if not 2 <= len(inst.tokens) <= max_len:
+                raise DataError(f"{path}: reference id {inst.id} has length {len(inst.tokens)}, "
+                                f"outside [2, model.max_context={max_len}]")
     return ReferenceSet(sequences=[inst.tokens for inst in instances], vocab_size=vocab_size)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, SingularFactorError
-from .model import LayerTap, ParamSet, TrackedLayer, backward, forward, tracked_layers
+from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads, tracked_layers
 
 EIG_FLOOR_REL = 1e-12
 DEFAULT_DAMPING = 1e-3
@@ -95,19 +95,26 @@ def joint_qkv_pack(tap_q: LayerTap, tap_k: LayerTap, tap_v: LayerTap) -> LayerTa
     )
 
 
-def collect_factors(params: ParamSet, sequences, registry=None) -> dict[str, KroneckerFactor]:
-    """Estimate factors over a sequence set (one backward pass per sequence)."""
+def collect_factors(params: ParamSet, sequences, registry=None, with_grad: bool = False):
+    """Estimate factors over a sequence set from the model engine's taps.
+
+    With ``with_grad`` the same pass also returns the mean per-sequence
+    tracked gradient (what ``grad_of_set`` computes), as ``(factors, grad)``.
+    """
     registry = registry if registry is not None else tracked_layers(params.config)
+    if with_grad and not sequences:
+        raise DataError("collect_factors needs a non-empty sequence set")
     factors = {tl.name: zero_factor(tl) for tl in registry}
-    names = {(tl.layer, tl.kind): tl.name for tl in registry}
-    for seq in sequences:
-        _, cache = forward(params, seq)
-        _, taps = backward(params, cache)
-        for tap in taps:
-            key = (tap.layer, tap.kind)
-            if key in names:
-                factors[names[key]] = accumulate(factors[names[key]], tap)
-    return factors
+    grad = {tl.name: np.zeros((tl.d_out, tl.d_in)) for tl in registry}
+    for pos, taps in chunk_taps(params, sequences, registry):
+        for tl, tap in zip(registry, taps):
+            factors[tl.name] = accumulate(factors[tl.name], tap)
+            if with_grad:
+                grad[tl.name] += sequence_grads(tap, pos.size).sum(axis=0)
+    if not with_grad:
+        return factors
+    n = float(len(sequences))
+    return factors, {name: (mat / n).ravel() for name, mat in grad.items()}
 
 
 def merge_factors(parts: list[KroneckerFactor]) -> KroneckerFactor:

@@ -1,8 +1,9 @@
 """Per-instance influence scores.
 
 Stage 1 applies the damped factored inverse to the reference gradient
-(one iHVP per tracked layer); stage 2 dots each candidate's gradient
-against that vector, layer by layer, and sums the contributions.
+(one iHVP per tracked layer); stage 2 forms each candidate's per-layer
+gradient delta^T x straight from the model's taps, dots it against that
+vector, and sums the layer contributions.
 
 Sign convention: the reported score is the alignment form
 ``<grad(z), (H + lambda I)^-1 grad(ref)>`` so a candidate whose gradient
@@ -18,7 +19,6 @@ from the seed per layer and never stored.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import CandidateInstance
 from .curvature import DampedFactorInverse, kron_ihvp
 from .errors import DataError
-from .model import ParamSet, grad_of_sequence, tracked_layers
+from .model import ParamSet, chunk_taps, sequence_grads, tracked_layers
 
 SKETCH_BLOCK = 1 << 14  # input dims consumed per RNG draw; part of the stream layout
 
@@ -128,11 +128,40 @@ def score_from_grads(grads: dict[str, np.ndarray], ihvp: IhvpVector) -> float:
     return total
 
 
+def _tokens(instance):
+    return instance.tokens if isinstance(instance, CandidateInstance) else instance
+
+
+def _tap_scores(sequences, params: ParamSet, registry, vectors, projector=None) -> list[float]:
+    """Per-sequence scores straight from engine taps.
+
+    Each tracked layer's per-sequence gradient delta^T x is dotted with that
+    layer's vector (sketched first when a projector is given) and the layer
+    terms are summed in registry order, exactly as ``score_from_grads`` does.
+    """
+    scores = [0.0] * len(sequences)
+    for pos, taps in chunk_taps(params, sequences, registry):
+        for tl, tap in zip(registry, taps):
+            vec = vectors[tl.name]
+            for p, g in zip(pos, sequence_grads(tap, pos.size).reshape(pos.size, -1)):
+                if projector is not None:
+                    g = sketch_vector(projector, tl.name, g)
+                scores[p] += float(np.dot(g, vec))
+    return scores
+
+
+def _check_projector(projector: SketchProjector, sketched_ihvp: SketchedIhvp) -> None:
+    if (projector.seed, projector.target_dim, projector.identity) != (
+        sketched_ihvp.seed,
+        sketched_ihvp.target_dim,
+        sketched_ihvp.identity,
+    ):
+        raise DataError("projector does not match the one used to sketch the iHVP")
+
+
 def score_instance(instance, ihvp: IhvpVector, params: ParamSet, registry=None) -> float:
-    tokens = instance.tokens if isinstance(instance, CandidateInstance) else instance
     registry = registry if registry is not None else tracked_layers(params.config)
-    grads = grad_of_sequence(params, tokens, registry)
-    return score_from_grads(grads, ihvp)
+    return _tap_scores([_tokens(instance)], params, registry, ihvp.vectors)[0]
 
 
 def score_instance_sketched(
@@ -142,56 +171,40 @@ def score_instance_sketched(
     params: ParamSet,
     registry=None,
 ) -> float:
-    if (projector.seed, projector.target_dim, projector.identity) != (
-        sketched_ihvp.seed,
-        sketched_ihvp.target_dim,
-        sketched_ihvp.identity,
-    ):
-        raise DataError("projector does not match the one used to sketch the iHVP")
-    tokens = instance.tokens if isinstance(instance, CandidateInstance) else instance
+    _check_projector(projector, sketched_ihvp)
     registry = registry if registry is not None else tracked_layers(params.config)
-    grads = grad_of_sequence(params, tokens, registry)
-    total = 0.0
-    for name, vec in grads.items():
-        total += float(np.dot(sketch_vector(projector, name, vec), sketched_ihvp.vectors[name]))
-    return total
+    return _tap_scores([_tokens(instance)], params, registry, sketched_ihvp.vectors, projector)[0]
 
 
 def score_batch(
     instances,
-    ihvp: IhvpVector,
+    ihvp: IhvpVector | SketchedIhvp,
     params: ParamSet,
     projector: SketchProjector | None = None,
     registry=None,
-    workers: int = 1,
 ) -> InfluenceTable:
-    """Score many instances; row order always matches input order."""
+    """Score many instances in engine chunks; row order always matches input order.
+
+    With a projector, ``ihvp`` is sketched here unless it already is a
+    ``SketchedIhvp``. Every score is checked to be finite.
+    """
     registry = registry if registry is not None else tracked_layers(params.config)
+    instances = list(instances)
+    sequences = [_tokens(inst) for inst in instances]
     if projector is None:
         method = "factored"
-
-        def one(inst):
-            return score_instance(inst, ihvp, params, registry)
-
+        scores = _tap_scores(sequences, params, registry, ihvp.vectors)
     else:
         method = "factored+sketch"
-        sk = sketch_ihvp(projector, ihvp)
-
-        def one(inst):
-            return score_instance_sketched(inst, sk, projector, params, registry)
-
-    instances = list(instances)
-    if workers > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(one, instances))
-    else:
-        scores = [one(inst) for inst in instances]
+        sk = ihvp if isinstance(ihvp, SketchedIhvp) else sketch_ihvp(projector, ihvp)
+        _check_projector(projector, sk)
+        scores = _tap_scores(sequences, params, registry, sk.vectors, projector)
     table = InfluenceTable()
     for inst, s in zip(instances, scores):
         inst_id = inst.id if isinstance(inst, CandidateInstance) else -1
         if not np.isfinite(s):
             raise DataError(f"non-finite influence score for instance {inst_id}")
-        table.rows.append((inst_id, float(s), method))
+        table.rows.append((inst_id, s, method))
     return table
 
 

@@ -17,6 +17,7 @@ Architecture notes (fixed once, documented here):
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -201,194 +202,268 @@ def _silu_grad(u):
     return s * (1.0 + u * (1.0 - s))
 
 
+@functools.lru_cache(maxsize=None)
 def rope_tables(cfg: ModelConfig, n_positions: int):
-    """cos/sin tables of shape (n_positions, head_dim/2)."""
+    """cos/sin tables of shape (n_positions, head_dim/2), built once per length."""
     half = cfg.head_dim // 2
     inv_freq = cfg.rope_base ** (-2.0 * np.arange(half) / cfg.head_dim)
     ang = np.arange(n_positions)[:, None] * inv_freq[None, :]
-    return np.cos(ang), np.sin(ang)
+    cos, sin = np.cos(ang), np.sin(ang)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+@functools.lru_cache(maxsize=None)
+def _causal_mask(n_positions: int) -> np.ndarray:
+    mask = np.tril(np.ones((n_positions, n_positions), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def rope_apply(x, cos, sin):
-    """Rotate even/odd pairs of the last axis; x is (T, H, head_dim)."""
+    """Rotate even/odd pairs of the last axis; x is (..., T, head_dim)."""
     x1, x2 = x[..., 0::2], x[..., 1::2]
-    c, s = cos[:, None, :], sin[:, None, :]
     out = np.empty_like(x)
-    out[..., 0::2] = x1 * c - x2 * s
-    out[..., 1::2] = x1 * s + x2 * c
+    out[..., 0::2] = x1 * cos - x2 * sin
+    out[..., 1::2] = x1 * sin + x2 * cos
     return out
 
 
 def _rope_backward(dout, cos, sin):
     d1, d2 = dout[..., 0::2], dout[..., 1::2]
-    c, s = cos[:, None, :], sin[:, None, :]
     dx = np.empty_like(dout)
-    dx[..., 0::2] = d1 * c + d2 * s
-    dx[..., 1::2] = -d1 * s + d2 * c
+    dx[..., 0::2] = d1 * cos + d2 * sin
+    dx[..., 1::2] = -d1 * sin + d2 * cos
     return dx
 
 
-# ------------------------------------------------------------------ forward
+def _split_heads(x, n_heads):
+    """(..., T, d) -> (..., H, T, head_dim)."""
+    return x.reshape(*x.shape[:-1], n_heads, -1).swapaxes(-2, -3)
+
+
+def _merge_heads(x):
+    """(..., H, T, head_dim) -> (..., T, d)."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(*x.shape[:-2], -1)
+
+
+def _qkv_weight(blk: BlockParams) -> np.ndarray:
+    """Fused (3d, d) projection; its output rows are the joint q/k/v tap."""
+    return np.concatenate([blk.w_q, blk.w_k, blk.w_v], axis=0)
+
+
+def _token_sum(delta, x):
+    """sum over every token of delta_t x_t^T: the weight gradient of a batch."""
+    return delta.reshape(-1, delta.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
+# ------------------------------------------------------------------- engine
+#
+# One engine serves every caller. A call takes one sequence, or a chunk of B
+# equal-length sequences; every cached array then carries a leading B axis,
+# and every operation is elementwise, a reduction over the last axis, or a
+# stacked matmul, so each sequence's numbers are bitwise the same whichever
+# chunk (and chunk position) it is computed in.
+
+CHUNK_TOKENS = 384  # tokens per engine call; measured in README "Model engine"
+
+
+def chunks(sequences):
+    """Bucket sequences by length and split each bucket into engine calls.
+
+    Yields ``(positions, tokens)``: ``tokens`` is an int64 (B, T) array of
+    sequences of one length T, with B at most ``CHUNK_TOKENS // T`` (and at
+    least 1), and ``positions`` their indices into ``sequences``. Buckets
+    come in increasing length, each in input order; callers scatter results
+    back through ``positions``.
+    """
+    lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
+    order = np.argsort(lengths, kind="stable")
+    bounds = np.flatnonzero(np.diff(lengths[order])) + 1
+    for bucket in np.split(order, bounds) if order.size else ():
+        per_call = max(1, CHUNK_TOKENS // int(lengths[bucket[0]]))
+        for start in range(0, bucket.size, per_call):
+            pos = bucket[start : start + per_call]
+            yield pos, np.array([sequences[i] for i in pos], dtype=np.int64)
 
 
 @dataclass
 class ForwardCache:
     params: ParamSet
-    tokens: np.ndarray
+    tokens: np.ndarray  # (T,) or (B, T)
     layer_saves: list[dict] = field(default_factory=list)
     h_final: np.ndarray = None
     hn: np.ndarray = None
     logits: np.ndarray = None
     probs: np.ndarray = None
-    loss: float = 0.0
+    loss: float | np.ndarray = 0.0
 
 
-def forward(params: ParamSet, tokens) -> tuple[float, ForwardCache]:
-    """Mean next-token cross-entropy over positions; returns (loss, cache)."""
+def forward(params: ParamSet, tokens, seq_len: int | None = None):
+    """Mean next-token cross-entropy per sequence; returns (loss, cache).
+
+    ``tokens`` is one sequence, or with ``seq_len`` a chunk of B sequences of
+    that length laid end to end (``len(tokens)`` is always the token count).
+    A single sequence gives a float loss and unbatched cache arrays; a chunk
+    gives a (B,) loss array and a leading B axis on every cached array.
+    """
     cfg = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size < 2:
+    T = tokens.size if seq_len is None else seq_len
+    if tokens.ndim != 1 or T < 2 or tokens.size < T or tokens.size % T:
         raise DataError("sequence must be 1-D with length >= 2")
-    if tokens.size > cfg.max_context:
-        raise DataError(f"sequence length {tokens.size} exceeds max_context {cfg.max_context}")
+    if T > cfg.max_context:
+        raise DataError(f"sequence length {T} exceeds max_context {cfg.max_context}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise DataError("token id outside vocabulary")
+    if seq_len is not None:
+        tokens = tokens.reshape(-1, T)
 
-    T = tokens.size
     H, dh = cfg.n_heads, cfg.head_dim
     cos, sin = rope_tables(cfg, T)
-    mask = np.tril(np.ones((T, T), dtype=bool))
+    mask = _causal_mask(T)
 
     cache = ForwardCache(params=params, tokens=tokens)
     h = params.embed[tokens]
     for blk in params.layers:
         save: dict = {"h_in": h}
         x_attn = _rmsnorm(h)
-        q = x_attn @ blk.w_q.T
-        k = x_attn @ blk.w_k.T
-        v = x_attn @ blk.w_v.T
-        qh = q.reshape(T, H, dh)
-        kh = k.reshape(T, H, dh)
-        vh = v.reshape(T, H, dh)
-        qr = rope_apply(qh, cos, sin)
-        kr = rope_apply(kh, cos, sin)
-        scores = np.einsum("thd,shd->hts", qr, kr) / np.sqrt(dh)
-        scores = np.where(mask[None, :, :], scores, -np.inf)
-        smax = scores.max(axis=2, keepdims=True)
+        w_qkv = _qkv_weight(blk)
+        q, k, v = np.split(_split_heads(x_attn @ w_qkv.T, 3 * H), 3, axis=-3)
+        qr = rope_apply(q, cos, sin)
+        kr = rope_apply(k, cos, sin)
+        scores = (qr @ kr.swapaxes(-1, -2)) / np.sqrt(dh)
+        scores = np.where(mask, scores, -np.inf)
+        smax = scores.max(axis=-1, keepdims=True)
         ex = np.exp(scores - smax)
-        attn = ex / ex.sum(axis=2, keepdims=True)
-        ctx = np.einsum("hts,shd->thd", attn, vh)
-        attn_in = ctx.reshape(T, cfg.hidden_dim)
-        attn_out = attn_in @ blk.w_o.T
-        h = h + attn_out
-        save.update(x_attn=x_attn, qr=qr, kr=kr, vh=vh, attn=attn,
+        attn = ex / ex.sum(axis=-1, keepdims=True)
+        attn_in = _merge_heads(attn @ v)
+        h = h + attn_in @ blk.w_o.T
+        save.update(x_attn=x_attn, w_qkv=w_qkv, qr=qr, kr=kr, vh=v, attn=attn,
                     attn_in=attn_in, scores=scores, h_mid=h)
         x_mlp = _rmsnorm(h)
         u = x_mlp @ blk.w_up.T
         act = _silu(u)
-        mlp_out = act @ blk.w_down.T
-        h = h + mlp_out
+        h = h + act @ blk.w_down.T
         save.update(x_mlp=x_mlp, u=u, act=act)
         cache.layer_saves.append(save)
 
     cache.h_final = h
     cache.hn = _rmsnorm(h)
     cache.logits = cache.hn @ params.head.T
-    lmax = cache.logits.max(axis=1, keepdims=True)
+    lmax = cache.logits.max(axis=-1, keepdims=True)
     lex = np.exp(cache.logits - lmax)
-    cache.probs = lex / lex.sum(axis=1, keepdims=True)
+    cache.probs = lex / lex.sum(axis=-1, keepdims=True)
     n_pred = T - 1
-    targets = tokens[1:]
-    logp = np.log(cache.probs[np.arange(n_pred), targets])
-    cache.loss = float(-logp.sum() / n_pred)
+    p_target = np.take_along_axis(cache.probs[..., :n_pred, :], tokens[..., 1:, None], axis=-1)
+    loss = -np.log(p_target[..., 0]).sum(axis=-1) / n_pred
+    cache.loss = float(loss) if seq_len is None else loss
     return cache.loss, cache
 
 
 def ce_dlogits(cache: ForwardCache) -> np.ndarray:
-    """Gradient of the mean next-token loss with respect to the logits."""
-    T = cache.tokens.size
-    n_pred = T - 1
-    dlogits = cache.probs.copy() / n_pred
-    dlogits[np.arange(n_pred), cache.tokens[1:]] -= 1.0 / n_pred
-    dlogits[n_pred:] = 0.0
+    """Gradient of each sequence's mean next-token loss with respect to its logits."""
+    n_pred = cache.tokens.shape[-1] - 1
+    dlogits = cache.probs / n_pred
+    rows = dlogits[..., :n_pred, :]
+    targets = cache.tokens[..., 1:, None]
+    np.put_along_axis(rows, targets,
+                      np.take_along_axis(rows, targets, axis=-1) - 1.0 / n_pred, axis=-1)
+    dlogits[..., n_pred:, :] = 0.0
     return dlogits
 
 
-def backward(params: ParamSet, cache: ForwardCache):
+def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
     """Exact gradients of the cached loss plus per-layer taps.
 
-    Returns (grads, taps) where grads is ParamSet-shaped and taps hold the
-    per-token (x, delta) pairs for every tracked layer.
+    Returns (grads, taps): grads is ParamSet-shaped and summed over a chunk's
+    sequences (None when ``param_grads`` is false); taps hold the per-token
+    (x, delta) rows of every tracked layer, sequence-major for a chunk.
     """
-    return backward_from_dlogits(params, cache, ce_dlogits(cache))
+    return backward_from_dlogits(params, cache, ce_dlogits(cache), param_grads)
 
 
-def backward_from_dlogits(params: ParamSet, cache: ForwardCache, dlogits: np.ndarray):
+def backward_from_dlogits(params: ParamSet, cache: ForwardCache, dlogits: np.ndarray,
+                          param_grads: bool = True):
     """Backpropagate an arbitrary logit gradient through the cached forward."""
     if cache.params is not params:
         raise DataError("stale cache: it was produced by a different ParamSet")
     cfg = params.config
-    tokens = cache.tokens
-    T = tokens.size
-    H = cfg.n_heads
-    cos, sin = rope_tables(cfg, T)
+    cos, sin = rope_tables(cfg, cache.tokens.shape[-1])
 
-    grads = zeros_like_params(params)
+    grads = zeros_like_params(params) if param_grads else None
     taps: list[LayerTap] = []
 
-    grads.head += dlogits.T @ cache.hn
+    def tap(li, kind, x, delta):
+        taps.append(LayerTap(li, kind, x=x.reshape(-1, x.shape[-1]),
+                             delta=delta.reshape(-1, delta.shape[-1])))
+
     dhn = dlogits @ params.head
     dh = _rmsnorm_backward(cache.h_final, dhn)
 
     for li in range(cfg.n_layers - 1, -1, -1):
         blk = params.layers[li]
         save = cache.layer_saves[li]
-        gblk = grads.layers[li]
 
         # MLP block
         delta_m2 = dh  # grad wrt w_down output
-        gblk.w_down += delta_m2.T @ save["act"]
-        dact = delta_m2 @ blk.w_down
-        delta_m1 = dact * _silu_grad(save["u"])
-        gblk.w_up += delta_m1.T @ save["x_mlp"]
-        dx_mlp = delta_m1 @ blk.w_up
-        dh = dh + _rmsnorm_backward(save["h_mid"], dx_mlp)
-        taps.append(LayerTap(li, "mlp-2", x=save["act"], delta=delta_m2))
-        taps.append(LayerTap(li, "mlp-1", x=save["x_mlp"], delta=delta_m1))
+        delta_m1 = (delta_m2 @ blk.w_down) * _silu_grad(save["u"])
+        dh = dh + _rmsnorm_backward(save["h_mid"], delta_m1 @ blk.w_up)
+        tap(li, "mlp-2", save["act"], delta_m2)
+        tap(li, "mlp-1", save["x_mlp"], delta_m1)
 
         # attention block
         delta_o = dh  # grad wrt w_o output
-        gblk.w_o += delta_o.T @ save["attn_in"]
-        d_attn_in = delta_o @ blk.w_o
-        dctx = d_attn_in.reshape(T, H, cfg.head_dim)
+        dctx = _split_heads(delta_o @ blk.w_o, cfg.n_heads)
         attn, vh, qr, kr = save["attn"], save["vh"], save["qr"], save["kr"]
-        dattn = np.einsum("thd,shd->hts", dctx, vh)
-        dvh = np.einsum("hts,thd->shd", attn, dctx)
+        dattn = dctx @ vh.swapaxes(-1, -2)
+        dvh = attn.swapaxes(-1, -2) @ dctx
         # softmax rows: masked-out entries have attn == 0 so contribute nothing
-        dscores = attn * (dattn - np.sum(dattn * attn, axis=2, keepdims=True))
+        dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
         dscores = dscores / np.sqrt(cfg.head_dim)
-        dqr = np.einsum("hts,shd->thd", dscores, kr)
-        dkr = np.einsum("hts,thd->shd", dscores, qr)
-        dqh = _rope_backward(dqr, cos, sin)
-        dkh = _rope_backward(dkr, cos, sin)
-        delta_q = dqh.reshape(T, cfg.hidden_dim)
-        delta_k = dkh.reshape(T, cfg.hidden_dim)
-        delta_v = dvh.reshape(T, cfg.hidden_dim)
-        x_attn = save["x_attn"]
-        gblk.w_q += delta_q.T @ x_attn
-        gblk.w_k += delta_k.T @ x_attn
-        gblk.w_v += delta_v.T @ x_attn
-        dx_attn = delta_q @ blk.w_q + delta_k @ blk.w_k + delta_v @ blk.w_v
-        dh = dh + _rmsnorm_backward(save["h_in"], dx_attn)
-        taps.append(LayerTap(li, "attn-out", x=save["attn_in"], delta=delta_o))
-        taps.append(
-            LayerTap(li, "qkv-joint", x=x_attn,
-                     delta=np.concatenate([delta_q, delta_k, delta_v], axis=1))
-        )
+        dqh = _rope_backward(dscores @ kr, cos, sin)
+        dkh = _rope_backward(dscores.swapaxes(-1, -2) @ qr, cos, sin)
+        delta_qkv = np.concatenate([_merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)],
+                                   axis=-1)
+        dh = dh + _rmsnorm_backward(save["h_in"], delta_qkv @ save["w_qkv"])
+        tap(li, "attn-out", save["attn_in"], delta_o)
+        tap(li, "qkv-joint", save["x_attn"], delta_qkv)
 
-    np.add.at(grads.embed, tokens, dh)
+        if param_grads:
+            gblk = grads.layers[li]
+            gblk.w_down += _token_sum(delta_m2, save["act"])
+            gblk.w_up += _token_sum(delta_m1, save["x_mlp"])
+            gblk.w_o += _token_sum(delta_o, save["attn_in"])
+            gblk.w_q[...], gblk.w_k[...], gblk.w_v[...] = np.split(
+                _token_sum(delta_qkv, save["x_attn"]), 3, axis=0)
+
+    if param_grads:
+        grads.head += _token_sum(dlogits, cache.hn)
+        np.add.at(grads.embed, cache.tokens.ravel(), dh.reshape(-1, cfg.hidden_dim))
     taps.reverse()
     return grads, taps
+
+
+def sequence_grads(tap: LayerTap, n_seq: int) -> np.ndarray:
+    """Per-sequence weight gradients (n_seq, d_out, d_in) from a chunk's tap."""
+    delta = tap.delta.reshape(n_seq, -1, tap.delta.shape[1])
+    return delta.swapaxes(1, 2) @ tap.x.reshape(n_seq, -1, tap.x.shape[1])
+
+
+def chunk_taps(params: ParamSet, sequences, registry=None):
+    """Forward and backward over ``sequences`` in engine chunks, keeping taps.
+
+    Yields ``(positions, taps)`` per chunk (see ``chunks``), with one tap per
+    registry entry, in registry order. No parameter gradient is formed.
+    """
+    registry = registry if registry is not None else tracked_layers(params.config)
+    keys = [(tl.layer, tl.kind) for tl in registry]
+    for pos, tokens in chunks(sequences):
+        _, cache = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
+        _, taps = backward(params, cache, param_grads=False)
+        by_key = {(t.layer, t.kind): t for t in taps}
+        yield pos, [by_key[key] for key in keys]
 
 
 # ----------------------------------------------------------- gradient views
@@ -425,13 +500,12 @@ def grad_of_set(params: ParamSet, sequences, registry=None) -> dict[str, np.ndar
     if not sequences:
         raise DataError("grad_of_set needs a non-empty sequence set")
     registry = registry if registry is not None else tracked_layers(params.config)
-    acc = {tl.name: np.zeros(tl.flat_dim) for tl in registry}
-    for seq in sequences:
-        g = grad_of_sequence(params, seq, registry)
-        for name, vec in g.items():
-            acc[name] += vec
+    acc = {tl.name: np.zeros((tl.d_out, tl.d_in)) for tl in registry}
+    for pos, taps in chunk_taps(params, sequences, registry):
+        for tl, tap in zip(registry, taps):
+            acc[tl.name] += sequence_grads(tap, pos.size).sum(axis=0)
     n = float(len(sequences))
-    return {name: vec / n for name, vec in acc.items()}
+    return {name: (mat / n).ravel() for name, mat in acc.items()}
 
 
 def concat_layer_vectors(vectors: dict[str, np.ndarray], registry: list[TrackedLayer]) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TrainingDivergedError
-from .model import ParamSet, backward, forward, zeros_like_params
+from .model import ParamSet, backward, chunks, forward
 
 DIVERGENCE_FACTOR = 10.0
 
@@ -63,16 +63,9 @@ def train(params: ParamSet, data, cfg: TrainConfig, history: list | None = None)
             if not order:
                 order = [int(i) for i in rng.permutation(len(data))]
             batch.append(data[order.pop()])
-        grads = zeros_like_params(params)
+        losses, grads = _batch_gradient(params, batch)
         gnamed = dict(grads.iter_named())
-        batch_loss = 0.0
-        for seq in batch:
-            loss, cache = forward(params, seq)
-            g, _ = backward(params, cache)
-            batch_loss += loss
-            for name, arr in g.iter_named():
-                gnamed[name] += arr
-        batch_loss /= cfg.batch_size
+        batch_loss = math.fsum(losses) / cfg.batch_size
         if initial_loss is None:
             initial_loss = batch_loss
         if batch_loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
@@ -88,12 +81,29 @@ def train(params: ParamSet, data, cfg: TrainConfig, history: list | None = None)
     return params
 
 
+def _batch_gradient(params: ParamSet, batch):
+    """Per-sequence losses and the full ParamSet gradient summed over the batch."""
+    losses = np.empty(len(batch))
+    total = None
+    for pos, tokens in chunks(batch):
+        losses[pos], cache = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
+        grads, _ = backward(params, cache)
+        if total is None:
+            total = grads
+        else:
+            for (_, acc), (_, arr) in zip(total.iter_named(), grads.iter_named()):
+                acc += arr
+    return losses, total
+
+
 def eval_loss(params: ParamSet, sequences) -> float:
     """Mean per-sequence next-token loss; exact (order-invariant) summation."""
     seqs = sequences.sequences if hasattr(sequences, "sequences") else sequences
     if not seqs:
         raise DataError("evaluation set is empty")
-    losses = [forward(params, seq)[0] for seq in seqs]
+    losses = np.empty(len(seqs))
+    for pos, tokens in chunks(seqs):
+        losses[pos], _ = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
     return math.fsum(losses) / len(losses)
 
 

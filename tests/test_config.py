@@ -35,9 +35,8 @@ def test_file_parsing_and_comments(tmp_path):
 def test_flag_overrides_win(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("clustering.k = 12\n")
-    cfg = load_config(path, overrides=["clustering.k=99", "workers=4"])
+    cfg = load_config(path, overrides=["clustering.k=99"])
     assert cfg.clustering.k == 99
-    assert cfg.workers == 4
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -47,6 +46,8 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(None, overrides=["bandit.nosuch=1"])
     with pytest.raises(UsageError, match="section.field"):
         load_config(None, overrides=["workers_oops=1"])
+    with pytest.raises(UsageError, match="section.field"):
+        load_config(None, overrides=["workers=4"])  # the thread-pool key is gone
 
 
 def test_type_errors_rejected():
@@ -73,5 +74,5 @@ def test_fingerprint_stable_and_sensitive(tmp_path):
 def test_canonical_text_includes_all_sections():
     text = canonical_text(load_config(None))
     for key in ("paths.embeddings", "clustering.k", "bandit.alpha", "model.hidden_dim",
-                "trainer.learning_rate", "sim.arms", "influence.damping", "workers"):
+                "trainer.learning_rate", "sim.arms", "influence.damping"):
         assert key in text

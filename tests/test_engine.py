@@ -1,0 +1,195 @@
+"""Chunked (B, T) engine calls against one-sequence calls of the same engine."""
+
+import math
+
+import numpy as np
+import pytest
+
+from influence_select import bandit as B
+from influence_select import curvature as C
+from influence_select import influence as I
+from influence_select import model as M
+from influence_select.clustering import ClusterModel
+from influence_select.corpus import CandidateInstance
+
+CFG = M.ModelConfig(vocab_size=11, hidden_dim=8, n_layers=2, n_heads=2,
+                    max_context=16, mlp_ratio=2.0, rope_base=100.0)
+
+
+@pytest.fixture(params=[None, 48], ids=["default-chunk", "48-token-chunk"])
+def chunk_tokens(request, monkeypatch):
+    """Run at the module's chunk size and at one small enough that several
+    buckets split into full and partial chunks."""
+    if request.param is not None:
+        monkeypatch.setattr(M, "CHUNK_TOKENS", request.param)
+    return M.CHUNK_TOKENS
+
+
+def _ragged_sequences(n=37, seed=0):
+    """Lengths spread over 2..max_context, with length 7 crowded; tokens drawn
+    from a few ids so the embedding scatter-add sees repeats."""
+    rng = np.random.default_rng(seed)
+    lengths = [7] * 12 + [2 + i % (CFG.max_context - 1) for i in range(n - 12)]
+    order = rng.permutation(len(lengths))
+    return [rng.integers(0, 4, size=lengths[i]).tolist() for i in order]
+
+
+def _rel(got, want):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(got - want))) / scale
+
+
+def test_chunks_cover_every_sequence_once_in_bucket_order(chunk_tokens):
+    seqs = _ragged_sequences()
+    seen = []
+    full = partial = 0
+    for pos, tokens in M.chunks(seqs):
+        per_call = max(1, chunk_tokens // tokens.shape[1])
+        assert tokens.shape[0] == pos.size <= per_call
+        full += pos.size == per_call
+        partial += pos.size < per_call
+        assert list(pos) == sorted(pos)  # input order inside a bucket
+        for p, row in zip(pos, tokens):
+            assert row.tolist() == seqs[p]
+        seen.extend(int(p) for p in pos)
+    assert sorted(seen) == list(range(len(seqs)))
+    assert partial > 0
+    if chunk_tokens == 48:
+        assert full > 0  # the 14 length-7 sequences split 6 + 6 + 2
+    assert list(M.chunks([])) == []
+
+
+def test_chunked_engine_matches_single_sequence_calls(chunk_tokens):
+    params = M.init_params(CFG, seed=3)
+    seqs = _ragged_sequences()
+    worst = 0.0
+    for pos, tokens in M.chunks(seqs):
+        n_seq, T = tokens.shape
+        losses, cache = M.forward(params, tokens.ravel(), seq_len=T)
+        grads, taps = M.backward(params, cache)
+        assert losses.shape == (n_seq,)
+        want = M.zeros_like_params(params)
+        for b, p in enumerate(pos):
+            loss, one = M.forward(params, seqs[p])
+            g, one_taps = M.backward(params, one)
+            assert losses[b] == loss
+            for tap, one_tap in zip(taps, one_taps):
+                assert (tap.layer, tap.kind) == (one_tap.layer, one_tap.kind)
+                np.testing.assert_array_equal(tap.x.reshape(n_seq, T, -1)[b], one_tap.x)
+                np.testing.assert_array_equal(tap.delta.reshape(n_seq, T, -1)[b], one_tap.delta)
+            for (_, acc), (_, arr) in zip(want.iter_named(), g.iter_named()):
+                acc += arr
+        for (name, got), (_, ref) in zip(grads.iter_named(), want.iter_named()):
+            worst = max(worst, _rel(got, ref))
+    assert worst <= 1e-12, worst
+
+
+def test_sequence_grads_equal_parameter_gradients(chunk_tokens):
+    params = M.init_params(CFG, seed=4)
+    seqs = _ragged_sequences(seed=1)
+    registry = M.tracked_layers(CFG)
+    for pos, taps in M.chunk_taps(params, seqs, registry):
+        for tl, tap in zip(registry, taps):
+            per_seq = M.sequence_grads(tap, pos.size)
+            for b, p in enumerate(pos):
+                want = M.grad_of_sequence(params, seqs[p], registry)[tl.name]
+                np.testing.assert_array_equal(per_seq[b].ravel(), want)
+
+
+def test_score_batch_rows_keep_input_order(chunk_tokens):
+    params = M.init_params(CFG, seed=5)
+    registry = M.tracked_layers(CFG)
+    seqs = _ragged_sequences(seed=2)
+    factors, ref_grad = C.collect_factors(params, seqs[:6], registry, with_grad=True)
+    inverses = {n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()}
+    ihvp = I.reference_ihvp(ref_grad, inverses)
+    ids = list(range(100, 100 + len(seqs)))[::-1]
+    instances = [CandidateInstance(id=i, tokens=s, embedding_row=i) for i, s in zip(ids, seqs)]
+    table = I.score_batch(instances, ihvp, params, registry=registry)
+    assert [r[0] for r in table.rows] == ids
+    for inst, row in zip(instances, table.rows):
+        assert row[1] == I.score_instance(inst, ihvp, params, registry)
+
+
+def test_collect_factors_reference_gradient_in_the_same_pass():
+    params = M.init_params(CFG, seed=6)
+    registry = M.tracked_layers(CFG)
+    seqs = _ragged_sequences(seed=3)
+    factors, grad = C.collect_factors(params, seqs, registry, with_grad=True)
+    plain = C.collect_factors(params, seqs, registry)
+    want = M.grad_of_set(params, seqs, registry)
+    for tl in registry:
+        np.testing.assert_array_equal(factors[tl.name].delta_sum, plain[tl.name].delta_sum)
+        np.testing.assert_array_equal(factors[tl.name].x_sum, plain[tl.name].x_sum)
+        assert factors[tl.name].sample_count == sum(len(s) for s in seqs)
+        np.testing.assert_array_equal(grad[tl.name], want[tl.name])
+    # per-sequence accumulation oracle for the factors themselves
+    for tl in registry:
+        acc = np.zeros((tl.d_out, tl.d_out))
+        for s in seqs:
+            _, cache = M.forward(params, s)
+            _, taps = M.backward(params, cache)
+            tap = [t for t in taps if (t.layer, t.kind) == (tl.layer, tl.kind)][0]
+            acc += tap.delta.T @ tap.delta
+        assert _rel(factors[tl.name].delta_sum, acc) <= 1e-12
+
+
+# ------------------------------------------------------------------ bandit
+
+
+def _per_pull_update(state, model, scorer, top_k, m, seed, ledger, iteration=0,
+                     reward_mode="sum"):
+    """Reference iteration that scores each pulled cluster with its own call."""
+    rng = np.random.default_rng(seed)
+    rec = B.IterationRecord(iteration=iteration)
+    selected = ledger.selected_set()
+    for ci in B._top_k_by_score(B.cluster_scores(state), top_k):
+        if state.retired[ci]:
+            rec.skipped_pulls += 1
+            continue
+        avail = B._unselected(model.members(ci), selected)
+        if avail.size == 0:
+            state.retired[ci] = True
+            rec.newly_retired.append(ci)
+            rec.skipped_pulls += 1
+            continue
+        ids = [int(x) for x in rng.choice(avail, size=min(m, avail.size), replace=False)]
+        batch_sum = float(math.fsum(scorer(ids)))
+        state.reward[ci] += batch_sum if reward_mode == "sum" else batch_sum / len(ids)
+        state.pulls[ci] += 1
+        rec.pulls.append(B.PullRecord(cluster=ci, sampled_ids=ids, batch_sum=batch_sum))
+    rec.selected_total = len(ledger.selected)
+    return rec
+
+
+def test_bandit_scores_once_per_iteration_with_an_unchanged_ledger(tmp_path, monkeypatch):
+    sizes = [30, 12, 25, 8, 40, 17]
+    assignment = np.concatenate([np.full(n, i, dtype=np.uint32) for i, n in enumerate(sizes)])
+    model = ClusterModel(k=len(sizes), centroids=np.zeros((len(sizes), 1)),
+                         assignment=np.random.default_rng(0).permutation(assignment),
+                         sizes=np.asarray(sizes, dtype=np.int64))
+    values = np.random.default_rng(1).normal(size=assignment.size)
+    cfg = B.BanditConfig(alpha=0.5, tau=0.1, gamma=0.2, top_k=3, batch_size=5,
+                         reward_mode="mean")
+    calls = []
+
+    def scorer(ids):
+        calls.append(list(ids))
+        return [float(values[i]) for i in ids]
+
+    batched = B.run(cfg, model, scorer, budget=60, seed=11)
+    seen: set[int] = set()
+    want_calls = []
+    for rec in batched.iterations:
+        fresh = [i for p in rec.pulls for i in p.sampled_ids if i not in seen]
+        seen.update(fresh)
+        if fresh:
+            want_calls.append(fresh)
+    assert calls == want_calls  # one call per iteration, pulls in arm order
+    assert len(batched.iterations) > 3
+
+    monkeypatch.setattr(B, "pull_and_update", _per_pull_update)
+    per_pull = B.run(cfg, model, scorer, budget=60, seed=11)
+    B.write_ledger_jsonl(tmp_path / "batched.jsonl", batched, fingerprint="fp")
+    B.write_ledger_jsonl(tmp_path / "per_pull.jsonl", per_pull, fingerprint="fp")
+    assert (tmp_path / "batched.jsonl").read_bytes() == (tmp_path / "per_pull.jsonl").read_bytes()

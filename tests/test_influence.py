@@ -129,18 +129,6 @@ def test_score_batch_matches_sequential_and_preserves_order():
         assert row[2] == "factored"
 
 
-def test_score_batch_parallel_identical():
-    params = M.init_params(CFG, seed=6)
-    registry = M.tracked_layers(CFG)
-    ref_grad = M.grad_of_set(params, [[1, 2, 3]], registry)
-    ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    instances = [CandidateInstance(id=i, tokens=[1 + i % 5, 2, 3, 4], embedding_row=i)
-                 for i in range(24)]
-    serial = I.score_batch(instances, ihvp, params, registry=registry, workers=1)
-    parallel = I.score_batch(instances, ihvp, params, registry=registry, workers=4)
-    assert serial.rows == parallel.rows
-
-
 def test_score_batch_empty_and_singleton():
     params = M.init_params(CFG, seed=6)
     registry = M.tracked_layers(CFG)

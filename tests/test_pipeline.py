@@ -176,3 +176,88 @@ def test_sketched_selection_path(workdir, tmp_path):
     assert _run("score", *args, "--ids", "0,1") == 0
     lines = (out / "scores.csv").read_text().splitlines()
     assert lines[2].endswith("factored+sketch")
+
+
+# ------------------------------------------------- checks before factor setup
+
+
+@pytest.fixture
+def no_factor_setup(monkeypatch):
+    """Fail the test if curvature setup starts: input checks must come first."""
+    from influence_select import curvature
+
+    def boom(*args, **kwargs):
+        raise AssertionError("collect_factors ran before the input checks")
+
+    monkeypatch.setattr(curvature, "collect_factors", boom)
+
+
+def _clustered_copy(root, cfg, tmp_path):
+    out = tmp_path / "out"
+    assert _run("cluster", "--config", str(cfg), "--set", f"paths.output_dir={out}") == 0
+    return out
+
+
+def test_select_non_finite_score_is_typed_error(workdir, tmp_path, monkeypatch, capsys):
+    from influence_select import influence
+
+    root, cfg = workdir
+    out = _clustered_copy(root, cfg, tmp_path)
+    real = influence.reference_ihvp
+
+    def poisoned(*args, **kwargs):
+        ihvp = real(*args, **kwargs)
+        ihvp.vectors = {name: vec * np.nan for name, vec in ihvp.vectors.items()}
+        return ihvp
+
+    monkeypatch.setattr(influence, "reference_ihvp", poisoned)
+    code = _run("select", "--config", str(cfg), "--set", f"paths.output_dir={out}")
+    assert code == 2
+    assert "non-finite influence score" in capsys.readouterr().err
+    assert not (out / "ledger.jsonl").exists()
+    assert not (out / "selection.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "report"])
+def test_truncated_token_file_fails_at_load(workdir, tmp_path, capsys, no_factor_setup, command):
+    root, cfg = workdir
+    out = _clustered_copy(root, cfg, tmp_path)
+    (out / "selection.txt").write_text("0\n")
+    (out / "ledger.jsonl").write_text("")
+    lines = (root / "tokens.tsv").read_text().splitlines(keepends=True)
+    short = tmp_path / "tokens.tsv"
+    short.write_text("".join(lines[:450]))
+    code = _run(command, "--config", str(cfg), "--set", f"paths.output_dir={out}",
+                "--set", f"paths.tokens={short}")
+    assert code == 2
+    assert "embedding row 450 has no token record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tokens", [[5], list(range(17))])
+def test_candidate_length_outside_context_fails_at_load(workdir, tmp_path, capsys,
+                                                       no_factor_setup, tokens):
+    root, cfg = workdir
+    out = _clustered_copy(root, cfg, tmp_path)
+    lines = (root / "tokens.tsv").read_text().splitlines(keepends=True)
+    lines[37] = "37\t" + " ".join(str(t % 24) for t in tokens) + "\n"
+    bad = tmp_path / "tokens.tsv"
+    bad.write_text("".join(lines))
+    for command in (["select"], ["score", "--ids", "0"]):
+        code = _run(*command, "--config", str(cfg), "--set", f"paths.output_dir={out}",
+                    "--set", f"paths.tokens={bad}")
+        assert code == 2
+        assert "instance 37 has length" in capsys.readouterr().err
+
+
+def test_reference_length_outside_context_fails_at_load(workdir, tmp_path, capsys,
+                                                       no_factor_setup):
+    root, cfg = workdir
+    out = _clustered_copy(root, cfg, tmp_path)
+    lines = (root / "reference.tsv").read_text().splitlines(keepends=True)
+    lines[3] = "3\t" + " ".join(["1"] * 17) + "\n"
+    bad = tmp_path / "reference.tsv"
+    bad.write_text("".join(lines))
+    code = _run("select", "--config", str(cfg), "--set", f"paths.output_dir={out}",
+                "--set", f"paths.reference={bad}")
+    assert code == 2
+    assert "reference id 3 has length 17" in capsys.readouterr().err
