@@ -26,7 +26,6 @@ from .influence import (
     reference_ihvp,
     score_batch,
     score_instance,
-    score_instance_sketched,
 )
 from .model import ModelConfig, ParamSet, backward, forward, grad_of_set, init_params
 from .oracle import compare_methods, dense_curvature, exact_influence
@@ -67,7 +66,6 @@ __all__ = [
     "sample_from_cluster",
     "score_batch",
     "score_instance",
-    "score_instance_sketched",
     "select_step",
     "train",
     "write_embeddings",

@@ -124,9 +124,23 @@ class SelectionLedger:
     selected_clusters: list[int] = field(default_factory=list)  # parallel to selected
     truncated: bool = False
     final_state: BanditState | None = None
+    _mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool),
+                              init=False, repr=False, compare=False)
+    _marked: int = field(default=0, init=False, repr=False, compare=False)
 
-    def selected_set(self) -> set[int]:
-        return set(self.selected)
+    def selected_mask(self, count: int) -> np.ndarray:
+        """Boolean mask over a pool of ``count`` ids, true where selected.
+
+        Kept in step with ``selected``: each call marks only the ids appended
+        since the previous one.
+        """
+        if self._mask.size != count:
+            self._mask = np.zeros(count, dtype=bool)
+            self._marked = 0
+        if self._marked < len(self.selected):
+            self._mask[self.selected[self._marked :]] = True
+            self._marked = len(self.selected)
+        return self._mask
 
 
 class CachedScorer:
@@ -150,12 +164,8 @@ def _top_k_by_score(scores: np.ndarray, k: int) -> list[int]:
     return [int(i) for i in order[:k]]
 
 
-def _unselected(members: np.ndarray, selected: set[int]) -> np.ndarray:
-    if not selected:
-        return members
-    keep = np.fromiter((mid not in selected for mid in members), dtype=bool,
-                       count=members.size)
-    return members[keep]
+def _unselected(members: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    return members[~selected[members]]
 
 
 def pull_and_update(
@@ -181,7 +191,7 @@ def pull_and_update(
         raise DataError(f"top_k={top_k} exceeds cluster count {state.n_clusters}")
     rng = np.random.default_rng(seed)
     rec = IterationRecord(iteration=iteration)
-    selected = ledger.selected_set()
+    selected = ledger.selected_mask(model.count)
     chosen = _top_k_by_score(cluster_scores(state), top_k)
     batches: list[tuple[int, list[int]]] = []
     for ci in chosen:
@@ -233,7 +243,6 @@ def select_step(
     if not (state.pulls > 0).any():
         raise DataError("select_step requires at least one pulled cluster")
     rng = np.random.default_rng(seed)
-    selected = ledger.selected_set()
     out: list[tuple[int, list[int]]] = []
     for ci in range(state.n_clusters):
         if state.pulls[ci] == 0:
@@ -241,7 +250,7 @@ def select_step(
         mean = state.reward[ci] / state.pulls[ci]
         if tau_mode == "cluster" and not (mean > tau):
             continue
-        avail = _unselected(model.members(ci), selected)
+        avail = _unselected(model.members(ci), ledger.selected_mask(model.count))
         if avail.size == 0:
             continue
         take = min(avail.size, max(1, int(math.floor(gamma * avail.size))))
@@ -251,10 +260,8 @@ def select_step(
             ids = [i for i, s in zip(ids, scores) if s > tau]
             if not ids:
                 continue
-        for i in ids:
-            selected.add(i)
-            ledger.selected.append(i)
-            ledger.selected_clusters.append(ci)
+        ledger.selected.extend(ids)
+        ledger.selected_clusters.extend([ci] * len(ids))
         out.append((ci, ids))
     return out
 

@@ -85,7 +85,8 @@ def _load_reference(cfg: RunConfig) -> corpus.ReferenceSet:
 
 
 def _scoring_setup(cfg: RunConfig, ref: corpus.ReferenceSet, factor_path: str | None = None):
-    """Model init, factor estimation over the reference set, reference iHVP."""
+    """Model init, factor estimation over the reference set, reference iHVP
+    (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
     params = model_mod.init_params(cfg.model.model_config(), seed=cfg.model.init_seed)
     registry = model_mod.tracked_layers(params.config, cfg.influence.kinds())
     factors, ref_grad = curvature.collect_factors(params, ref.sequences, registry, with_grad=True)
@@ -96,13 +97,13 @@ def _scoring_setup(cfg: RunConfig, ref: corpus.ReferenceSet, factor_path: str | 
         name: curvature.inverse_of_factor(fac, cfg.influence.damping)
         for name, fac in factors.items()
     }
-    ihvp = influence.reference_ihvp(ref_grad, inverses, factor_id=fingerprint(cfg))
-    projector = None
+    ihvp = influence.reference_ihvp(ref_grad, inverses)
     if cfg.influence.use_sketch:
         projector = influence.SketchProjector(
             target_dim=cfg.influence.sketch_dim, seed=cfg.influence.sketch_seed
         )
-    return params, registry, ihvp, projector
+        ihvp = influence.pullback_ihvp(projector, ihvp)
+    return params, registry, ihvp
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
@@ -138,10 +139,8 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     if missing:
         raise DataError(f"no token record for instance id(s) {missing[:5]}")
     ref = _load_reference(cfg)
-    params, registry, ihvp, projector = _scoring_setup(cfg, ref)
-    table = influence.score_batch(
-        [by_id[i] for i in ids], ihvp, params, projector=projector, registry=registry
-    )
+    params, registry, ihvp = _scoring_setup(cfg, ref)
+    table = influence.score_batch([by_id[i] for i in ids], ihvp, params, registry=registry)
     path = _out(cfg, "scores.csv")
     influence.write_influence_csv(path, table, fingerprint=fp)
     print(f"scored {len(ids)} instances -> {path}")
@@ -165,14 +164,10 @@ def cmd_select(cfg: RunConfig) -> int:
             f"cluster model dimension {cmodel.dim} does not match corpus {emb.dim}; "
             "re-run the `cluster` command"
         )
-    params, registry, ihvp, projector = _scoring_setup(cfg, ref, _out(cfg, "factors.ntc"))
-
-    target = ihvp if projector is None else influence.sketch_ihvp(projector, ihvp)
+    params, registry, ihvp = _scoring_setup(cfg, ref, _out(cfg, "factors.ntc"))
 
     def scorer(ids):
-        table = influence.score_batch(
-            [by_id[i] for i in ids], target, params, projector=projector, registry=registry
-        )
+        table = influence.score_batch([by_id[i] for i in ids], ihvp, params, registry=registry)
         return table.scores()
 
     ledger = bandit_mod.run(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from .bandit import BanditConfig
 from .errors import UsageError
-from .model import ModelConfig
+from .model import TAP_KINDS, ModelConfig
 from .trainer import TrainConfig
 
 
@@ -42,6 +42,16 @@ class InfluenceConfig:
     sketch_seed: int = 0
     use_sketch: bool = False
     layers: str = "qkv-joint,attn-out,mlp-1,mlp-2"  # tracked-layer kinds
+
+    def __post_init__(self):
+        kinds = self.kinds()
+        if not kinds or not set(kinds) <= set(TAP_KINDS):
+            raise UsageError(f"influence.layers must name one or more of {TAP_KINDS}, "
+                             f"got {self.layers!r}")
+        if not self.damping >= 0.0:
+            raise UsageError(f"influence.damping must be >= 0, got {self.damping!r}")
+        if self.sketch_dim < 1:
+            raise UsageError(f"influence.sketch_dim must be >= 1, got {self.sketch_dim}")
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(s.strip() for s in self.layers.split(",") if s.strip())
@@ -207,6 +217,7 @@ def load_config(path: str | None, overrides: list[str] = ()) -> RunConfig:
     # re-run validation hooks that only fire on construction
     cfg.bandit.__post_init__()
     cfg.trainer.__post_init__()
+    cfg.influence.__post_init__()
     return cfg
 
 

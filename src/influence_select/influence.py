@@ -11,9 +11,11 @@ points the same way as the reference gradient scores POSITIVE, i.e. a
 positive score means upweighting the candidate is expected to reduce
 reference loss. Selection thresholds are stated in this orientation.
 
-Optionally both sides are compressed with a seeded Rademacher random
-projection (entries +-1/sqrt(target_dim)); projections are regenerated
-from the seed per layer and never stored.
+Optionally the score is the JL-sketched one, ``<S g, S v>`` with a seeded
+Rademacher projection S (entries +-1/sqrt(target_dim)) drawn per layer from
+the seed and never stored. Since ``<S g, S v> = <g, S^T S v>``, the sketch is
+folded into the iHVP once (``pullback_ihvp``) and candidates are scored
+through the plain path, so sketched scoring costs the same as unsketched.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class IhvpVector:
 
     vectors: dict[str, np.ndarray]
     damping: float
-    factor_id: str = ""
+    method: str = "factored"  # score label; "factored+sketch" after pullback_ihvp
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,6 @@ class SketchProjector:
     target_dim: int
     seed: int
     identity: bool = False
-
-
-@dataclass
-class SketchedIhvp:
-    vectors: dict[str, np.ndarray]
-    target_dim: int
-    seed: int
-    identity: bool
-    damping: float
 
 
 @dataclass
@@ -72,7 +65,6 @@ class InfluenceTable:
 def reference_ihvp(
     ref_grad: dict[str, np.ndarray],
     inverses: dict[str, DampedFactorInverse],
-    factor_id: str = "",
 ) -> IhvpVector:
     """Apply each layer's damped inverse to the reference gradient."""
     missing = sorted(set(ref_grad) - set(inverses))
@@ -85,7 +77,7 @@ def reference_ihvp(
         if damping is None:
             damping = inv.damping
         vectors[name] = kron_ihvp(inv, vec)
-    return IhvpVector(vectors=vectors, damping=float(damping), factor_id=factor_id)
+    return IhvpVector(vectors=vectors, damping=float(damping))
 
 
 def _layer_rng(projector: SketchProjector, layer_name: str) -> np.random.Generator:
@@ -95,29 +87,45 @@ def _layer_rng(projector: SketchProjector, layer_name: str) -> np.random.Generat
     )
 
 
+def _sign_blocks(projector: SketchProjector, layer_name: str, n: int):
+    """The layer's +-1 projection over n input dims, one column block at a time."""
+    rng = _layer_rng(projector, layer_name)
+    for start in range(0, n, SKETCH_BLOCK):
+        width = min(SKETCH_BLOCK, n - start)
+        signs = rng.integers(0, 2, size=(projector.target_dim, width), dtype=np.int8)
+        yield slice(start, start + width), 2.0 * signs - 1.0
+
+
 def sketch_vector(projector: SketchProjector, layer_name: str, v: np.ndarray) -> np.ndarray:
     """Project one flat layer vector down to target_dim."""
     if projector.identity:
         if projector.target_dim != v.shape[0]:
             raise DataError("identity sketch requires target_dim == vector length")
         return v.copy()
-    rng = _layer_rng(projector, layer_name)
     out = np.zeros(projector.target_dim)
-    for start in range(0, v.shape[0], SKETCH_BLOCK):
-        block = v[start : start + SKETCH_BLOCK]
-        signs = rng.integers(0, 2, size=(projector.target_dim, block.shape[0]), dtype=np.int8)
-        out += (2.0 * signs - 1.0) @ block
+    for cols, signs in _sign_blocks(projector, layer_name, v.shape[0]):
+        out += signs @ v[cols]
     return out / np.sqrt(projector.target_dim)
 
 
-def sketch_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> SketchedIhvp:
-    return SketchedIhvp(
-        vectors={name: sketch_vector(projector, name, vec) for name, vec in ihvp.vectors.items()},
-        target_dim=projector.target_dim,
-        seed=projector.seed,
-        identity=projector.identity,
-        damping=ihvp.damping,
-    )
+def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
+    """Replace each layer's v by S^T S v, with S the projection ``sketch_vector``
+    draws for that layer, so ``<g, S^T S v>`` is the sketched score ``<S g, S v>``.
+
+    Two passes over the layer's sign stream (S v, then S^T of it) keep one
+    block in memory at a time. The identity hook leaves v as it is.
+    """
+    vectors = {}
+    for name, vec in ihvp.vectors.items():
+        sv = sketch_vector(projector, name, vec)
+        if projector.identity:
+            vectors[name] = sv
+            continue
+        out = np.empty(vec.shape[0])
+        for cols, signs in _sign_blocks(projector, name, vec.shape[0]):
+            out[cols] = sv @ signs
+        vectors[name] = out / np.sqrt(projector.target_dim)
+    return IhvpVector(vectors=vectors, damping=ihvp.damping, method="factored+sketch")
 
 
 def score_from_grads(grads: dict[str, np.ndarray], ihvp: IhvpVector) -> float:
@@ -132,31 +140,20 @@ def _tokens(instance):
     return instance.tokens if isinstance(instance, CandidateInstance) else instance
 
 
-def _tap_scores(sequences, params: ParamSet, registry, vectors, projector=None) -> list[float]:
+def _tap_scores(sequences, params: ParamSet, registry, vectors) -> list[float]:
     """Per-sequence scores straight from engine taps.
 
     Each tracked layer's per-sequence gradient delta^T x is dotted with that
-    layer's vector (sketched first when a projector is given) and the layer
-    terms are summed in registry order, exactly as ``score_from_grads`` does.
+    layer's vector and the layer terms are summed in registry order, exactly
+    as ``score_from_grads`` does.
     """
     scores = [0.0] * len(sequences)
     for pos, taps in chunk_taps(params, sequences, registry):
         for tl, tap in zip(registry, taps):
             vec = vectors[tl.name]
             for p, g in zip(pos, sequence_grads(tap, pos.size).reshape(pos.size, -1)):
-                if projector is not None:
-                    g = sketch_vector(projector, tl.name, g)
                 scores[p] += float(np.dot(g, vec))
     return scores
-
-
-def _check_projector(projector: SketchProjector, sketched_ihvp: SketchedIhvp) -> None:
-    if (projector.seed, projector.target_dim, projector.identity) != (
-        sketched_ihvp.seed,
-        sketched_ihvp.target_dim,
-        sketched_ihvp.identity,
-    ):
-        raise DataError("projector does not match the one used to sketch the iHVP")
 
 
 def score_instance(instance, ihvp: IhvpVector, params: ParamSet, registry=None) -> float:
@@ -164,47 +161,20 @@ def score_instance(instance, ihvp: IhvpVector, params: ParamSet, registry=None) 
     return _tap_scores([_tokens(instance)], params, registry, ihvp.vectors)[0]
 
 
-def score_instance_sketched(
-    instance,
-    sketched_ihvp: SketchedIhvp,
-    projector: SketchProjector,
-    params: ParamSet,
-    registry=None,
-) -> float:
-    _check_projector(projector, sketched_ihvp)
-    registry = registry if registry is not None else tracked_layers(params.config)
-    return _tap_scores([_tokens(instance)], params, registry, sketched_ihvp.vectors, projector)[0]
-
-
-def score_batch(
-    instances,
-    ihvp: IhvpVector | SketchedIhvp,
-    params: ParamSet,
-    projector: SketchProjector | None = None,
-    registry=None,
-) -> InfluenceTable:
+def score_batch(instances, ihvp: IhvpVector, params: ParamSet, registry=None) -> InfluenceTable:
     """Score many instances in engine chunks; row order always matches input order.
 
-    With a projector, ``ihvp`` is sketched here unless it already is a
-    ``SketchedIhvp``. Every score is checked to be finite.
+    Rows carry ``ihvp.method``. Every score is checked to be finite.
     """
     registry = registry if registry is not None else tracked_layers(params.config)
     instances = list(instances)
-    sequences = [_tokens(inst) for inst in instances]
-    if projector is None:
-        method = "factored"
-        scores = _tap_scores(sequences, params, registry, ihvp.vectors)
-    else:
-        method = "factored+sketch"
-        sk = ihvp if isinstance(ihvp, SketchedIhvp) else sketch_ihvp(projector, ihvp)
-        _check_projector(projector, sk)
-        scores = _tap_scores(sequences, params, registry, sk.vectors, projector)
+    scores = _tap_scores([_tokens(inst) for inst in instances], params, registry, ihvp.vectors)
     table = InfluenceTable()
     for inst, s in zip(instances, scores):
         inst_id = inst.id if isinstance(inst, CandidateInstance) else -1
         if not np.isfinite(s):
             raise DataError(f"non-finite influence score for instance {inst_id}")
-        table.rows.append((inst_id, s, method))
+        table.rows.append((inst_id, s, ihvp.method))
     return table
 
 

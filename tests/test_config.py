@@ -76,3 +76,37 @@ def test_canonical_text_includes_all_sections():
     for key in ("paths.embeddings", "clustering.k", "bandit.alpha", "model.hidden_dim",
                 "trainer.learning_rate", "sim.arms", "influence.damping"):
         assert key in text
+
+
+@pytest.mark.parametrize("override, key", [
+    ("influence.layers=foo", "influence.layers"),
+    ("influence.layers=qkv-joint,mlp-3", "influence.layers"),
+    ("influence.layers= , ", "influence.layers"),
+    ("influence.damping=-1", "influence.damping"),
+    ("influence.damping=nan", "influence.damping"),
+    ("influence.sketch_dim=0", "influence.sketch_dim"),
+    ("influence.sketch_dim=-3", "influence.sketch_dim"),
+])
+def test_influence_section_validated_at_load(override, key):
+    with pytest.raises(UsageError, match=key):
+        load_config(None, overrides=[override])
+
+
+def test_influence_subset_of_layers_accepted():
+    cfg = load_config(None, overrides=["influence.layers=mlp-2, qkv-joint",
+                                       "influence.damping=0", "influence.sketch_dim=1"])
+    assert cfg.influence.kinds() == ("mlp-2", "qkv-joint")
+
+
+@pytest.mark.parametrize("override", ["influence.layers=foo", "influence.sketch_dim=0",
+                                      "influence.sketch_dim=-3", "influence.damping=-1"])
+def test_bad_influence_value_exits_1_without_traceback(override, tmp_path, capsys):
+    from influence_select import cli
+
+    code = cli.main(["score", "--ids", "0", "--set", override,
+                     "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert override.split("=")[0] in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

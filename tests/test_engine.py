@@ -142,12 +142,13 @@ def _per_pull_update(state, model, scorer, top_k, m, seed, ledger, iteration=0,
     """Reference iteration that scores each pulled cluster with its own call."""
     rng = np.random.default_rng(seed)
     rec = B.IterationRecord(iteration=iteration)
-    selected = ledger.selected_set()
+    selected = set(ledger.selected)
     for ci in B._top_k_by_score(B.cluster_scores(state), top_k):
         if state.retired[ci]:
             rec.skipped_pulls += 1
             continue
-        avail = B._unselected(model.members(ci), selected)
+        members = model.members(ci)
+        avail = members[np.array([i not in selected for i in members], dtype=bool)]
         if avail.size == 0:
             state.retired[ci] = True
             rec.newly_retired.append(ci)

@@ -186,17 +186,6 @@ def test_sketch_unbiasedness_smoke():
     assert abs(vals.mean() - exact) <= 3 * se
 
 
-def test_sketch_seed_mismatch_rejected():
-    params = M.init_params(CFG, seed=8)
-    registry = M.tracked_layers(CFG)
-    ref_grad = M.grad_of_set(params, [[1, 2, 3]], registry)
-    ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    sk = I.sketch_ihvp(I.SketchProjector(target_dim=32, seed=5), ihvp)
-    wrong = I.SketchProjector(target_dim=32, seed=6)
-    with pytest.raises(DataError, match="does not match"):
-        I.score_instance_sketched([1, 2, 3], sk, wrong, params, registry)
-
-
 def test_sketched_batch_method_label_and_determinism():
     params = M.init_params(CFG, seed=8)
     registry = M.tracked_layers(CFG)
@@ -204,10 +193,77 @@ def test_sketched_batch_method_label_and_determinism():
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     proj = I.SketchProjector(target_dim=64, seed=3)
     insts = [CandidateInstance(id=i, tokens=[1, 2, 3, i % 11], embedding_row=i) for i in range(5)]
-    t1 = I.score_batch(insts, ihvp, params, projector=proj, registry=registry)
-    t2 = I.score_batch(insts, ihvp, params, projector=proj, registry=registry)
+    t1 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
+    t2 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
     assert t1.rows == t2.rows
     assert all(r[2] == "factored+sketch" for r in t1.rows)
+
+
+def _jl_scores(proj, params, registry, ihvp, seqs):
+    """The sketched score as defined: sum over layers of <S g_l, S v_l>."""
+    out = []
+    for seq in seqs:
+        grads = M.grad_of_sequence(params, seq, registry)
+        out.append(sum(float(I.sketch_vector(proj, tl.name, grads[tl.name])
+                             @ I.sketch_vector(proj, tl.name, ihvp.vectors[tl.name]))
+                       for tl in registry))
+    return np.asarray(out)
+
+
+def test_folded_sketch_matches_jl_sketched_score_on_ragged_batch():
+    params = M.init_params(CFG, seed=11)
+    registry = M.tracked_layers(CFG)
+    rng = np.random.default_rng(12)
+    ref = [rng.integers(0, 13, size=n).tolist() for n in (5, 9, 3)]
+    ihvp = I.reference_ihvp(M.grad_of_set(params, ref, registry),
+                            _real_inverses(params, ref, 1e-3))
+    seqs = [rng.integers(0, 13, size=n).tolist() for n in (2, 7, 16, 3, 11, 7, 5, 14)]
+    proj = I.SketchProjector(target_dim=48, seed=21)
+    insts = [CandidateInstance(id=i, tokens=s, embedding_row=i) for i, s in enumerate(seqs)]
+    table = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
+    got = np.asarray(table.scores())
+    want = _jl_scores(proj, params, registry, ihvp, seqs)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert [r[0] for r in table.rows] == list(range(len(seqs)))
+    # the sketch changes the scores: this is not the unsketched path
+    plain = np.asarray(I.score_batch(insts, ihvp, params, registry=registry).scores())
+    assert np.max(np.abs(got - plain)) > 1e-6 * np.max(np.abs(plain))
+
+
+def test_pullback_covers_the_multi_block_stream():
+    rng = np.random.default_rng(13)
+    n = 2 * I.SKETCH_BLOCK + 123
+    v = rng.normal(size=n)
+    proj = I.SketchProjector(target_dim=16, seed=4)
+    folded = I.pullback_ihvp(proj, I.IhvpVector(vectors={"layer0.mlp-1": v}, damping=0.0))
+    assert folded.method == "factored+sketch"
+    assert folded.damping == 0.0
+    sv = I.sketch_vector(proj, "layer0.mlp-1", v)
+    for _ in range(3):
+        g = rng.normal(size=n)
+        want = float(I.sketch_vector(proj, "layer0.mlp-1", g) @ sv)
+        got = float(g @ folded.vectors["layer0.mlp-1"])
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_identity_pullback_is_the_plain_score():
+    params = M.init_params(CFG, seed=8)
+    registry = M.tracked_layers(CFG, kinds=("attn-out",))
+    ref_grad = M.grad_of_set(params, [[1, 2, 3, 4]], registry)
+    ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
+    proj = I.SketchProjector(target_dim=registry[0].flat_dim, seed=0, identity=True)
+    folded = I.pullback_ihvp(proj, ihvp)
+    np.testing.assert_array_equal(folded.vectors[registry[0].name],
+                                  ihvp.vectors[registry[0].name])
+    insts = [CandidateInstance(id=i, tokens=[5, 6, 7, i % 13], embedding_row=i) for i in range(4)]
+    got = I.score_batch(insts, folded, params, registry=registry)
+    want = I.score_batch(insts, ihvp, params, registry=registry)
+    assert got.scores() == want.scores()
+    assert got.scores() == pytest.approx(
+        list(_jl_scores(proj, params, registry, ihvp, [i.tokens for i in insts])), rel=1e-12)
+    wrong = I.SketchProjector(target_dim=7, seed=0, identity=True)
+    with pytest.raises(DataError, match="identity sketch"):
+        I.pullback_ihvp(wrong, ihvp)
 
 
 def test_influence_csv_round_trip(tmp_path):
