@@ -40,13 +40,15 @@ class BanditConfig:
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
-            raise UsageError("gamma must be in (0, 1]")
+            raise UsageError(f"bandit.gamma must be in (0, 1], got {self.gamma!r}")
         if self.tau_mode not in TAU_MODES:
-            raise UsageError(f"tau_mode must be one of {TAU_MODES}")
+            raise UsageError(f"bandit.tau_mode must be one of {TAU_MODES}, got {self.tau_mode!r}")
         if self.reward_mode not in REWARD_MODES:
-            raise UsageError(f"reward_mode must be one of {REWARD_MODES}")
-        if self.top_k < 1 or self.batch_size < 1:
-            raise UsageError("top_k and batch_size must be positive")
+            raise UsageError(f"bandit.reward_mode must be one of {REWARD_MODES}, "
+                             f"got {self.reward_mode!r}")
+        for key in ("top_k", "batch_size"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"bandit.{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -72,22 +74,15 @@ class BanditState:
 
 
 def cluster_score(state: BanditState, i: int) -> float:
-    """Mean reward plus the UCB exploration bonus.
-
-    Unpulled arms score +inf (forced exploration); retired arms -inf.
-    """
-    if state.retired[i]:
-        return -math.inf
-    t_i = int(state.pulls[i])
-    if t_i == 0:
-        return math.inf
-    total = float(state.pulls.sum())
-    mean = state.reward[i] / t_i
-    return float(mean + state.alpha * np.sqrt(2.0 * np.log(total) / t_i))
+    """Arm i's entry of cluster_scores."""
+    return float(cluster_scores(state)[i])
 
 
 def cluster_scores(state: BanditState) -> np.ndarray:
-    """Vectorized cluster_score over all arms."""
+    """Mean reward plus the UCB exploration bonus, for every arm.
+
+    Unpulled arms score +inf (forced exploration); retired arms -inf.
+    """
     scores = np.full(state.n_clusters, np.inf)
     total = float(state.pulls.sum())
     pulled = state.pulls > 0

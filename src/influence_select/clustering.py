@@ -49,13 +49,13 @@ class ClusterModel:
 
 
 def _pairwise_sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; clamp tiny negatives from cancellation
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; clamp tiny negatives from cancellation.
+    # Built in place in one (n, k) buffer, in the same operation order as the
+    # plain expression, so the result is bitwise the same.
+    d2 = (2.0 * x) @ centroids.T
+    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(centroids * centroids, axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

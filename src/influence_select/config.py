@@ -9,6 +9,7 @@ reruns can be checked for byte-identity.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .bandit import BanditConfig
@@ -33,6 +34,14 @@ class ClusteringConfig:
     max_iters: int = 100
     tol: float = 0.0
     normalize: bool = False
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise UsageError(f"clustering.k must be >= 1, got {self.k}")
+        if self.max_iters < 1:
+            raise UsageError(f"clustering.max_iters must be >= 1, got {self.max_iters}")
+        if not self.tol >= 0.0:
+            raise UsageError(f"clustering.tol must be >= 0, got {self.tol!r}")
 
 
 @dataclass
@@ -62,6 +71,10 @@ class SelectionConfig:
     budget: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        if self.budget < 0:
+            raise UsageError(f"selection.budget must be >= 0, got {self.budget}")
+
 
 @dataclass
 class ModelSection:
@@ -73,6 +86,24 @@ class ModelSection:
     mlp_ratio: float = 8.0 / 3.0
     rope_base: float = 10000.0
     init_seed: int = 0
+
+    def __post_init__(self):
+        for key in ("vocab_size", "hidden_dim", "n_layers", "n_heads"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"model.{key} must be >= 1, got {getattr(self, key)}")
+        if self.hidden_dim % self.n_heads != 0:
+            raise UsageError(f"model.n_heads must divide model.hidden_dim, got "
+                             f"{self.n_heads} and {self.hidden_dim}")
+        if (self.hidden_dim // self.n_heads) % 2 != 0:
+            raise UsageError(f"model.hidden_dim / model.n_heads must be even for rotary "
+                             f"embeddings, got {self.hidden_dim} / {self.n_heads}")
+        if self.max_context < 2:
+            raise UsageError(f"model.max_context must be >= 2, got {self.max_context}")
+        width = self.mlp_ratio * self.hidden_dim
+        if not (math.isfinite(width) and round(width) >= 1):
+            raise UsageError(f"model.mlp_ratio must give an MLP width >= 1, got {self.mlp_ratio!r}")
+        if not self.rope_base > 0.0:
+            raise UsageError(f"model.rope_base must be > 0, got {self.rope_base!r}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -215,9 +246,10 @@ def load_config(path: str | None, overrides: list[str] = ()) -> RunConfig:
     for key, value in assignments:
         apply_assignment(cfg, key, value)
     # re-run validation hooks that only fire on construction
-    cfg.bandit.__post_init__()
-    cfg.trainer.__post_init__()
-    cfg.influence.__post_init__()
+    for sec in _SECTIONS:
+        check = getattr(getattr(cfg, sec), "__post_init__", None)
+        if check is not None:
+            check()
     return cfg
 
 

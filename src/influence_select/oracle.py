@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .curvature import (
     KroneckerFactor,
@@ -142,6 +141,9 @@ class MethodReport:
 
 
 def method_correlations(exact_scores, approx_by_method: dict[str, np.ndarray]) -> list[MethodReport]:
+    # scipy.stats takes about a second to import; only oracle-check reaches here
+    from scipy import stats
+
     exact_scores = np.asarray(exact_scores, dtype=np.float64)
     if np.std(exact_scores) == 0.0:
         raise NumericError("exact score vector has zero variance")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TrainingDivergedError
+from .errors import DataError, TrainingDivergedError, UsageError
 from .model import ParamSet, backward, chunks, forward
 
 DIVERGENCE_FACTOR = 10.0
@@ -29,12 +29,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.batch_size < 1 or self.steps < 0:
-            raise DataError("learning rate, batch size and steps must be non-negative/positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise DataError("adam betas must lie in (0, 1)")
-        if self.eps <= 0:
-            raise DataError("adam eps must be positive")
+        if not self.learning_rate >= 0.0:
+            raise UsageError(f"trainer.learning_rate must be >= 0, got {self.learning_rate!r}")
+        if self.batch_size < 1:
+            raise UsageError(f"trainer.batch_size must be >= 1, got {self.batch_size}")
+        if self.steps < 0:
+            raise UsageError(f"trainer.steps must be >= 0, got {self.steps}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 < getattr(self, key) < 1.0:
+                raise UsageError(f"trainer.{key} must lie in (0, 1), got {getattr(self, key)!r}")
+        if not self.eps > 0.0:
+            raise UsageError(f"trainer.eps must be > 0, got {self.eps!r}")
 
 
 def adam_step(value, grad, m, v, t, cfg: TrainConfig):

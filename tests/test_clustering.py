@@ -192,3 +192,20 @@ def test_assignment_indices_in_range():
     model = kmeans(corpus, k=6, seed=0)
     assert model.assignment.max() < model.k
     assert model.sizes.sum() == 40
+
+
+def test_pairwise_sq_dists_bitwise_equal_to_plain_expression():
+    from influence_select.clustering import _pairwise_sq_dists
+
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(300, 17)) * rng.uniform(0.1, 10.0, size=17)
+    centroids = np.concatenate([x[:5], rng.normal(size=(20, 17))])  # exact hits give zeros
+    plain = np.maximum(
+        np.sum(x * x, axis=1)[:, None]
+        - 2.0 * x @ centroids.T
+        + np.sum(centroids * centroids, axis=1)[None, :],
+        0.0,
+    )
+    got = _pairwise_sq_dists(x, centroids)
+    assert got.shape == (300, 25)
+    np.testing.assert_array_equal(got, plain)

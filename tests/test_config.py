@@ -110,3 +110,65 @@ def test_bad_influence_value_exits_1_without_traceback(override, tmp_path, capsy
     assert override.split("=")[0] in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("override, key", [
+    ("model.n_layers=0", "model.n_layers"),
+    ("model.hidden_dim=0", "model.hidden_dim"),
+    ("model.n_heads=0", "model.n_heads"),
+    ("model.n_heads=5", "model.n_heads"),
+    ("model.n_heads=64", "model.hidden_dim / model.n_heads"),
+    ("model.max_context=1", "model.max_context"),
+    ("model.vocab_size=0", "model.vocab_size"),
+    ("model.mlp_ratio=0", "model.mlp_ratio"),
+    ("model.mlp_ratio=nan", "model.mlp_ratio"),
+    ("model.rope_base=0", "model.rope_base"),
+    ("clustering.k=0", "clustering.k"),
+    ("clustering.max_iters=0", "clustering.max_iters"),
+    ("clustering.tol=-1e-9", "clustering.tol"),
+    ("clustering.tol=nan", "clustering.tol"),
+    ("selection.budget=-1", "selection.budget"),
+    ("trainer.learning_rate=-1", "trainer.learning_rate"),
+    ("trainer.learning_rate=nan", "trainer.learning_rate"),
+    ("trainer.batch_size=0", "trainer.batch_size"),
+    ("trainer.steps=-1", "trainer.steps"),
+    ("trainer.beta1=1", "trainer.beta1"),
+    ("trainer.beta2=0", "trainer.beta2"),
+    ("trainer.eps=0", "trainer.eps"),
+    ("bandit.top_k=0", "bandit.top_k"),
+    ("bandit.batch_size=0", "bandit.batch_size"),
+])
+def test_remaining_sections_validated_at_load(override, key):
+    with pytest.raises(UsageError, match=key.replace(".", r"\.")):
+        load_config(None, overrides=[override])
+
+
+def test_section_boundary_values_accepted():
+    cfg = load_config(None, overrides=[
+        "model.n_layers=1", "model.hidden_dim=2", "model.n_heads=1", "model.max_context=2",
+        "model.vocab_size=1", "clustering.k=1", "clustering.max_iters=1", "clustering.tol=0",
+        "selection.budget=0", "trainer.learning_rate=0", "trainer.steps=0",
+        "trainer.batch_size=1",
+    ])
+    assert cfg.model.model_config().head_dim == 2
+    assert cfg.selection.budget == 0
+
+
+@pytest.mark.parametrize("command, override", [
+    ("select", "model.n_layers=0"),
+    ("select", "model.n_heads=5"),
+    ("cluster", "clustering.k=0"),
+    ("cluster", "clustering.max_iters=0"),
+    ("select", "selection.budget=-1"),
+    ("report", "trainer.steps=-1"),
+    ("report", "trainer.eps=0"),
+])
+def test_bad_section_value_exits_1_without_traceback(command, override, tmp_path, capsys):
+    from influence_select import cli
+
+    code = cli.main([command, "--set", override, "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"usage error: {override.split('=')[0]} ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

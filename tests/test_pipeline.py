@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +142,18 @@ def test_oracle_check_command(workdir, tmp_path):
         assert (out / name).exists()
     methods = (out / "oracle_methods.csv").read_text()
     assert "joint-qkv" in methods
+
+
+def test_package_and_cli_import_without_scipy():
+    # scipy.stats costs about a second at start-up; only oracle-check may load it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import influence_select, influence_select.cli, sys; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_rerun_is_byte_identical(workdir, tmp_path):
