@@ -48,22 +48,50 @@ class ClusterModel:
         return cache[cluster]
 
 
-def _pairwise_sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(
+    x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray | None = None
+) -> np.ndarray:
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; clamp tiny negatives from cancellation.
     # Built in place in one (n, k) buffer, in the same operation order as the
-    # plain expression, so the result is bitwise the same.
+    # plain expression, so the result is bitwise the same. ``x_sq`` is
+    # np.sum(x * x, axis=1), which kmeans computes once per call.
+    if x_sq is None:
+        x_sq = np.sum(x * x, axis=1)
     d2 = (2.0 * x) @ centroids.T
-    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
+    np.subtract(x_sq[:, None], d2, out=d2)
     d2 += np.sum(centroids * centroids, axis=1)[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_sq_dists(x: np.ndarray, x_sq: np.ndarray, idx: int, out: np.ndarray) -> np.ndarray:
+    """||x - c||^2 for every row, c = x[idx], into ``out``.
+
+    One matrix-vector product: ||x||^2 - 2 x.c + ||c||^2, clamped at 0. That
+    form is off by rounding, so a row equal to c need not read exactly 0;
+    every entry within rounding of 0 is recomputed as sum((x - c)^2), so rows
+    that coincide with c read exactly 0.
+    """
+    c = x[idx]
+    np.matmul(x, -2.0 * c, out=out)
+    out += x_sq
+    out += x_sq[idx]
+    np.maximum(out, 0.0, out=out)
+    near_rel = 4.0 * x.shape[1] * np.finfo(np.float64).eps
+    near = np.flatnonzero(out <= near_rel * (x_sq + x_sq[idx]))
+    out[near] = np.sum((x[near] - c) ** 2, axis=1)
+    return out
+
+
+def _kmeans_pp_init(
+    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeding (D^2 sampling); ``x_sq`` is np.sum(x * x, axis=1)."""
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    closest = np.sum((x - centroids[0]) ** 2, axis=1)
+    closest = _seed_sq_dists(x, x_sq, first, np.empty(n, dtype=np.float64))
+    dist = np.empty(n, dtype=np.float64)
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -72,7 +100,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[i] = x[idx]
-        closest = np.minimum(closest, np.sum((x - centroids[i]) ** 2, axis=1))
+        np.minimum(closest, _seed_sq_dists(x, x_sq, idx, dist), out=closest)
     return centroids
 
 
@@ -99,15 +127,16 @@ def kmeans(
         norms = np.linalg.norm(x, axis=1, keepdims=True)
         x = x / np.where(norms == 0.0, 1.0, norms)
 
+    x_sq = np.sum(x * x, axis=1)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
+    centroids = _kmeans_pp_init(x, x_sq, k, rng)
     assignment = np.full(corpus.count, -1, dtype=np.int64)
     history: list[float] = []
     converged = False
     it = 0
     while it < max_iters:
         it += 1
-        d2 = _pairwise_sq_dists(x, centroids)
+        d2 = _pairwise_sq_dists(x, centroids, x_sq)
         new_assignment = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(x.shape[0]), new_assignment].sum()))
         if np.array_equal(new_assignment, assignment):

@@ -76,6 +76,19 @@ class SelectionConfig:
             raise UsageError(f"selection.budget must be >= 0, got {self.budget}")
 
 
+def _check_model_shape(section: str, cfg) -> None:
+    """Bounds on the transformer sizes shared by the ``model`` and ``oracle`` sections."""
+    for key in ("vocab_size", "hidden_dim", "n_layers", "n_heads"):
+        if getattr(cfg, key) < 1:
+            raise UsageError(f"{section}.{key} must be >= 1, got {getattr(cfg, key)}")
+    if cfg.hidden_dim % cfg.n_heads != 0:
+        raise UsageError(f"{section}.n_heads must divide {section}.hidden_dim, got "
+                         f"{cfg.n_heads} and {cfg.hidden_dim}")
+    if (cfg.hidden_dim // cfg.n_heads) % 2 != 0:
+        raise UsageError(f"{section}.hidden_dim / {section}.n_heads must be even for rotary "
+                         f"embeddings, got {cfg.hidden_dim} / {cfg.n_heads}")
+
+
 @dataclass
 class ModelSection:
     vocab_size: int = 256
@@ -88,15 +101,7 @@ class ModelSection:
     init_seed: int = 0
 
     def __post_init__(self):
-        for key in ("vocab_size", "hidden_dim", "n_layers", "n_heads"):
-            if getattr(self, key) < 1:
-                raise UsageError(f"model.{key} must be >= 1, got {getattr(self, key)}")
-        if self.hidden_dim % self.n_heads != 0:
-            raise UsageError(f"model.n_heads must divide model.hidden_dim, got "
-                             f"{self.n_heads} and {self.hidden_dim}")
-        if (self.hidden_dim // self.n_heads) % 2 != 0:
-            raise UsageError(f"model.hidden_dim / model.n_heads must be even for rotary "
-                             f"embeddings, got {self.hidden_dim} / {self.n_heads}")
+        _check_model_shape("model", self)
         if self.max_context < 2:
             raise UsageError(f"model.max_context must be >= 2, got {self.max_context}")
         width = self.mlp_ratio * self.hidden_dim
@@ -129,6 +134,13 @@ class SimConfig:
     spread: float = 1.8
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("arms", "steps", "trials", "members_per_arm"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"sim.{key} must be >= 1, got {getattr(self, key)}")
+        if not self.sigma >= 0.0:
+            raise UsageError(f"sim.sigma must be >= 0, got {self.sigma!r}")
+
 
 @dataclass
 class OracleConfig:
@@ -142,6 +154,15 @@ class OracleConfig:
     n_heads: int = 2
     seq_len: int = 8
     n_sequences: int = 12
+
+    def __post_init__(self):
+        if self.candidates < 1:
+            raise UsageError(f"oracle.candidates must be >= 1, got {self.candidates}")
+        if not self.damping >= 0.0:
+            raise UsageError(f"oracle.damping must be >= 0, got {self.damping!r}")
+        _check_model_shape("oracle", self)
+        if self.seq_len < 2:
+            raise UsageError(f"oracle.seq_len must be >= 2, got {self.seq_len}")
 
 
 @dataclass

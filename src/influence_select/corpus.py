@@ -16,7 +16,7 @@ Instance ids index 1:1 into the embedding matrix (id == row).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +29,12 @@ HEADER = struct.Struct("<QQ")
 class EmbeddingCorpus:
     """Dense embedding vectors for the candidate pool, one row per instance."""
 
-    vectors: np.ndarray  # (count, dim) float64
-    ids: np.ndarray = field(default=None)  # (count,) int64, permutation of 0..count-1
+    vectors: np.ndarray  # (count, dim) float64; row i is instance id i
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise DataError(f"embedding matrix must be 2-D, got shape {self.vectors.shape}")
-        if self.ids is None:
-            self.ids = np.arange(self.count, dtype=np.int64)
-        else:
-            self.ids = np.asarray(self.ids, dtype=np.int64)
         validate_corpus(self)
 
     @property
@@ -56,10 +51,6 @@ def validate_corpus(corpus: EmbeddingCorpus) -> None:
     if bad.any():
         row = int(np.argwhere(bad.any(axis=1))[0, 0])
         raise DataError(f"non-finite embedding value at row {row}")
-    if corpus.ids.shape != (corpus.count,):
-        raise DataError("ids length does not match row count")
-    if corpus.count and not np.array_equal(np.sort(corpus.ids), np.arange(corpus.count)):
-        raise DataError("ids are not a permutation of 0..count-1")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from influence_select.clustering import (
+    _kmeans_pp_init,
     kmeans,
     load_cluster_model,
     objective,
@@ -209,3 +210,64 @@ def test_pairwise_sq_dists_bitwise_equal_to_plain_expression():
     got = _pairwise_sq_dists(x, centroids)
     assert got.shape == (300, 25)
     np.testing.assert_array_equal(got, plain)
+
+
+def _direct_kmeans_pp_init(x, k, rng):
+    """k-means++ seeding with D^2 distances in the direct form sum((x - c)^2)."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centroids[0] = x[first]
+    closest = np.sum((x - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centroids[i] = x[idx]
+        closest = np.minimum(closest, np.sum((x - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
+# 3 distinct points, each repeated 4 times. With k=5 the last seeds come from
+# the all-coincident branch; the expansion form alone leaves rounding residue
+# at coincident rows here, so it would take the D^2 branch instead.
+_COINCIDENT_POINTS = np.array([
+    [1.8, 1.8, 0.1, -1.3, -2.7, -0.7],
+    [-0.5, -2.7, -2.7, 3.0, 0.9, -1.6],
+    [-0.4, 2.8, 2.4, 2.1, -0.6, 0.0],
+])
+
+
+def _seeding_corpora():
+    rng = np.random.default_rng(41)
+    blobs = rng.normal(0.0, 4.0, size=(24, 64))[rng.integers(0, 24, size=1500)]
+    blobs = (blobs + rng.normal(0.0, 0.25, size=blobs.shape)).astype(np.float32).astype(np.float64)
+    return {
+        "blobs-1500x64": (blobs, 40),
+        "scaled-500x17": (rng.normal(size=(500, 17)) * rng.uniform(0.1, 10.0, size=17), 20),
+        "plane-300x2": (rng.normal(size=(300, 2)) * 1e3, 7),
+        "repeats-30x3x16": (np.repeat(rng.normal(size=(30, 16)), 3, axis=0), 36),
+        "coincident-3x4x6": (np.repeat(_COINCIDENT_POINTS, 4, axis=0), 5),
+    }
+
+
+_SEEDING_CORPORA = _seeding_corpora()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_SEEDING_CORPORA))
+def test_seeding_equals_direct_form(name, seed):
+    x, k = _SEEDING_CORPORA[name]
+    want = _direct_kmeans_pp_init(x, k, np.random.default_rng(seed))
+    got = _kmeans_pp_init(x, np.sum(x * x, axis=1), k, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_kmeans_on_coincident_points_is_pinned():
+    corpus = EmbeddingCorpus(vectors=np.repeat(_COINCIDENT_POINTS, 4, axis=0))
+    model = kmeans(corpus, k=5, seed=0)
+    np.testing.assert_array_equal(model.centroids, _COINCIDENT_POINTS[[2, 0, 1, 0, 0]])
+    np.testing.assert_array_equal(model.sizes, [4, 2, 4, 1, 1])
+    np.testing.assert_array_equal(model.assignment, [3, 4, 1, 1, 2, 2, 2, 2, 0, 0, 0, 0])

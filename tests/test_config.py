@@ -172,3 +172,55 @@ def test_bad_section_value_exits_1_without_traceback(command, override, tmp_path
     assert err.startswith(f"usage error: {override.split('=')[0]} ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("override, key", [
+    ("sim.arms=0", "sim.arms"),
+    ("sim.steps=-1", "sim.steps"),
+    ("sim.steps=0", "sim.steps"),
+    ("sim.trials=0", "sim.trials"),
+    ("sim.members_per_arm=0", "sim.members_per_arm"),
+    ("sim.sigma=-1", "sim.sigma"),
+    ("sim.sigma=nan", "sim.sigma"),
+    ("oracle.candidates=0", "oracle.candidates"),
+    ("oracle.damping=-1", "oracle.damping"),
+    ("oracle.damping=nan", "oracle.damping"),
+    ("oracle.vocab_size=0", "oracle.vocab_size"),
+    ("oracle.hidden_dim=0", "oracle.hidden_dim"),
+    ("oracle.n_layers=0", "oracle.n_layers"),
+    ("oracle.n_heads=0", "oracle.n_heads"),
+    ("oracle.n_heads=5", "oracle.n_heads"),
+    ("oracle.n_heads=12", "oracle.hidden_dim / oracle.n_heads"),
+    ("oracle.seq_len=1", "oracle.seq_len"),
+])
+def test_sim_and_oracle_sections_validated_at_load(override, key):
+    with pytest.raises(UsageError, match=key.replace(".", r"\.")):
+        load_config(None, overrides=[override])
+
+
+def test_sim_and_oracle_boundary_values_accepted():
+    cfg = load_config(None, overrides=[
+        "sim.arms=1", "sim.steps=1", "sim.trials=1", "sim.members_per_arm=1", "sim.sigma=0",
+        "oracle.candidates=1", "oracle.damping=0", "oracle.vocab_size=1", "oracle.hidden_dim=2",
+        "oracle.n_layers=1", "oracle.n_heads=1", "oracle.seq_len=2",
+    ])
+    assert cfg.sim.arms == 1
+    assert cfg.oracle.seq_len == 2
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate-bandit", "sim.steps=-1"),
+    ("simulate-bandit", "sim.arms=0"),
+    ("simulate-bandit", "sim.trials=0"),
+    ("oracle-check", "oracle.n_heads=0"),
+    ("oracle-check", "oracle.seq_len=1"),
+])
+def test_bad_sim_or_oracle_value_exits_1_without_traceback(command, override, tmp_path, capsys):
+    from influence_select import cli
+
+    code = cli.main([command, "--set", override, "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"usage error: {override.split('=')[0]} ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

@@ -164,5 +164,3 @@ def test_reference_set_validation(tmp_path):
 def test_corpus_invariants():
     with pytest.raises(DataError, match="non-finite"):
         EmbeddingCorpus(vectors=np.array([[1.0, np.inf]]))
-    with pytest.raises(DataError, match="permutation"):
-        EmbeddingCorpus(vectors=np.zeros((2, 2)), ids=np.array([0, 0]))
