@@ -13,6 +13,7 @@ from .corpus import (
     CandidateInstance,
     EmbeddingCorpus,
     ReferenceSet,
+    TokenTable,
     load_embeddings,
     load_tokens,
     write_embeddings,
@@ -44,6 +45,7 @@ __all__ = [
     "ParamSet",
     "ReferenceSet",
     "SketchProjector",
+    "TokenTable",
     "TrainConfig",
     "accumulate",
     "backward",

@@ -46,9 +46,12 @@ class BanditConfig:
         if self.reward_mode not in REWARD_MODES:
             raise UsageError(f"bandit.reward_mode must be one of {REWARD_MODES}, "
                              f"got {self.reward_mode!r}")
-        for key in ("top_k", "batch_size"):
+        for key in ("top_k", "batch_size", "max_rounds"):
             if getattr(self, key) < 1:
                 raise UsageError(f"bandit.{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("alpha", "tau"):
+            if not math.isfinite(getattr(self, key)):
+                raise UsageError(f"bandit.{key} must be finite, got {getattr(self, key)!r}")
 
 
 @dataclass
@@ -353,14 +356,55 @@ def write_selection(path, ledger: SelectionLedger, fingerprint: str = "") -> Non
             fh.write(f"{i}\n")
 
 
-def read_selection(path) -> list[int]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+def read_selection(path, count: int | None = None) -> list[int]:
+    """Selected ids in file order. Each must appear once and, with ``count``,
+    be a row of a ``count``-row corpus; errors name the file and line."""
+    out: list[int] = []
+    seen: set[int] = set()
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            out.append(int(line))
+            try:
+                i = int(line)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad instance id {line!r}") from None
+            if count is not None and not 0 <= i < count:
+                raise DataError(f"{path}:{lineno}: instance id {i} has no embedding row "
+                                f"(corpus count {count})")
+            if i in seen:
+                raise DataError(f"{path}:{lineno}: duplicate instance id {i}")
+            seen.add(i)
+            out.append(i)
+    return out
+
+
+def read_ledger_pulls(path, n_clusters: int) -> list[tuple]:
+    """The pulls of a ledger written by ``write_ledger_jsonl``, in file order,
+    as ``(iteration, cluster, sampled count, batch_sum)``; errors name the
+    file and line."""
+    out = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: not a JSON record") from None
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: not a JSON object")
+            if "iteration" not in rec:
+                continue
+            try:
+                pulls = [(p["cluster"], len(p["sampled_ids"]), float(p["batch_sum"]))
+                         for p in rec.get("pulls", [])]
+            except (KeyError, TypeError, ValueError):
+                raise DataError(f"{path}:{lineno}: malformed pull record") from None
+            for ci, n_sampled, batch_sum in pulls:
+                if type(ci) is not int or not 0 <= ci < n_clusters:
+                    raise DataError(f"{path}:{lineno}: pull of cluster {ci!r}, "
+                                    f"outside [0, k={n_clusters})")
+                out.append((rec["iteration"], ci, n_sampled, batch_sum))
     return out
 
 

@@ -49,39 +49,29 @@ def _load_corpus(cfg: RunConfig) -> corpus.EmbeddingCorpus:
     return corpus.load_embeddings(path, format=cfg.paths.embedding_format)
 
 
-def _load_instances(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
-    """Token records by id, checked against the corpus and the model.
-
-    With ``cover_all`` every embedding row must have a token record, since
-    the bandit and the random baseline may sample any row.
-    """
-    path = cfg.paths.tokens
-    if not os.path.exists(path):
-        raise DataError(f"token file {path!r} not found")
-    instances = corpus.load_tokens(path)
-    vocab, max_len = cfg.model.vocab_size, cfg.model.max_context
-    by_id = {}
-    for inst in instances:
-        if inst.id >= emb.count or inst.id < 0:
-            raise DataError(f"instance id {inst.id} has no embedding row (corpus count {emb.count})")
-        if not 2 <= len(inst.tokens) <= max_len:
-            raise DataError(f"instance {inst.id} has length {len(inst.tokens)}, "
-                            f"outside [2, model.max_context={max_len}]")
-        if max(inst.tokens) >= vocab:
-            raise DataError(f"instance {inst.id} has token id >= vocab_size {vocab}")
-        by_id[inst.id] = inst
-    if cover_all and len(by_id) < emb.count:
-        first = next(i for i in range(emb.count) if i not in by_id)
-        raise DataError(f"embedding row {first} has no token record in {path!r} "
-                        f"({len(by_id)} of {emb.count} rows covered)")
-    return instances, by_id
+def _load_inputs(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
+    """Token table, id -> row index and reference set, checked against the
+    corpus and the model (see ``corpus.load_inputs``)."""
+    return corpus.load_inputs(cfg.paths.tokens, cfg.paths.reference, count=emb.count,
+                              vocab_size=cfg.model.vocab_size,
+                              max_context=cfg.model.max_context, cover_all=cover_all)
 
 
-def _load_reference(cfg: RunConfig) -> corpus.ReferenceSet:
-    if not os.path.exists(cfg.paths.reference):
-        raise DataError(f"reference file {cfg.paths.reference!r} not found")
-    return corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size,
-                                 max_len=cfg.model.max_context)
+def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clustering.ClusterModel:
+    cmodel = clustering.load_cluster_model(
+        _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")
+    )
+    if cmodel.count != emb.count:
+        raise DataError(
+            f"cluster model covers {cmodel.count} instances but corpus has {emb.count}; "
+            "re-run the `cluster` command"
+        )
+    if cmodel.dim != emb.dim:
+        raise DataError(
+            f"cluster model dimension {cmodel.dim} does not match corpus {emb.dim}; "
+            "re-run the `cluster` command"
+        )
+    return cmodel
 
 
 def _scoring_setup(cfg: RunConfig, ref: corpus.ReferenceSet, factor_path: str | None = None):
@@ -134,15 +124,15 @@ def cmd_cluster(cfg: RunConfig) -> int:
 def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     fp = fingerprint(cfg)
     emb = _load_corpus(cfg)
-    _, by_id = _load_instances(cfg, emb)
-    missing = [i for i in ids if i not in by_id]
+    table, row_of, ref = _load_inputs(cfg, emb)
+    missing = [i for i in ids if not 0 <= i < emb.count or row_of[i] < 0]
     if missing:
         raise DataError(f"no token record for instance id(s) {missing[:5]}")
-    ref = _load_reference(cfg)
     params, registry, ihvp = _scoring_setup(cfg, ref)
-    table = influence.score_batch([by_id[i] for i in ids], ihvp, params, registry=registry)
+    rows = row_of[np.asarray(ids, dtype=np.int64)]
+    scores = influence.score_batch(table.take(rows), ihvp, params, registry=registry)
     path = _out(cfg, "scores.csv")
-    influence.write_influence_csv(path, table, fingerprint=fp)
+    influence.write_influence_csv(path, scores, fingerprint=fp)
     print(f"scored {len(ids)} instances -> {path}")
     return 0
 
@@ -150,25 +140,13 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
 def cmd_select(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     emb = _load_corpus(cfg)
-    _, by_id = _load_instances(cfg, emb, cover_all=True)
-    ref = _load_reference(cfg)
-    cluster_path = _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")
-    cmodel = clustering.load_cluster_model(cluster_path)
-    if cmodel.count != emb.count:
-        raise DataError(
-            f"cluster model covers {cmodel.count} instances but corpus has {emb.count}; "
-            "re-run the `cluster` command"
-        )
-    if cmodel.dim != emb.dim:
-        raise DataError(
-            f"cluster model dimension {cmodel.dim} does not match corpus {emb.dim}; "
-            "re-run the `cluster` command"
-        )
+    table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
+    cmodel = _load_cluster_model(cfg, emb)
     params, registry, ihvp = _scoring_setup(cfg, ref, _out(cfg, "factors.ntc"))
 
     def scorer(ids):
-        table = influence.score_batch([by_id[i] for i in ids], ihvp, params, registry=registry)
-        return table.scores()
+        rows = row_of[np.asarray(ids, dtype=np.int64)]
+        return influence.score_batch(table.take(rows), ihvp, params, registry=registry).scores()
 
     ledger = bandit_mod.run(
         cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
@@ -307,19 +285,16 @@ def cmd_simulate_bandit(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     emb = _load_corpus(cfg)
-    _, by_id = _load_instances(cfg, emb, cover_all=True)
-    ref = _load_reference(cfg)
-    cmodel = clustering.load_cluster_model(
-        _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")
-    )
+    table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
+    cmodel = _load_cluster_model(cfg, emb)
     sel_path = _require(os.path.join(cfg.paths.output_dir, "selection.txt"), "select")
     led_path = _require(os.path.join(cfg.paths.output_dir, "ledger.jsonl"), "select")
-    selected = bandit_mod.read_selection(sel_path)
+    selected = bandit_mod.read_selection(sel_path, count=emb.count)
+    pulls = bandit_mod.read_ledger_pulls(led_path, cmodel.k)
 
     # selection composition per cluster
-    comp = np.zeros(cmodel.k, dtype=np.int64)
-    for i in selected:
-        comp[int(cmodel.assignment[i])] += 1
+    comp = np.bincount(cmodel.assignment[np.asarray(selected, dtype=np.int64)],
+                       minlength=cmodel.k)
     path = _out(cfg, "report_composition.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_fingerprint={fp}\n")
@@ -329,22 +304,14 @@ def cmd_report(cfg: RunConfig) -> int:
 
     # mean-reward trajectories from the ledger
     reward = np.zeros(cmodel.k)
-    pulls = np.zeros(cmodel.k, dtype=np.int64)
+    n_pulls = np.zeros(cmodel.k, dtype=np.int64)
     traj_rows = []
-    with open(led_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if "iteration" not in rec:
-                continue
-            for p in rec.get("pulls", []):
-                ci = p["cluster"]
-                batch = p["sampled_ids"]
-                add = p["batch_sum"]
-                if cfg.bandit.reward_mode == "mean" and batch:
-                    add = add / len(batch)
-                reward[ci] += add
-                pulls[ci] += 1
-                traj_rows.append((rec["iteration"], ci, reward[ci] / pulls[ci]))
+    for it, ci, n_sampled, add in pulls:
+        if cfg.bandit.reward_mode == "mean" and n_sampled:
+            add = add / n_sampled
+        reward[ci] += add
+        n_pulls[ci] += 1
+        traj_rows.append((it, ci, reward[ci] / n_pulls[ci]))
     path = _out(cfg, "report_trajectories.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_fingerprint={fp}\n")
@@ -357,12 +324,15 @@ def cmd_report(cfg: RunConfig) -> int:
     n = len(selected)
     rows = [("initial", trainer.eval_loss(params, ref))]
     if n:
-        rows.append(("selected", _train_eval(cfg, params, [by_id[i].tokens for i in selected], ref)))
-        rng = np.random.default_rng(cfg.report.baseline_seed)
-        rand_ids = [int(i) for i in rng.choice(emb.count, size=n, replace=False)]
-        rows.append(("random", _train_eval(cfg, params, [by_id[i].tokens for i in rand_ids], ref)))
-        top_ids = _top_cluster_ids(cmodel, reward, pulls, n, cfg.report.baseline_seed)
-        rows.append(("top-clusters", _train_eval(cfg, params, [by_id[i].tokens for i in top_ids], ref)))
+        seed = cfg.report.baseline_seed
+        baselines = [
+            ("selected", selected),
+            ("random", np.random.default_rng(seed).choice(emb.count, size=n, replace=False)),
+            ("top-clusters", _top_cluster_ids(cmodel, reward, n_pulls, n, seed)),
+        ]
+        for name, ids in baselines:
+            data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
+            rows.append((name, trainer.eval_loss(trainer.train(params, data, cfg.trainer), ref)))
     path = _out(cfg, "report_loss.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_fingerprint={fp}\n")
@@ -371,11 +341,6 @@ def cmd_report(cfg: RunConfig) -> int:
             fh.write(f"{name},{loss:.17g}\n")
     print("report written:", ", ".join(name for name, _ in rows))
     return 0
-
-
-def _train_eval(cfg: RunConfig, params, seqs, ref) -> float:
-    trained = trainer.train(params, seqs, cfg.trainer)
-    return trainer.eval_loss(trained, ref)
 
 
 def _top_cluster_ids(cmodel, reward, pulls, n: int, seed: int) -> list[int]:
@@ -396,11 +361,24 @@ def _top_cluster_ids(cmodel, reward, pulls, n: int, seed: int) -> list[int]:
 
 def _parse_ids(args) -> list[int]:
     if args.ids_file:
-        with open(args.ids_file, "r", encoding="utf-8") as fh:
-            return [int(tok) for tok in fh.read().split()]
-    if args.ids:
-        return [int(tok) for tok in args.ids.split(",") if tok.strip()]
-    raise UsageError("score needs --ids or --ids-file")
+        try:
+            with open(args.ids_file, "r", encoding="utf-8", errors="replace") as fh:
+                tokens = fh.read().split()
+        except OSError as exc:
+            raise UsageError(f"--ids-file {args.ids_file!r}: {exc.strerror}") from None
+        source = f"--ids-file {args.ids_file!r}"
+    elif args.ids:
+        tokens = [tok for tok in args.ids.split(",") if tok.strip()]
+        source = "--ids"
+    else:
+        raise UsageError("score needs --ids or --ids-file")
+    ids = []
+    for tok in tokens:
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise UsageError(f"{source}: {tok.strip()!r} is not an instance id") from None
+    return ids
 
 
 def build_parser() -> argparse.ArgumentParser:

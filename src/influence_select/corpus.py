@@ -10,11 +10,17 @@ Token files are newline-delimited text records::
 
     <id> TAB <space-separated token ids>
 
+Every field is an ASCII decimal integer with an optional leading ``-``,
+lines end in LF, and blank lines are skipped. A token file parses into one
+columnar ``TokenTable``.
+
 Instance ids index 1:1 into the embedding matrix (id == row).
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -57,17 +63,21 @@ def validate_corpus(corpus: EmbeddingCorpus) -> None:
 class ReferenceSet:
     """Held-out token sequences whose loss selection aims to reduce."""
 
-    sequences: list[list[int]]
+    sequences: "list[list[int]] | TokenTable"
     vocab_size: int
 
     def __post_init__(self):
-        if not self.sequences:
+        table = as_table(self.sequences)
+        if not len(table):
             raise DataError("reference set is empty")
-        for i, seq in enumerate(self.sequences):
-            if len(seq) < 2:
-                raise DataError(f"reference sequence {i} has length {len(seq)} < 2")
-            if max(seq) >= self.vocab_size or min(seq) < 0:
-                raise DataError(f"reference sequence {i} has token id outside vocab")
+        lengths = table.lengths
+        high, low = table.row_reduce(np.maximum), table.row_reduce(np.minimum)
+        i = _first(lengths < 2, high >= self.vocab_size, low < 0)
+        if i is None:
+            return
+        if lengths[i] < 2:
+            raise DataError(f"reference sequence {i} has length {lengths[i]} < 2")
+        raise DataError(f"reference sequence {i} has token id outside vocab")
 
 
 @dataclass
@@ -77,6 +87,72 @@ class CandidateInstance:
     id: int
     tokens: list[int]
     embedding_row: int
+
+
+@dataclass(eq=False)
+class TokenTable:
+    """Token records in columns, in file order.
+
+    Record ``r`` is instance ``ids[r]`` with the tokens
+    ``tokens[offsets[r]:offsets[r + 1]]``.
+    """
+
+    ids: np.ndarray  # (n,) int64
+    offsets: np.ndarray  # (n + 1,) int64, starting at 0
+    tokens: np.ndarray  # (offsets[-1],) int64
+
+    @classmethod
+    def from_sequences(cls, sequences, ids=None) -> "TokenTable":
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        tokens = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64,
+                             count=int(offsets[-1]))
+        ids = np.arange(lengths.size) if ids is None else np.asarray(ids, dtype=np.int64)
+        return cls(ids=ids, offsets=offsets, tokens=tokens)
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, r: int) -> CandidateInstance:
+        if not -len(self) <= r < len(self):
+            raise IndexError(f"record {r} out of range for {len(self)} records")
+        r %= len(self)
+        i = int(self.ids[r])
+        tokens = self.tokens[self.offsets[r]:self.offsets[r + 1]].tolist()
+        return CandidateInstance(id=i, tokens=tokens, embedding_row=i)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def take(self, rows) -> "TokenTable":
+        """The records at table rows ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self.lengths[rows]
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        gather = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], lengths)
+        return TokenTable(ids=self.ids[rows], offsets=offsets, tokens=self.tokens[gather])
+
+    def row_reduce(self, ufunc) -> np.ndarray:
+        """``ufunc`` reduced over each record's tokens; empty records read 0."""
+        out = np.zeros(len(self), dtype=np.int64)
+        rows = np.flatnonzero(self.offsets[1:] > self.offsets[:-1])
+        if rows.size:
+            out[rows] = ufunc.reduceat(self.tokens, self.offsets[rows])
+        return out
+
+
+def as_table(sequences) -> TokenTable:
+    """``sequences`` as a TokenTable: a table as is, a list of token lists copied."""
+    return sequences if isinstance(sequences, TokenTable) else TokenTable.from_sequences(sequences)
+
+
+def _first(*masks) -> int | None:
+    """Index of the first row that any mask flags, or None."""
+    bad = np.logical_or.reduce(masks)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def load_embeddings(path, format: str = "binary") -> EmbeddingCorpus:
@@ -112,7 +188,7 @@ def _load_embeddings_binary(path) -> EmbeddingCorpus:
 
 def _load_embeddings_csv(path) -> EmbeddingCorpus:
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:  # bad bytes fail float()
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -147,53 +223,204 @@ def write_embeddings(path, corpus: EmbeddingCorpus, format: str = "binary") -> N
         raise DataError(f"unknown embedding format {format!r}")
 
 
-def load_tokens(path) -> list[CandidateInstance]:
-    """Load candidate instances from a token file, preserving file order."""
-    instances: list[CandidateInstance] = []
-    seen: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'id<TAB>tokens'")
-            try:
-                inst_id = int(parts[0])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad instance id {parts[0]!r}") from exc
-            if inst_id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate instance id {inst_id}")
-            seen.add(inst_id)
-            toks = parts[1].split()
-            if not toks:
-                raise DataError(f"{path}:{lineno}: empty token list for id {inst_id}")
-            try:
-                tokens = [int(t) for t in toks]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad token in record {inst_id}") from exc
-            if any(t < 0 for t in tokens):
-                raise DataError(f"{path}:{lineno}: negative token id in record {inst_id}")
-            instances.append(CandidateInstance(id=inst_id, tokens=tokens, embedding_row=inst_id))
-    return instances
+_LF, _TAB, _SPACE, _CR, _MINUS = 10, 9, 32, 13, 45
+_MAX_DIGITS = 19  # the widest run that can still fit int64
+_BLOCK_BYTES = 1 << 20  # whole lines per block: temporaries stay small and cache-sized
+
+
+def load_tokens(path) -> TokenTable:
+    """Parse a token file into a TokenTable, with numpy passes over its bytes.
+
+    The bytes are cut into blocks of whole lines (see ``_parse_block``).
+    Repeated ids are found over the whole file. An error names the first
+    offending line; within a line the checks run in this order: a byte
+    above 0x7f or a CR, the one TAB, the id, a repeated id, an empty token
+    list, a malformed token, a negative token.
+    """
+    with open(path, "rb") as fh:
+        b = np.frombuffer(fh.read(), dtype=np.uint8)
+    if b.size and b[-1] != _LF:
+        b = np.append(b, np.uint8(_LF))
+    line_end = np.flatnonzero(b == _LF)
+    if not line_end.size:
+        return TokenTable.from_sequences([])
+    blocks = []
+    first = 0  # first line of the next block
+    while first < line_end.size and (not blocks or blocks[-1].error is None):
+        lo = line_end[first - 1] + 1 if first else 0
+        last = min(int(np.searchsorted(line_end, lo + _BLOCK_BYTES)), line_end.size - 1)
+        blocks.append(_parse_block(b[lo:line_end[last] + 1], path, first))
+        first = last + 1
+    ids = np.concatenate([blk.ids for blk in blocks])
+    lines = np.concatenate([blk.lines for blk in blocks])
+    errors = [blk.error for blk in blocks if blk.error is not None]
+    order = np.argsort(ids, kind="stable")
+    repeat = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeat.size:
+        r = repeat.min()
+        errors.append((lines[r], 3, f"{path}:{lines[r]}: duplicate instance id {ids[r]}"))
+    if errors:
+        raise DataError(min(errors)[2])
+    offsets = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([blk.lengths for blk in blocks]), out=offsets[1:])
+    return TokenTable(ids=ids, offsets=offsets,
+                      tokens=np.concatenate([blk.tokens for blk in blocks]))
+
+
+@dataclass
+class _Block:
+    ids: np.ndarray  # per record, in order
+    lines: np.ndarray  # 1-based file line of each record
+    lengths: np.ndarray  # token count of each record
+    tokens: np.ndarray
+    error: tuple | None  # (line, check order, message) of the first bad line
+
+
+def _parse_block(b, path, line0: int) -> _Block:
+    """Parse whole lines ``b`` (ending in LF) that start at file line ``line0 + 1``.
+
+    A word is a run of bytes other than space, TAB and LF, and a number is
+    a word of ASCII digits after an optional '-'. Values are built by Horner
+    steps over the digit columns; ``searchsorted`` over the LF positions
+    places words, TABs and stray bytes on their lines.
+    """
+    line_end = np.flatnonzero(b == _LF)
+    line_start = np.zeros_like(line_end)
+    line_start[1:] = line_end[:-1] + 1
+    lines = np.flatnonzero(line_end > line_start)  # blank lines are skipped
+    start, end = line_start[lines], line_end[lines]
+
+    in_word = np.empty(b.size + 1, dtype=bool)  # in_word[p + 1]: byte p is in a word
+    in_word[0] = False
+    np.not_equal(b, _SPACE, out=in_word[1:])
+    in_word[1:] &= b != _TAB
+    in_word[1:] &= b != _LF
+    edges = np.flatnonzero(in_word[1:] != in_word[:-1])
+    w_start, w_end = edges[0::2], edges[1::2]
+    digit = np.zeros(b.size + 1, dtype=np.uint8)
+    np.subtract(b, 48, out=digit[:-1])  # wraps: a byte is a digit iff it reads < 10
+    neg = b[w_start] == _MINUS
+    d_start = w_start + neg
+    width = w_end - d_start
+    odd = np.flatnonzero(in_word[1:] & (digit[:-1] > 9))
+    odd = odd[(b[odd] != _MINUS) | in_word[odd]]  # a '-' may only open a word
+    bad = (width < 1) | (width > _MAX_DIGITS)
+    bad[np.searchsorted(w_start, odd, side="right") - 1] = True
+    value = digit[d_start].astype(np.uint64)
+    live = np.flatnonzero(width > 1)
+    for j in range(1, _MAX_DIGITS):
+        value[live] = value[live] * np.uint64(10) + digit[d_start[live] + j]
+        live = live[width[live] > j + 1]
+    bad |= value > np.uint64(np.iinfo(np.int64).max)
+    value = value.view(np.int64)
+    value[neg] *= -1
+
+    # per record: the TAB, the id word and the token words
+    tabs = np.flatnonzero(b == _TAB)
+    first_tab = np.searchsorted(tabs, start)
+    n_tabs = np.searchsorted(tabs, end) - first_tab
+    tab = np.append(tabs, b.size)[first_tab]
+    first_word = np.searchsorted(w_start, start)
+    n_words = np.searchsorted(w_start, end) - first_word
+    ids = np.append(value, 0)[first_word]
+    id_ok = (n_words > 0) & (np.append(w_start, -1)[first_word] == start)
+    id_ok &= np.append(w_end, -1)[first_word] == tab
+    id_ok &= ~np.append(bad, True)[first_word]
+    stray = np.flatnonzero((b > 0x7F) | (b == _CR))
+    negative = np.flatnonzero(neg & ~bad & (value != 0))
+    firsts = {  # first row failing each check, keyed by check order
+        0: _first_row(end, stray[:1]),
+        1: _first(n_tabs != 1),
+        2: _first(~id_ok),
+        4: _first(n_words < 2),  # 3, a repeated id, is checked over the file in load_tokens
+        5: _first_row(end, w_start[bad]),
+        6: _first_row(end, w_start[negative], skip=start),
+    }
+    row = min((r for r in firsts.values() if r is not None), default=None)
+    error = None
+    if row is not None:
+        kind = next(k for k, r in firsts.items() if r == row)
+        lineno, i = line0 + lines[row] + 1, ids[row]
+        where = f"{path}:{lineno}"
+        if kind == 0:
+            text = (f"byte 0x{b[stray[0]]:02x} is not allowed; "
+                    "token files are ASCII with LF line ends")
+        elif kind == 1:
+            text = "expected 'id<TAB>tokens'"
+        elif kind == 2:
+            text = f"bad instance id {b[start[row]:tab[row]].tobytes().decode('ascii')!r}"
+        elif kind == 4:
+            text = f"empty token list for id {i}"
+        elif kind == 5:
+            text = f"bad token in record {i}"
+        else:
+            text = f"negative token id in record {i}"
+        error = (lineno, kind, f"{where}: {text}")
+    is_token = np.ones(w_start.size, dtype=bool)
+    is_token[first_word[n_words > 0]] = False
+    return _Block(ids=ids, lines=line0 + lines + 1, lengths=n_words - 1,
+                  tokens=value[is_token], error=error)
+
+
+def _first_row(end, positions, skip=None) -> int | None:
+    """Row of the first byte position in ``positions``, given each row's end;
+    with ``skip``, positions at a row's start do not count."""
+    rows = np.searchsorted(end, positions)
+    if skip is not None:
+        rows = rows[positions != skip[rows]]
+    return int(rows.min()) if rows.size else None
 
 
 def write_tokens(path, instances: list[CandidateInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:  # load_tokens rejects CR
         for inst in instances:
             fh.write(f"{inst.id}\t{' '.join(str(t) for t in inst.tokens)}\n")
 
 
-def load_reference(path, vocab_size: int, max_len: int | None = None) -> ReferenceSet:
-    """Reference sequences share the token-file format; ids only name rows in errors.
+def load_reference(path, vocab_size: int) -> ReferenceSet:
+    """Reference sequences share the token-file format; ids only name rows in errors."""
+    return ReferenceSet(sequences=load_tokens(path), vocab_size=vocab_size)
 
-    With ``max_len`` every sequence must have a length in [2, max_len].
+
+def load_inputs(tokens_path, reference_path, count: int, vocab_size: int, max_context: int,
+                cover_all: bool = False):
+    """Parse the candidate and reference token files and check them against a
+    ``count``-row embedding corpus and the model; every input check is here.
+
+    Returns ``(table, row_of, reference)``, where ``row_of[i]`` is the table
+    row of instance id ``i`` and -1 when it has no record. With ``cover_all``
+    every embedding row must have a record, since the bandit and the random
+    baseline may sample any row.
     """
-    instances = load_tokens(path)
-    if max_len is not None:
-        for inst in instances:
-            if not 2 <= len(inst.tokens) <= max_len:
-                raise DataError(f"{path}: reference id {inst.id} has length {len(inst.tokens)}, "
-                                f"outside [2, model.max_context={max_len}]")
-    return ReferenceSet(sequences=[inst.tokens for inst in instances], vocab_size=vocab_size)
+    if not os.path.exists(tokens_path):
+        raise DataError(f"token file {tokens_path!r} not found")
+    table = load_tokens(tokens_path)
+    ids, lengths = table.ids, table.lengths
+    no_row = (ids < 0) | (ids >= count)
+    bad_len = (lengths < 2) | (lengths > max_context)
+    bad_tok = table.row_reduce(np.maximum) >= vocab_size
+    r = _first(no_row, bad_len, bad_tok)
+    if r is not None:
+        i = ids[r]
+        if no_row[r]:
+            raise DataError(f"instance id {i} has no embedding row (corpus count {count})")
+        if bad_len[r]:
+            raise DataError(f"instance {i} has length {lengths[r]}, "
+                            f"outside [2, model.max_context={max_context}]")
+        raise DataError(f"instance {i} has token id >= vocab_size {vocab_size}")
+    row_of = np.full(count, -1, dtype=np.int64)
+    row_of[ids] = np.arange(len(table))
+    if cover_all and len(table) < count:
+        first = int(np.argmax(row_of < 0))
+        raise DataError(f"embedding row {first} has no token record in {tokens_path!r} "
+                        f"({len(table)} of {count} rows covered)")
+
+    if not os.path.exists(reference_path):
+        raise DataError(f"reference file {reference_path!r} not found")
+    ref = load_tokens(reference_path)
+    lengths = ref.lengths
+    r = _first((lengths < 2) | (lengths > max_context))
+    if r is not None:
+        raise DataError(f"{reference_path}: reference id {ref.ids[r]} has length {lengths[r]}, "
+                        f"outside [2, model.max_context={max_context}]")
+    return table, row_of, ReferenceSet(sequences=ref, vocab_size=vocab_size)

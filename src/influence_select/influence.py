@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CandidateInstance
+from .corpus import CandidateInstance, TokenTable
 from .curvature import DampedFactorInverse, kron_ihvp
 from .errors import DataError
 from .model import ParamSet, chunk_taps, sequence_grads, tracked_layers
@@ -164,14 +164,18 @@ def score_instance(instance, ihvp: IhvpVector, params: ParamSet, registry=None) 
 def score_batch(instances, ihvp: IhvpVector, params: ParamSet, registry=None) -> InfluenceTable:
     """Score many instances in engine chunks; row order always matches input order.
 
-    Rows carry ``ihvp.method``. Every score is checked to be finite.
+    ``instances`` is a TokenTable, or a list of CandidateInstance or raw
+    token sequences (whose rows get id -1). Rows carry ``ihvp.method``.
+    Every score is checked to be finite.
     """
     registry = registry if registry is not None else tracked_layers(params.config)
-    instances = list(instances)
-    scores = _tap_scores([_tokens(inst) for inst in instances], params, registry, ihvp.vectors)
+    if not isinstance(instances, TokenTable):
+        instances = list(instances)
+        ids = [inst.id if isinstance(inst, CandidateInstance) else -1 for inst in instances]
+        instances = TokenTable.from_sequences([_tokens(inst) for inst in instances], ids=ids)
+    scores = _tap_scores(instances, params, registry, ihvp.vectors)
     table = InfluenceTable()
-    for inst, s in zip(instances, scores):
-        inst_id = inst.id if isinstance(inst, CandidateInstance) else -1
+    for inst_id, s in zip(instances.ids.tolist(), scores):
         if not np.isfinite(s):
             raise DataError(f"non-finite influence score for instance {inst_id}")
         table.rows.append((inst_id, s, ihvp.method))

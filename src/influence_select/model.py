@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorio
+from .corpus import as_table
 from .errors import DataError
 
 RMS_EPS = 1e-6
@@ -272,20 +273,23 @@ CHUNK_TOKENS = 384  # tokens per engine call; measured in README "Model engine"
 def chunks(sequences):
     """Bucket sequences by length and split each bucket into engine calls.
 
-    Yields ``(positions, tokens)``: ``tokens`` is an int64 (B, T) array of
-    sequences of one length T, with B at most ``CHUNK_TOKENS // T`` (and at
-    least 1), and ``positions`` their indices into ``sequences``. Buckets
-    come in increasing length, each in input order; callers scatter results
-    back through ``positions``.
+    ``sequences`` is a TokenTable or a list of token sequences. Yields
+    ``(positions, tokens)``: ``tokens`` is an int64 (B, T) array of
+    sequences of one length T, sliced from the table, with B at most
+    ``CHUNK_TOKENS // T`` (and at least 1), and ``positions`` their indices
+    into ``sequences``. Buckets come in increasing length, each in input
+    order; callers scatter results back through ``positions``.
     """
-    lengths = np.fromiter((len(s) for s in sequences), dtype=np.int64, count=len(sequences))
+    table = as_table(sequences)
+    lengths = table.lengths
     order = np.argsort(lengths, kind="stable")
     bounds = np.flatnonzero(np.diff(lengths[order])) + 1
     for bucket in np.split(order, bounds) if order.size else ():
-        per_call = max(1, CHUNK_TOKENS // int(lengths[bucket[0]]))
+        T = int(lengths[bucket[0]])
+        per_call = max(1, CHUNK_TOKENS // T)
         for start in range(0, bucket.size, per_call):
             pos = bucket[start : start + per_call]
-            yield pos, np.array([sequences[i] for i in pos], dtype=np.int64)
+            yield pos, table.tokens[table.offsets[pos][:, None] + np.arange(T)]
 
 
 @dataclass

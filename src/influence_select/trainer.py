@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TrainingDivergedError, UsageError
+from .corpus import as_table
 from .model import ParamSet, backward, chunks, forward
 
 DIVERGENCE_FACTOR = 10.0
@@ -52,8 +53,10 @@ def adam_step(value, grad, m, v, t, cfg: TrainConfig):
 
 
 def train(params: ParamSet, data, cfg: TrainConfig, history: list | None = None) -> ParamSet:
-    """Adam for cfg.steps over shuffled batches; returns new parameters."""
-    if not data:
+    """Adam for cfg.steps over shuffled batches of ``data`` (a TokenTable or
+    a list of token sequences); returns new parameters."""
+    data = as_table(data)
+    if not len(data):
         raise DataError("training data is empty")
     params = params.copy()
     named = dict(params.iter_named())
@@ -63,12 +66,12 @@ def train(params: ParamSet, data, cfg: TrainConfig, history: list | None = None)
     order: list[int] = []
     initial_loss = None
     for step in range(1, cfg.steps + 1):
-        batch = []
+        rows = []
         for _ in range(cfg.batch_size):
             if not order:
                 order = [int(i) for i in rng.permutation(len(data))]
-            batch.append(data[order.pop()])
-        losses, grads = _batch_gradient(params, batch)
+            rows.append(order.pop())
+        losses, grads = _batch_gradient(params, data.take(rows))
         gnamed = dict(grads.iter_named())
         batch_loss = math.fsum(losses) / cfg.batch_size
         if initial_loss is None:

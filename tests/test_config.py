@@ -224,3 +224,33 @@ def test_bad_sim_or_oracle_value_exits_1_without_traceback(command, override, tm
     assert err.startswith(f"usage error: {override.split('=')[0]} ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("override, key", [
+    ("bandit.alpha=nan", "bandit.alpha"),
+    ("bandit.alpha=inf", "bandit.alpha"),
+    ("bandit.tau=inf", "bandit.tau"),
+    ("bandit.tau=-inf", "bandit.tau"),
+    ("bandit.max_rounds=0", "bandit.max_rounds"),
+    ("bandit.max_rounds=-1", "bandit.max_rounds"),
+])
+def test_bandit_bounds_validated_at_load(override, key):
+    with pytest.raises(UsageError, match=key.replace(".", r"\.")):
+        load_config(None, overrides=[override])
+
+
+def test_bandit_boundary_values_accepted():
+    cfg = load_config(None, overrides=["bandit.max_rounds=1", "bandit.alpha=0", "bandit.tau=-1"])
+    assert cfg.bandit.max_rounds == 1
+
+
+@pytest.mark.parametrize("override", ["bandit.alpha=nan", "bandit.tau=inf", "bandit.max_rounds=-1"])
+def test_bad_bandit_value_exits_1_without_traceback(override, tmp_path, capsys):
+    from influence_select import cli
+
+    code = cli.main(["select", "--set", override, "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"usage error: {override.split('=')[0]} ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []

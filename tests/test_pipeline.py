@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -275,3 +276,101 @@ def test_reference_length_outside_context_fails_at_load(workdir, tmp_path, capsy
                 "--set", f"paths.reference={bad}")
     assert code == 2
     assert "reference id 3 has length 17" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ bad inputs exit 1 or 2
+
+
+def test_non_utf8_token_file_is_data_error(workdir, tmp_path, capsys):
+    root, cfg = workdir
+    bad = tmp_path / "tokens.tsv"
+    bad.write_bytes((root / "tokens.tsv").read_bytes() + b"600\t1 2\xff\n")
+    code = _run("score", "--config", str(cfg), "--ids", "0", "--set", f"paths.tokens={bad}",
+                "--set", f"paths.output_dir={tmp_path}/out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:601: byte 0xff is not allowed" in err
+    assert "Traceback" not in err
+
+
+def test_binary_file_read_as_csv_embeddings_is_data_error(workdir, tmp_path, capsys):
+    root, cfg = workdir
+    code = _run("cluster", "--config", str(cfg), "--set", "paths.embedding_format=csv",
+                "--set", f"paths.output_dir={tmp_path}/out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{root}/embeddings.bin:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["--ids", "1,a"], 1, "--ids: 'a' is not an instance id"),
+    (["--ids-file", "/nonexistent/ids.txt"], 1, "--ids-file '/nonexistent/ids.txt'"),
+    (["--ids", "-1"], 2, "no token record for instance id(s) [-1]"),
+    (["--ids", "3,600"], 2, "no token record for instance id(s) [600]"),
+])
+def test_score_bad_ids(workdir, tmp_path, capsys, no_factor_setup, argv, code, needle):
+    root, cfg = workdir
+    assert _run("score", "--config", str(cfg), *argv,
+                "--set", f"paths.output_dir={tmp_path}/out") == code
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_junk_in_ids_file(workdir, tmp_path, capsys):
+    root, cfg = workdir
+    ids = tmp_path / "ids.txt"
+    ids.write_text("0 1\n2x\n")
+    assert _run("score", "--config", str(cfg), "--ids-file", str(ids)) == 1
+    assert f"--ids-file '{ids}': '2x' is not an instance id" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def selected_out(workdir, tmp_path_factory):
+    root, cfg = workdir
+    out = tmp_path_factory.mktemp("selected")
+    assert _run("cluster", "--config", str(cfg), "--set", f"paths.output_dir={out}") == 0
+    assert _run("select", "--config", str(cfg), "--set", f"paths.output_dir={out}") == 0
+    return out
+
+
+def _pull_cluster(line, cluster):
+    rec = json.loads(line)
+    rec["pulls"][0]["cluster"] = cluster
+    return json.dumps(rec, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name, lineno, edit, needle", [
+    ("selection.txt", 3, lambda lines: "abc\n", "bad instance id 'abc'"),
+    ("selection.txt", 3, lambda lines: "-3\n", "instance id -3 has no embedding row"),
+    ("selection.txt", 3, lambda lines: "99999\n", "instance id 99999 has no embedding row"),
+    ("selection.txt", 4, lambda lines: lines[1], "duplicate instance id"),
+    ("ledger.jsonl", 2, lambda lines: "{not json\n", "not a JSON record"),
+    ("ledger.jsonl", 2, lambda lines: _pull_cluster(lines[1], 8),
+     "pull of cluster 8, outside [0, k=8)"),
+    ("ledger.jsonl", 2, lambda lines: _pull_cluster(lines[1], -1), "pull of cluster -1"),
+])
+def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path, capsys,
+                                                monkeypatch, name, lineno, edit, needle):
+    """Each case edits line ``lineno`` of one artifact of a real selection."""
+    from influence_select import trainer
+
+    def boom(*args, **kwargs):
+        raise AssertionError("training ran before the selection and ledger checks")
+
+    monkeypatch.setattr(trainer, "train", boom)
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    path = out / name
+    lines = path.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = edit(lines)
+    path.write_text("".join(lines))
+    code = _run("report", "--config", str(cfg), "--set", f"paths.output_dir={out}")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}:{lineno}: " in err and needle in err
+    assert "Traceback" not in err
