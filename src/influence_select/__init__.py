@@ -8,7 +8,7 @@ oracle layer validates every approximation at tiny scale.
 """
 
 from .bandit import BanditConfig, BanditState, cluster_score, run, select_step
-from .clustering import ClusterModel, kmeans, objective, sample_from_cluster
+from .clustering import ClusterModel, kmeans, objective
 from .corpus import (
     CandidateInstance,
     EmbeddingCorpus,
@@ -65,7 +65,6 @@ __all__ = [
     "objective",
     "reference_ihvp",
     "run",
-    "sample_from_cluster",
     "score_batch",
     "score_instance",
     "select_step",

@@ -378,6 +378,8 @@ def _parse_ids(args) -> list[int]:
             ids.append(int(tok))
         except ValueError:
             raise UsageError(f"{source}: {tok.strip()!r} is not an instance id") from None
+    if not ids:
+        raise UsageError(f"{source}: no instance ids given")
     return ids
 
 

@@ -153,7 +153,6 @@ class OracleConfig:
     n_layers: int = 1
     n_heads: int = 2
     seq_len: int = 8
-    n_sequences: int = 12
 
     def __post_init__(self):
         if self.candidates < 1:

@@ -143,10 +143,6 @@ def tracked_layers(cfg: ModelConfig, kinds=TAP_KINDS) -> list[TrackedLayer]:
     return out
 
 
-def tracked_dim(cfg: ModelConfig, kinds=TAP_KINDS) -> int:
-    return sum(t.flat_dim for t in tracked_layers(cfg, kinds))
-
-
 def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
     """Gaussian init scaled to keep activations O(1) under RMSNorm."""
     rng = np.random.default_rng(seed)

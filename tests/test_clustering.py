@@ -1,14 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from influence_select.clustering import (
+    ASSIGN_BLOCK_ROWS,
     _kmeans_pp_init,
+    _pairwise_sq_dists,
     kmeans,
     load_cluster_model,
     objective,
-    sample_from_cluster,
     save_cluster_model,
 )
 from influence_select.corpus import EmbeddingCorpus
@@ -66,6 +68,8 @@ def test_objective_matches_bruteforce():
         diff = corpus.vectors[i] - model.centroids[model.assignment[i]]
         total += float(diff @ diff)
     assert objective(model, corpus) == pytest.approx(total, rel=1e-12)
+    diffs = corpus.vectors - model.centroids[model.assignment]
+    assert objective(model, corpus) == float(np.sum(diffs * diffs))
 
 
 def test_objective_non_increasing_over_lloyd_iterations():
@@ -128,43 +132,29 @@ def test_objective_dimension_mismatch():
         objective(model, other)
 
 
-def test_sample_single_member():
+def test_members_are_ascending_ids_of_each_cluster():
     corpus = EmbeddingCorpus(vectors=np.array([[0.0], [100.0], [101.0]]))
     model = kmeans(corpus, k=2, seed=0)
     singleton = 0 if model.sizes[0] == 1 else 1
-    assert sample_from_cluster(model, singleton, 1, seed=0) == list(model.members(singleton))
+    assert model.members(singleton).tolist() == [0]
+    assert model.members(1 - singleton).tolist() == [1, 2]
 
-
-def test_sample_full_cluster_without_replacement():
     corpus = EmbeddingCorpus(vectors=np.concatenate([np.zeros((6, 2)), np.ones((4, 2)) * 9]))
     model = kmeans(corpus, k=2, seed=1)
     cluster = int(model.assignment[0])
-    members = model.members(cluster)
-    picks = sample_from_cluster(model, cluster, len(members), seed=3)
-    assert sorted(picks) == sorted(members.tolist())
-    with pytest.raises(DataError, match="without replacement"):
-        sample_from_cluster(model, cluster, len(members) + 1, seed=3)
+    assert model.members(cluster).tolist() == list(range(6))
+    assert model.members(1 - cluster).tolist() == list(range(6, 10))
 
-
-def test_sample_uniformity_chi_square():
     vecs = np.array([[0.0, 0], [0, 0.1], [0.1, 0], [0.1, 0.1], [50, 50]])
-    corpus = EmbeddingCorpus(vectors=vecs)
-    model = kmeans(corpus, k=2, seed=0)
+    model = kmeans(EmbeddingCorpus(vectors=vecs), k=2, seed=0)
     cluster = int(model.assignment[0])
     assert model.sizes[cluster] == 4
-    n = 100000
-    picks = sample_from_cluster(model, cluster, n, seed=9, without_replacement=False)
-    counts = np.bincount(picks, minlength=5)[model.members(cluster)]
-    sigma = np.sqrt(n * 0.25 * 0.75)
-    assert np.all(np.abs(counts - n / 4) <= 3 * sigma)
+    assert model.members(cluster).tolist() == [0, 1, 2, 3]
 
-
-def test_sample_determinism():
-    corpus = EmbeddingCorpus(vectors=np.random.default_rng(0).normal(size=(30, 2)))
-    model = kmeans(corpus, k=3, seed=0)
-    a = sample_from_cluster(model, 0, 5, seed=7, without_replacement=False)
-    b = sample_from_cluster(model, 0, 5, seed=7, without_replacement=False)
-    assert a == b
+    rng = np.random.default_rng(3)
+    model = kmeans(EmbeddingCorpus(vectors=rng.normal(size=(90, 3))), k=7, seed=2)
+    for j in range(model.k):
+        np.testing.assert_array_equal(model.members(j), np.flatnonzero(model.assignment == j))
 
 
 def test_serialization_round_trip(tmp_path):
@@ -271,3 +261,108 @@ def test_kmeans_on_coincident_points_is_pinned():
     np.testing.assert_array_equal(model.centroids, _COINCIDENT_POINTS[[2, 0, 1, 0, 0]])
     np.testing.assert_array_equal(model.sizes, [4, 2, 4, 1, 1])
     np.testing.assert_array_equal(model.assignment, [3, 4, 1, 1, 2, 2, 2, 2, 0, 0, 0, 0])
+
+
+def _reference_kmeans(x, k, seed=0, max_iters=100, tol=0.0, normalize=False):
+    """Lloyd k-means with one full (n, k) distance matrix per step and centroid
+    means over k boolean masks: the reference for the blocked, sorted form."""
+    if normalize:
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        x = x / np.where(norms == 0.0, 1.0, norms)
+    x_sq = np.sum(x * x, axis=1)
+    centroids = _kmeans_pp_init(x, x_sq, k, np.random.default_rng(seed))
+
+    def mask_means(assignment, centroids):
+        for j in range(k):
+            mask = assignment == j
+            if mask.any():
+                centroids[j] = x[mask].mean(axis=0)
+
+    def repair_empty(assignment, centroids):
+        sizes = np.bincount(assignment, minlength=k)
+        empties = np.flatnonzero(sizes == 0)
+        if empties.size == 0:
+            return assignment, centroids
+        assignment = assignment.copy()
+        for j in empties:
+            dists = np.sum((x - centroids[assignment]) ** 2, axis=1)
+            sizes = np.bincount(assignment, minlength=k)
+            dists[sizes[assignment] <= 1] = -np.inf
+            donor = int(np.argmax(dists))
+            assignment[donor] = j
+            centroids[j] = x[donor]
+        mask_means(assignment, centroids)
+        return assignment, centroids
+
+    assignment = np.full(x.shape[0], -1, dtype=np.int64)
+    history = []
+    converged = False
+    it = 0
+    while it < max_iters:
+        it += 1
+        d2 = _pairwise_sq_dists(x, centroids, x_sq)
+        new_assignment = np.argmin(d2, axis=1)
+        history.append(float(d2[np.arange(x.shape[0]), new_assignment].sum()))
+        if np.array_equal(new_assignment, assignment):
+            converged = True
+            break
+        assignment = new_assignment
+        new_centroids = centroids.copy()
+        mask_means(assignment, new_centroids)
+        assignment, new_centroids = repair_empty(assignment, new_centroids)
+        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        centroids = new_centroids
+        if shift <= tol:
+            break
+    mask_means(assignment, centroids)
+    return centroids, assignment, history, it, converged
+
+
+def _reference_corpora():
+    b = ASSIGN_BLOCK_ROWS
+    rng = np.random.default_rng(53)
+    few_points = np.repeat(rng.normal(size=(12, 4)), -(-(2 * b + 3) // 12), axis=0)
+    return {
+        "2b+3": (rng.normal(size=(2 * b + 3, 6)), 9, {}),
+        "b+1": (rng.normal(size=(b + 1, 5)) * rng.uniform(0.1, 10.0, size=5), 8, {}),
+        "b-1": (rng.normal(size=(b - 1, 4)), 7, {}),
+        "one-column": (rng.normal(size=(3 * b + 5, 1)), 6, {}),
+        "12-rows-k5": (rng.normal(size=(12, 3)), 5, {}),
+        "rounded-ties": (np.round(rng.normal(size=(2 * b + 3, 3)) * 2.0), 11, {}),
+        # 12 distinct points and k=16: _repair_empty must fill 4 clusters
+        "repair-empty": (few_points[: 2 * b + 3], 16, {}),
+        "coincident-3x4x6": (np.repeat(_COINCIDENT_POINTS, 4, axis=0), 5, {}),
+        "normalize": (rng.normal(size=(2 * b + 3, 5)) + 1.0, 9, {"normalize": True}),
+        "tol-exit": (rng.normal(size=(b + 7, 3)), 6, {"tol": 0.05}),
+    }
+
+
+_REFERENCE_CORPORA = _reference_corpora()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CORPORA))
+def test_kmeans_equals_full_matrix_mask_reference(name, seed):
+    x, k, kwargs = _REFERENCE_CORPORA[name]
+    want_c, want_a, want_hist, want_it, want_conv = _reference_kmeans(x, k, seed=seed, **kwargs)
+    got = kmeans(EmbeddingCorpus(vectors=x), k, seed=seed, **kwargs)
+    np.testing.assert_array_equal(got.centroids, want_c)
+    np.testing.assert_array_equal(got.assignment, want_a)
+    assert got.objective_history == want_hist
+    assert (got.n_iters, got.converged) == (want_it, want_conv)
+    if name == "repair-empty":  # k non-empty clusters from fewer distinct points
+        assert len(np.unique(x, axis=0)) < np.count_nonzero(got.sizes) == k
+    if name == "tol-exit":
+        assert not got.converged and got.n_iters < 100
+
+
+def test_kmeans_never_holds_an_n_by_k_matrix():
+    n, k = 20_000, 128
+    corpus = EmbeddingCorpus(vectors=np.random.default_rng(59).normal(size=(n, 8)))
+    tracemalloc.start()
+    try:
+        kmeans(corpus, k, seed=0, max_iters=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8

@@ -309,6 +309,7 @@ def test_binary_file_read_as_csv_embeddings_is_data_error(workdir, tmp_path, cap
     (["--ids-file", "/nonexistent/ids.txt"], 1, "--ids-file '/nonexistent/ids.txt'"),
     (["--ids", "-1"], 2, "no token record for instance id(s) [-1]"),
     (["--ids", "3,600"], 2, "no token record for instance id(s) [600]"),
+    (["--ids", ","], 1, "--ids: no instance ids given"),
 ])
 def test_score_bad_ids(workdir, tmp_path, capsys, no_factor_setup, argv, code, needle):
     root, cfg = workdir
@@ -326,6 +327,17 @@ def test_score_junk_in_ids_file(workdir, tmp_path, capsys):
     ids.write_text("0 1\n2x\n")
     assert _run("score", "--config", str(cfg), "--ids-file", str(ids)) == 1
     assert f"--ids-file '{ids}': '2x' is not an instance id" in capsys.readouterr().err
+
+
+def test_score_empty_ids_file(workdir, tmp_path, capsys, no_factor_setup):
+    root, cfg = workdir
+    ids = tmp_path / "ids.txt"
+    ids.write_text(" \n\n")
+    assert _run("score", "--config", str(cfg), "--ids-file", str(ids),
+                "--set", f"paths.output_dir={tmp_path}/out") == 1
+    err = capsys.readouterr().err
+    assert f"--ids-file '{ids}': no instance ids given" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
