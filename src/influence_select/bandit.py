@@ -49,9 +49,6 @@ class BanditConfig:
         for key in ("top_k", "batch_size", "max_rounds"):
             if getattr(self, key) < 1:
                 raise UsageError(f"bandit.{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("alpha", "tau"):
-            if not math.isfinite(getattr(self, key)):
-                raise UsageError(f"bandit.{key} must be finite, got {getattr(self, key)!r}")
 
 
 @dataclass

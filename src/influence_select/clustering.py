@@ -16,7 +16,8 @@ from .corpus import EmbeddingCorpus
 from .errors import DataError
 
 CLUSTER_MAGIC = b"KMC1"
-# Rows per assign block. One assign step at 64000 x 64, k=256, 1 BLAS thread:
+# Rows per block of the assign step and of the seeding's exact distances.
+# One assign step at 64000 x 64, k=256, 1 BLAS thread:
 # 122 ms in blocks of 256 or 512 rows, 128 ms in 1024, 138 ms in 2048, 185 ms
 # unblocked; at 10000 x 16, k=64, 512 rows were within 5% of the fastest.
 ASSIGN_BLOCK_ROWS = 512
@@ -71,45 +72,87 @@ def _pairwise_sq_dists(
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _seed_sq_dists(x: np.ndarray, x_sq: np.ndarray, idx: int, out: np.ndarray) -> np.ndarray:
-    """||x - c||^2 for every row, c = x[idx], into ``out``.
-
-    One matrix-vector product: ||x||^2 - 2 x.c + ||c||^2, clamped at 0. That
-    form is off by rounding, so a row equal to c need not read exactly 0;
-    every entry within rounding of 0 is recomputed as sum((x - c)^2), so rows
-    that coincide with c read exactly 0.
-    """
-    c = x[idx]
-    np.matmul(x, -2.0 * c, out=out)
-    out += x_sq
-    out += x_sq[idx]
-    np.maximum(out, 0.0, out=out)
-    near_rel = 4.0 * x.shape[1] * np.finfo(np.float64).eps
-    near = np.flatnonzero(out <= near_rel * (x_sq + x_sq[idx]))
-    out[near] = np.sum((x[near] - c) ** 2, axis=1)
-    return out
-
-
 def _kmeans_pp_init(
     x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """k-means++ seeding (D^2 sampling); ``x_sq`` is np.sum(x * x, axis=1)."""
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centroids[0] = x[first]
-    closest = _seed_sq_dists(x, x_sq, first, np.empty(n, dtype=np.float64))
-    dist = np.empty(n, dtype=np.float64)
-    for i in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            # all remaining points coincide with chosen centroids
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
-        centroids[i] = x[idx]
-        np.minimum(closest, _seed_sq_dists(x, x_sq, idx, dist), out=closest)
+    """k-means++ seeding (D^2 sampling); ``x_sq`` is np.sum(x * x, axis=1).
+
+    closest[r] is the least direct form sum((x[r] - c)^2) over the seeds c so
+    far. A new seed c = x[idx] is screened by one float32 gemv over x32, the
+    float32 copy of x: g = x32 @ x32[idx], S = x_sq[r] - 2 g[r] + x_sq[idx].
+    Row r skips the direct form iff S - kappa (x_sq[r] + x_sq[idx]) - tau >=
+    (1 + kappa) closest[r], where u = 2^-24, eta = 2^-150 (half the least
+    float32 subnormal), kappa = (2 dim + 8) u and tau = 8 dim eta.
+
+    Bound: with X = ||x[r]||^2, C = ||c||^2, D = ||x[r] - c||^2 exactly, and
+    IEEE arithmetic with gradual underflow, |S - D| <= (1.35 dim + 4.01) u
+    (X + C) + 3 dim eta for dim <= 2^22 (beyond, kappa = inf: nothing skips).
+    - Rounding: x32 = x + e, |e| <= u |x| + eta per entry (eta if subnormal),
+      likewise c, so 2 |x32.c32 - x.c| <= (2u + u^2)(X + C) + 2 dim eta^2
+      + 2 (1 + u) eta sum(|x| + |c|).
+    - The gemv, in any order, with or without FMA: |g - x32.c32| <= gamma
+      sum|x32 c32| + 1.34 dim eta (eta per product that underflows), with
+      gamma = dim u / (1 - dim u) <= 4 dim u / 3 and sum|x32 c32| <=
+      (1 + u)^2 (X + C) / 2 + (1 + u) eta sum(|x| + |c|) + dim eta^2.
+    - x_sq is within dim 2^-52 X of X (likewise C); by AM-GM the terms in
+      eta sum(|x| + |c|) are at most 2u (X + C) + 2 dim eta^2 / u.
+    - Overflow, of a point past the float32 range or of a product or partial
+      sum, leaves g[r] at +-inf or NaN, and such rows never skip.
+    The float64 rounding of the test, within 2^-49 (X + C + closest[r]), fits
+    in kappa's and tau's margins. So a skipped row has D >= (1 + kappa -
+    2^-49) closest[r] + 5 dim eta, and its float64 direct form, at least
+    (1 - (dim + 3) 2^-53) D - dim 2^-1074, is >= closest[r]: the seed cannot
+    lower it. closest, and so every draw, is bitwise the direct form's.
+    """
+    n, dim = x.shape
+    kappa = (2 * dim + 8) * 2.0**-24 if dim <= 2**22 else np.inf
+    tau = 8 * dim * 2.0**-150
+    # The test, with per-row terms that change only with closest[r]: skip iff
+    # -inf < g[r] - half[r] <= (low[idx] - tau) / 2, low = (1 - kappa) x_sq and
+    # half = (low - (1 + kappa) closest) / 2. closest starts at inf: no skips.
+    low = x_sq * (1.0 - kappa)
+    half = np.full(n, -np.inf)
+    closest = np.full(n, np.inf)
+    g, t = np.empty(n, dtype=np.float32), np.empty(n)
+    centroids = np.empty((k, dim), dtype=np.float64)
+    idx = int(rng.integers(n))
+    with np.errstate(over="ignore", invalid="ignore"):  # the test handles overflow
+        x32 = x.astype(np.float32)
+        for i in range(k):
+            if i:
+                total = closest.sum()
+                if total <= 0.0:
+                    # all remaining points coincide with chosen centroids
+                    idx = int(rng.integers(n))
+                else:
+                    idx = _d2_draw(closest, total, rng)
+            centroids[i] = x[idx]
+            np.matmul(x32, x32[idx], out=g)
+            np.subtract(g, half, out=t)
+            rows = np.flatnonzero(~((t <= (low[idx] - tau) / 2) & (t > -np.inf)))
+            _lower_closest(x, x[idx], rows, closest)
+            half[rows] = (low[rows] - (1.0 + kappa) * closest[rows]) / 2
     return centroids
+
+
+def _d2_draw(closest: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """rng.choice(closest.size, p=closest / total), by the operations numpy's
+    Generator.choice runs, without its checks of p (a Kahan sum, a NaN check
+    and a negativity check): closest is finite and >= 0 by construction, as
+    kmeans rejects points whose squared distances could overflow."""
+    cdf = np.cumsum(closest / total)
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
+
+
+def _lower_closest(x, c, rows, closest) -> None:
+    """closest[rows] = min(closest[rows], sum((x[rows] - c)^2)), in row blocks.
+
+    The direct form of a row depends on that row alone, and is exactly 0 for
+    a row equal to c."""
+    for lo in range(0, rows.size, ASSIGN_BLOCK_ROWS):
+        r = rows[lo : lo + ASSIGN_BLOCK_ROWS]
+        closest[r] = np.minimum(closest[r], np.sum((x[r] - c) ** 2, axis=1))
 
 
 def kmeans(
@@ -131,7 +174,11 @@ def kmeans(
     if k > corpus.count:
         raise DataError(f"k={k} exceeds corpus count {corpus.count}")
     x = _points(corpus, normalize)
-    x_sq = np.sum(x * x, axis=1)
+    with np.errstate(over="ignore"):
+        x_sq = np.sum(x * x, axis=1)
+        # seeding sums n squared distances, each at most 4 max(x_sq), with margin
+        if not np.isfinite(8.0 * corpus.count * x_sq.max()):
+            raise DataError("embedding values too large: squared distances overflow float64")
     centroids = _kmeans_pp_init(x, x_sq, k, np.random.default_rng(seed))
     assignment = np.full(corpus.count, -1, dtype=np.int64)
     history: list[float] = []

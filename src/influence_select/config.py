@@ -229,7 +229,10 @@ def apply_assignment(cfg: RunConfig, key: str, value: str) -> None:
     target = getattr(cfg, section)
     if (section, name) not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {section}.{name}")
-    setattr(target, name, _parse_value(value, _FIELD_TYPES[(section, name)]))
+    parsed = _parse_value(value, _FIELD_TYPES[(section, name)])
+    if isinstance(parsed, float) and not math.isfinite(parsed):
+        raise UsageError(f"{section}.{name} must be finite, got {parsed!r}")
+    setattr(target, name, parsed)
 
 
 def _field_types():

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -36,12 +36,17 @@ class EmbeddingCorpus:
     """Dense embedding vectors for the candidate pool, one row per instance."""
 
     vectors: np.ndarray  # (count, dim) float64; row i is instance id i
+    source: InitVar[str | None] = None  # file the vectors came from, named in errors
 
-    def __post_init__(self):
+    def __post_init__(self, source):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise DataError(f"embedding matrix must be 2-D, got shape {self.vectors.shape}")
-        validate_corpus(self)
+        bad = ~np.isfinite(self.vectors)
+        if bad.any():
+            row = int(np.argwhere(bad.any(axis=1))[0, 0])
+            where = f"{source}: " if source is not None else ""
+            raise DataError(f"{where}non-finite embedding value at row {row}")
 
     @property
     def count(self) -> int:
@@ -50,13 +55,6 @@ class EmbeddingCorpus:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def validate_corpus(corpus: EmbeddingCorpus) -> None:
-    bad = ~np.isfinite(corpus.vectors)
-    if bad.any():
-        row = int(np.argwhere(bad.any(axis=1))[0, 0])
-        raise DataError(f"non-finite embedding value at row {row}")
 
 
 @dataclass
@@ -179,11 +177,7 @@ def _load_embeddings_binary(path) -> EmbeddingCorpus:
             f"{path}: truncated payload ({len(payload)} bytes, expected {want} for {count}x{dim})"
         )
     raw = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-    bad = ~np.isfinite(raw)
-    if bad.any():
-        row = int(np.argwhere(bad.any(axis=1))[0, 0])
-        raise DataError(f"{path}: non-finite embedding value at row {row}")
-    return EmbeddingCorpus(vectors=raw.astype(np.float64))
+    return EmbeddingCorpus(vectors=raw.astype(np.float64), source=path)
 
 
 def _load_embeddings_csv(path) -> EmbeddingCorpus:
@@ -201,12 +195,7 @@ def _load_embeddings_csv(path) -> EmbeddingCorpus:
                 raise DataError(f"{path}:{lineno}: inconsistent dimension")
     if not rows:
         raise DataError(f"{path}: empty csv corpus (binary format supports count=0)")
-    mat = np.asarray(rows, dtype=np.float64)
-    bad = ~np.isfinite(mat)
-    if bad.any():
-        row = int(np.argwhere(bad.any(axis=1))[0, 0])
-        raise DataError(f"{path}: non-finite embedding value at row {row}")
-    return EmbeddingCorpus(vectors=mat)
+    return EmbeddingCorpus(vectors=np.asarray(rows, dtype=np.float64), source=path)
 
 
 def write_embeddings(path, corpus: EmbeddingCorpus, format: str = "binary") -> None:

@@ -117,23 +117,6 @@ def collect_factors(params: ParamSet, sequences, registry=None, with_grad: bool 
     return factors, {name: (mat / n).ravel() for name, mat in grad.items()}
 
 
-def merge_factors(parts: list[KroneckerFactor]) -> KroneckerFactor:
-    """Deterministic ordered reduction of partial factors."""
-    if not parts:
-        raise DataError("nothing to merge")
-    out = parts[0]
-    for p in parts[1:]:
-        if (p.layer, p.kind, p.d_out, p.d_in) != (out.layer, out.kind, out.d_out, out.d_in):
-            raise DataError("cannot merge factors for different layers")
-        out = KroneckerFactor(
-            layer=out.layer, kind=out.kind, d_out=out.d_out, d_in=out.d_in,
-            delta_sum=out.delta_sum + p.delta_sum,
-            x_sum=out.x_sum + p.x_sum,
-            sample_count=out.sample_count + p.sample_count,
-        )
-    return out
-
-
 @dataclass
 class DampedFactorInverse:
     """Eigendecompositions of (Delta, X) with a damping constant."""

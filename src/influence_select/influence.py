@@ -192,18 +192,6 @@ def write_influence_csv(path, table: InfluenceTable, fingerprint: str = "") -> N
             fh.write(f"{inst_id},{score:.17g},{method}\n")
 
 
-def read_influence_csv(path) -> InfluenceTable:
-    table = InfluenceTable()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("instance_id"):
-                continue
-            inst_id, score, method = line.split(",")
-            table.rows.append((int(inst_id), float(score), method))
-    return table
-
-
 def jl_epsilon(target_dim: int, failure_prob: float = 0.01) -> float:
     """Distortion bound for dot products at the given sketch width.
 

@@ -113,12 +113,3 @@ def eval_loss(params: ParamSet, sequences) -> float:
     for pos, tokens in chunks(seqs):
         losses[pos], _ = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
     return math.fsum(losses) / len(losses)
-
-
-def write_training_curve(path, history, fingerprint: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint={fingerprint}\n")
-        fh.write("step,loss\n")
-        for step, loss in history:
-            fh.write(f"{step},{loss:.17g}\n")

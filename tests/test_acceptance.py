@@ -283,7 +283,7 @@ def _end_to_end_once(master_seed: int):
     tokens = {inst.id: inst.tokens for inst in data.instances}
 
     def scorer(ids):
-        return [I.score_instance(tokens[i], ihvp, params, registry) for i in ids]
+        return I.score_batch([tokens[i] for i in ids], ihvp, params, registry).scores()
 
     bcfg = B.BanditConfig(alpha=20.0, tau=150.0, gamma=0.05, top_k=8, batch_size=8,
                           reward_mode="mean", max_rounds=300)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from influence_select import clustering
 from influence_select.clustering import (
     ASSIGN_BLOCK_ROWS,
     _kmeans_pp_init,
@@ -240,7 +241,22 @@ def _seeding_corpora():
         "plane-300x2": (rng.normal(size=(300, 2)) * 1e3, 7),
         "repeats-30x3x16": (np.repeat(rng.normal(size=(30, 16)), 3, axis=0), 36),
         "coincident-3x4x6": (np.repeat(_COINCIDENT_POINTS, 4, axis=0), 5),
+        # float32 products overflow, so every row goes to the direct form
+        "huge-300x8": (rng.normal(size=(300, 8)) * 1e30, 12),
+        # float32 products underflow to 0, and the underflow term tau keeps
+        # every row a candidate
+        "tiny-300x8": (rng.normal(size=(300, 8)) * 1e-30, 12),
+        # float64 values off the float32 grid, with distances near the screen's bound
+        "off-grid-800x24": (1.0 + rng.normal(size=(800, 24)) * 3e-3, 30),
+        "odd-n-1003x7": (rng.normal(size=(1003, 7)), 25),
+        "blobs-20000x64": (_blob_pool(rng, 20_000, 64, 64), 48),
     }
+
+
+def _blob_pool(rng, n, dim, centers):
+    """A Gaussian mixture with well separated centers, stored as float32."""
+    centers = rng.normal(0.0, 4.0, size=(centers, dim))[rng.integers(0, centers, size=n)]
+    return (centers + rng.normal(0.0, 0.25, size=(n, dim))).astype(np.float32).astype(np.float64)
 
 
 _SEEDING_CORPORA = _seeding_corpora()
@@ -253,6 +269,72 @@ def test_seeding_equals_direct_form(name, seed):
     want = _direct_kmeans_pp_init(x, k, np.random.default_rng(seed))
     got = _kmeans_pp_init(x, np.sum(x * x, axis=1), k, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDING_CORPORA))
+def test_screen_skips_only_rows_the_seed_cannot_bring_closer(name, monkeypatch):
+    x, k = _SEEDING_CORPORA[name]
+    sizes = []
+    lower_closest = clustering._lower_closest
+
+    def spy(x, c, rows, closest):
+        skipped = np.setdiff1d(np.arange(x.shape[0]), rows)
+        assert np.all(np.sum((x[skipped] - c) ** 2, axis=1) >= closest[skipped])
+        sizes.append(rows.size)
+        lower_closest(x, c, rows, closest)
+
+    monkeypatch.setattr(clustering, "_lower_closest", spy)
+    _kmeans_pp_init(x, np.sum(x * x, axis=1), k, np.random.default_rng(0))
+    assert len(sizes) == k and sizes[0] == x.shape[0]
+    if name.startswith(("huge", "tiny")):  # nothing can be ruled out
+        assert sizes == [x.shape[0]] * k
+
+
+def test_screen_leaves_few_rows_to_the_direct_form(monkeypatch):
+    x, k = _SEEDING_CORPORA["blobs-20000x64"]
+    sizes = []
+    lower_closest = clustering._lower_closest
+    monkeypatch.setattr(clustering, "_lower_closest", lambda x, c, rows, closest: (
+        sizes.append(rows.size), lower_closest(x, c, rows, closest)))
+    _kmeans_pp_init(x, np.sum(x * x, axis=1), k, np.random.default_rng(0))
+    # the first seed has nothing to screen against
+    assert np.mean(sizes[1:]) < 0.1 * x.shape[0]
+
+
+def test_d2_draw_matches_generator_choice():
+    rng = np.random.default_rng(61)
+    for trial in range(300):
+        n = int(rng.integers(1, 200))
+        closest = rng.exponential(size=n) * 10.0 ** float(rng.integers(-40, 40))
+        closest[rng.random(n) < 0.4] = 0.0
+        if not closest.any():
+            closest[-1] = 1.0
+        total = closest.sum()
+        ours, numpys = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert clustering._d2_draw(closest, total, ours) == numpys.choice(n, p=closest / total)
+        assert ours.random() == numpys.random()
+
+
+def test_normalized_kmeans_equals_reference_with_direct_form_seeds():
+    rng = np.random.default_rng(67)
+    x = _blob_pool(rng, 4000, 32, 40) + 1.0
+    want_c, want_a, want_hist, want_it, want_conv = _reference_kmeans(
+        x, 40, seed=3, normalize=True, max_iters=8
+    )
+    got = kmeans(EmbeddingCorpus(vectors=x), 40, seed=3, normalize=True, max_iters=8)
+    np.testing.assert_array_equal(got.centroids, want_c)
+    np.testing.assert_array_equal(got.assignment, want_a)
+    assert (got.objective_history, got.n_iters, got.converged) == (want_hist, want_it, want_conv)
+    xn = x / np.linalg.norm(x, axis=1, keepdims=True)  # off the float32 grid
+    np.testing.assert_array_equal(
+        _kmeans_pp_init(xn, np.sum(xn * xn, axis=1), 40, np.random.default_rng(3)),
+        _direct_kmeans_pp_init(xn, 40, np.random.default_rng(3)),
+    )
+
+
+def test_kmeans_rejects_points_whose_squared_distances_overflow():
+    with pytest.raises(DataError, match="overflow"):
+        kmeans(EmbeddingCorpus(vectors=np.array([[1e160, 0.0], [-1e160, 1.0]])), 2)
 
 
 def test_kmeans_on_coincident_points_is_pinned():

@@ -1,6 +1,6 @@
 import pytest
 
-from influence_select.config import canonical_text, fingerprint, load_config
+from influence_select.config import _FIELD_TYPES, canonical_text, fingerprint, load_config
 from influence_select.errors import UsageError
 
 
@@ -253,4 +253,19 @@ def test_bad_bandit_value_exits_1_without_traceback(override, tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"usage error: {override.split('=')[0]} ")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+_FLOAT_KEYS = sorted(f"{sec}.{name}" for (sec, name), typ in _FIELD_TYPES.items() if typ is float)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_every_float_key_must_be_finite(key, value, tmp_path, capsys):
+    from influence_select import cli
+
+    code = cli.main(["cluster", "--set", f"{key}={value}", "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"usage error: {key} must be finite")
     assert list(tmp_path.iterdir()) == []

@@ -71,6 +71,20 @@ def test_nonfinite_rejected_with_row_index(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_nonfinite_file_value_names_file_and_row(tmp_path, fmt):
+    path = tmp_path / f"emb.{fmt}"
+    if fmt == "binary":
+        mat = np.ones((4, 3), dtype="<f4")
+        mat[2, 0] = np.inf
+        path.write_bytes(struct.pack("<QQ", 4, 3) + mat.tobytes())
+    else:
+        path.write_text("1,1,1\n1,1,1\ninf,1,1\n1,1,1\n")
+    with pytest.raises(DataError) as exc:
+        load_embeddings(path, format=fmt)
+    assert str(exc.value) == f"{path}: non-finite embedding value at row 2"
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     corpus = EmbeddingCorpus(vectors=rng.normal(size=(20, 5)))

@@ -239,24 +239,3 @@ def test_factor_checkpoint_round_trip(tmp_path):
         assert again[name].sample_count == factors[name].sample_count
         np.testing.assert_allclose(again[name].Delta, factors[name].Delta, rtol=1e-15)
         np.testing.assert_allclose(again[name].X, factors[name].X, rtol=1e-15)
-
-
-def test_merge_factors_matches_sequential():
-    rng = np.random.default_rng(11)
-    tl = _tl()
-    taps = [
-        LayerTap(0, "attn-out", x=rng.normal(size=(4, 3)), delta=rng.normal(size=(4, 4)))
-        for _ in range(6)
-    ]
-    seq_fac = C.zero_factor(tl)
-    for tap in taps:
-        seq_fac = C.accumulate(seq_fac, tap)
-    parts = []
-    for half in (taps[:3], taps[3:]):
-        f = C.zero_factor(tl)
-        for tap in half:
-            f = C.accumulate(f, tap)
-        parts.append(f)
-    merged = C.merge_factors(parts)
-    np.testing.assert_allclose(merged.Delta, seq_fac.Delta, rtol=1e-14)
-    assert merged.sample_count == seq_fac.sample_count

@@ -104,12 +104,3 @@ def test_divergence_guard():
     data = [rng.integers(0, 12, size=6).tolist() for _ in range(16)]
     with pytest.raises(TrainingDivergedError):
         T.train(params, data, cfg)
-
-
-def test_training_curve_csv(tmp_path):
-    path = tmp_path / "curve.csv"
-    T.write_training_curve(path, [(1, 2.5), (2, 2.25)], fingerprint="fp")
-    text = path.read_text()
-    assert text.splitlines()[0] == "# config_fingerprint=fp"
-    assert text.splitlines()[1] == "step,loss"
-    assert text.splitlines()[2] == "1,2.5"
