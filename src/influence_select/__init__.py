@@ -26,9 +26,8 @@ from .influence import (
     SketchProjector,
     reference_ihvp,
     score_batch,
-    score_instance,
 )
-from .model import ModelConfig, ParamSet, backward, forward, grad_of_set, init_params
+from .model import ModelConfig, ParamSet, backward, forward, init_params
 from .oracle import compare_methods, dense_curvature, exact_influence
 from .trainer import TrainConfig, eval_loss, train
 
@@ -55,7 +54,6 @@ __all__ = [
     "eval_loss",
     "exact_influence",
     "forward",
-    "grad_of_set",
     "init_params",
     "joint_qkv_pack",
     "kmeans",
@@ -66,7 +64,6 @@ __all__ = [
     "reference_ihvp",
     "run",
     "score_batch",
-    "score_instance",
     "select_step",
     "train",
     "write_embeddings",

@@ -67,11 +67,6 @@ class BanditState:
         if self.retired is None:
             self.retired = np.zeros(self.n_clusters, dtype=bool)
 
-    def mean_reward(self, i: int) -> float:
-        if self.pulls[i] == 0:
-            raise DataError(f"cluster {i} has no pulls; mean reward undefined")
-        return float(self.reward[i] / self.pulls[i])
-
 
 def cluster_score(state: BanditState, i: int) -> float:
     """Arm i's entry of cluster_scores."""
@@ -163,33 +158,36 @@ def _unselected(members: np.ndarray, selected: np.ndarray) -> np.ndarray:
     return members[~selected[members]]
 
 
-def pull_and_update(
+def _credit(state: BanditState, ci: int, batch_sum: float, n: int, reward_mode: str) -> None:
+    """R += reward, T += 1; the reward is the batch sum, or in mean mode the
+    batch mean."""
+    state.reward[ci] += batch_sum / n if reward_mode == "mean" and n else batch_sum
+    state.pulls[ci] += 1
+
+
+def pull_arms(
     state: BanditState,
     model: ClusterModel,
     scorer,
-    top_k: int,
+    arms: list[int],
     m: int,
     seed: int,
     ledger: SelectionLedger,
     iteration: int = 0,
     reward_mode: str = "sum",
 ) -> IterationRecord:
-    """One bandit iteration: pull the top_k clusters by score.
+    """Pull each arm in ``arms``, in order.
 
-    Samples up to m not-yet-selected members from each pulled cluster
-    (without replacement within the batch), scores every pulled cluster's
-    batch in one scorer call, and applies the reward updates R += batch
-    reward, T += 1 in pull order. Exhausted arms are retired and logged as
-    skipped pulls.
+    Samples up to m not-yet-selected members from each arm (without
+    replacement within the batch), scores every batch in one scorer call,
+    and credits the rewards in pull order. Exhausted arms are retired and
+    logged as skipped pulls.
     """
-    if state.n_clusters < top_k:
-        raise DataError(f"top_k={top_k} exceeds cluster count {state.n_clusters}")
     rng = np.random.default_rng(seed)
     rec = IterationRecord(iteration=iteration)
     selected = ledger.selected_mask(model.count)
-    chosen = _top_k_by_score(cluster_scores(state), top_k)
     batches: list[tuple[int, list[int]]] = []
-    for ci in chosen:
+    for ci in arms:
         if state.retired[ci]:
             rec.skipped_pulls += 1
             continue
@@ -206,9 +204,7 @@ def pull_and_update(
     for ci, ids in batches:
         batch_sum = float(math.fsum(scores[start : start + len(ids)]))
         start += len(ids)
-        reward = batch_sum if reward_mode == "sum" else batch_sum / len(ids)
-        state.reward[ci] += reward
-        state.pulls[ci] += 1
+        _credit(state, ci, batch_sum, len(ids), reward_mode)
         rec.pulls.append(PullRecord(cluster=ci, sampled_ids=ids, batch_sum=batch_sum))
     rec.selected_total = len(ledger.selected)
     return rec
@@ -261,6 +257,18 @@ def select_step(
     return out
 
 
+def check_run(cfg: BanditConfig, model: ClusterModel, budget: int) -> None:
+    """What ``run`` needs of its inputs: a budget the pool can cover and no
+    more arms per iteration than clusters. ``select`` calls it before
+    curvature setup, so bad inputs fail fast."""
+    if budget < 0:
+        raise UsageError("budget must be non-negative")
+    if budget > model.count:
+        raise DataError(f"budget {budget} exceeds corpus count {model.count}")
+    if cfg.top_k > model.k:
+        raise DataError(f"top_k={cfg.top_k} exceeds cluster count {model.k}")
+
+
 def run(
     cfg: BanditConfig,
     model: ClusterModel,
@@ -268,15 +276,13 @@ def run(
     budget: int,
     seed: int = 0,
 ) -> SelectionLedger:
-    """Alternate pull_and_update / select_step until the budget is met.
+    """Alternate UCB pulls of the top_k arms and select_step until the budget
+    is met.
 
     Returns a ledger flagged truncated when every arm retires (or the round
     cap trips) before the budget is reached.
     """
-    if budget < 0:
-        raise UsageError("budget must be non-negative")
-    if budget > model.count:
-        raise DataError(f"budget {budget} exceeds corpus count {model.count}")
+    check_run(cfg, model, budget)
     state = BanditState(n_clusters=model.k, alpha=cfg.alpha)
     ledger = SelectionLedger()
     cached = scorer if isinstance(scorer, CachedScorer) else CachedScorer(scorer)
@@ -290,8 +296,9 @@ def run(
             break
         pull_seed = _derive_seed(seed, iteration, 0)
         select_seed = _derive_seed(seed, iteration, 1)
-        rec = pull_and_update(
-            state, model, cached, cfg.top_k, cfg.batch_size, pull_seed,
+        arms = _top_k_by_score(cluster_scores(state), cfg.top_k)
+        rec = pull_arms(
+            state, model, cached, arms, cfg.batch_size, pull_seed,
             ledger, iteration=iteration, reward_mode=cfg.reward_mode,
         )
         if (state.pulls > 0).any():
@@ -377,11 +384,16 @@ def read_selection(path, count: int | None = None) -> list[int]:
     return out
 
 
-def read_ledger_pulls(path, n_clusters: int) -> list[tuple]:
-    """The pulls of a ledger written by ``write_ledger_jsonl``, in file order,
-    as ``(iteration, cluster, sampled count, batch_sum)``; errors name the
-    file and line."""
-    out = []
+def replay_ledger(path, k: int, reward_mode: str):
+    """Replay the pulls of a ledger written by ``write_ledger_jsonl``.
+
+    Returns ``(state, trajectory)``: the arms' reward and pull counts as
+    ``run`` left them (alpha and retirements are not recorded, so alpha is 0
+    and no arm is retired), and one ``(iteration, cluster, mean reward)`` row
+    per pull, in file order. Errors name the file and line.
+    """
+    state = BanditState(n_clusters=k, alpha=0.0)
+    trajectory = []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -398,11 +410,12 @@ def read_ledger_pulls(path, n_clusters: int) -> list[tuple]:
             except (KeyError, TypeError, ValueError):
                 raise DataError(f"{path}:{lineno}: malformed pull record") from None
             for ci, n_sampled, batch_sum in pulls:
-                if type(ci) is not int or not 0 <= ci < n_clusters:
+                if type(ci) is not int or not 0 <= ci < k:
                     raise DataError(f"{path}:{lineno}: pull of cluster {ci!r}, "
-                                    f"outside [0, k={n_clusters})")
-                out.append((rec["iteration"], ci, n_sampled, batch_sum))
-    return out
+                                    f"outside [0, k={k})")
+                _credit(state, ci, batch_sum, n_sampled, reward_mode)
+                trajectory.append((rec["iteration"], ci, state.reward[ci] / state.pulls[ci]))
+    return state, trajectory
 
 
 # ------------------------------------------------------------- simulation
@@ -437,7 +450,7 @@ def simulate_policies(
     Every arm is a synthetic cluster of ``members_per_arm`` instances whose
     influence values are fixed draws from N(mean_i, sigma^2); one trial runs
     ``steps`` single-cluster pulls with batch size 1 through the same
-    pull_and_update loop the real pipeline uses. Arm means are a shuffled
+    ``pull_arms`` the real pipeline uses. Arm means are a shuffled
     ladder: one arm at ``best_mean``, the rest evenly spaced on [0, spread].
     """
     results: list[SimResult] = []
@@ -480,16 +493,9 @@ def simulate_policies(
                         arm = int(np.argmax(means_hat))
                 else:
                     arm = int(policy_rng.integers(n_arms))
-                forced = BanditState(
-                    n_clusters=n_arms, alpha=state.alpha,
-                    reward=state.reward, pulls=state.pulls, retired=state.retired,
-                )
-                # force the chosen arm by retiring all others for this pull
-                mask = np.ones(n_arms, dtype=bool)
-                mask[arm] = False
-                forced.retired = mask
-                pull_and_update(
-                    forced, model, cached, 1, 1,
+                # no id is ever selected here, so no arm runs dry
+                pull_arms(
+                    state, model, cached, [arm], 1,
                     _derive_seed(seed, trial * steps + step, 2), ledger, iteration=step,
                 )
                 regret[step] = means[best_arm] - means[arm]

@@ -79,7 +79,7 @@ def _scoring_setup(cfg: RunConfig, ref: corpus.ReferenceSet, factor_path: str | 
     (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
     params = model_mod.init_params(cfg.model.model_config(), seed=cfg.model.init_seed)
     registry = model_mod.tracked_layers(params.config, cfg.influence.kinds())
-    factors, ref_grad = curvature.collect_factors(params, ref.sequences, registry, with_grad=True)
+    factors, ref_grad = curvature.collect_factors(params, ref.sequences, registry)
     if factor_path is not None:
         curvature.save_factors(factor_path, factors)
         _write_meta(factor_path, fingerprint(cfg))
@@ -142,6 +142,7 @@ def cmd_select(cfg: RunConfig) -> int:
     emb = _load_corpus(cfg)
     table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
     cmodel = _load_cluster_model(cfg, emb)
+    bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
     params, registry, ihvp = _scoring_setup(cfg, ref, _out(cfg, "factors.ntc"))
 
     def scorer(ids):
@@ -290,7 +291,7 @@ def cmd_report(cfg: RunConfig) -> int:
     sel_path = _require(os.path.join(cfg.paths.output_dir, "selection.txt"), "select")
     led_path = _require(os.path.join(cfg.paths.output_dir, "ledger.jsonl"), "select")
     selected = bandit_mod.read_selection(sel_path, count=emb.count)
-    pulls = bandit_mod.read_ledger_pulls(led_path, cmodel.k)
+    state, trajectory = bandit_mod.replay_ledger(led_path, cmodel.k, cfg.bandit.reward_mode)
 
     # selection composition per cluster
     comp = np.bincount(cmodel.assignment[np.asarray(selected, dtype=np.int64)],
@@ -303,20 +304,11 @@ def cmd_report(cfg: RunConfig) -> int:
             fh.write(f"{ci},{int(comp[ci])}\n")
 
     # mean-reward trajectories from the ledger
-    reward = np.zeros(cmodel.k)
-    n_pulls = np.zeros(cmodel.k, dtype=np.int64)
-    traj_rows = []
-    for it, ci, n_sampled, add in pulls:
-        if cfg.bandit.reward_mode == "mean" and n_sampled:
-            add = add / n_sampled
-        reward[ci] += add
-        n_pulls[ci] += 1
-        traj_rows.append((it, ci, reward[ci] / n_pulls[ci]))
     path = _out(cfg, "report_trajectories.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_fingerprint={fp}\n")
         fh.write("iteration,cluster,mean_reward\n")
-        for it, ci, mean in traj_rows:
+        for it, ci, mean in trajectory:
             fh.write(f"{it},{ci},{mean:.17g}\n")
 
     # end-to-end loss table: selection vs random vs top-clusters baselines
@@ -328,7 +320,7 @@ def cmd_report(cfg: RunConfig) -> int:
         baselines = [
             ("selected", selected),
             ("random", np.random.default_rng(seed).choice(emb.count, size=n, replace=False)),
-            ("top-clusters", _top_cluster_ids(cmodel, reward, n_pulls, n, seed)),
+            ("top-clusters", _top_cluster_ids(cmodel, state, n, seed)),
         ]
         for name, ids in baselines:
             data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
@@ -343,10 +335,10 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
-def _top_cluster_ids(cmodel, reward, pulls, n: int, seed: int) -> list[int]:
+def _top_cluster_ids(cmodel, state, n: int, seed: int) -> list[int]:
     """Baseline: uniform sample of n ids from the top clusters by mean reward,
     taking clusters in rank order until their union can cover n."""
-    means = np.where(pulls > 0, reward / np.maximum(pulls, 1), -np.inf)
+    means = np.where(state.pulls > 0, state.reward / np.maximum(state.pulls, 1), -np.inf)
     order = np.argsort(-means, kind="stable")
     pool: list[int] = []
     for ci in order:

@@ -214,7 +214,11 @@ def kmeans(
 def _points(corpus: EmbeddingCorpus, normalize: bool) -> np.ndarray:
     x = corpus.vectors
     if normalize:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
+        if np.isinf(norms).any():
+            row = int(np.argmax(np.isinf(norms)))
+            raise DataError(f"embedding row {row}: norm overflows float64, cannot normalize")
         x = x / np.where(norms == 0.0, 1.0, norms)
     return x
 

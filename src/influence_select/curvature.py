@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorio
 from .errors import DataError, SingularFactorError
 from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads, tracked_layers
 
@@ -95,24 +96,21 @@ def joint_qkv_pack(tap_q: LayerTap, tap_k: LayerTap, tap_v: LayerTap) -> LayerTa
     )
 
 
-def collect_factors(params: ParamSet, sequences, registry=None, with_grad: bool = False):
+def collect_factors(params: ParamSet, sequences, registry=None):
     """Estimate factors over a sequence set from the model engine's taps.
 
-    With ``with_grad`` the same pass also returns the mean per-sequence
-    tracked gradient (what ``grad_of_set`` computes), as ``(factors, grad)``.
+    Returns ``(factors, grad)``: the same pass also gives ``grad``, the mean
+    per-sequence tracked-layer gradient, flattened row-major per layer.
     """
     registry = registry if registry is not None else tracked_layers(params.config)
-    if with_grad and not sequences:
+    if not sequences:
         raise DataError("collect_factors needs a non-empty sequence set")
     factors = {tl.name: zero_factor(tl) for tl in registry}
     grad = {tl.name: np.zeros((tl.d_out, tl.d_in)) for tl in registry}
     for pos, taps in chunk_taps(params, sequences, registry):
         for tl, tap in zip(registry, taps):
             factors[tl.name] = accumulate(factors[tl.name], tap)
-            if with_grad:
-                grad[tl.name] += sequence_grads(tap, pos.size).sum(axis=0)
-    if not with_grad:
-        return factors
+            grad[tl.name] += sequence_grads(tap, pos.size).sum(axis=0)
     n = float(len(sequences))
     return factors, {name: (mat / n).ravel() for name, mat in grad.items()}
 
@@ -231,8 +229,6 @@ def save_factors(path, factors: dict[str, KroneckerFactor]) -> None:
     Per layer: `<name>/kind` (uint8 UTF-8), `<name>/meta` = [d_out, d_in,
     sample_count] (int64), `<name>/Delta` and `<name>/X` (float64 means).
     """
-    from . import tensorio
-
     tensors: dict[str, np.ndarray] = {}
     for name in sorted(factors):
         fac = factors[name]
@@ -245,8 +241,6 @@ def save_factors(path, factors: dict[str, KroneckerFactor]) -> None:
 
 
 def load_factors(path) -> dict[str, KroneckerFactor]:
-    from . import tensorio
-
     tensors = tensorio.read_tensors(path)
     names = sorted({key.rsplit("/", 1)[0] for key in tensors})
     out: dict[str, KroneckerFactor] = {}

@@ -128,52 +128,31 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
     return IhvpVector(vectors=vectors, damping=ihvp.damping, method="factored+sketch")
 
 
-def score_from_grads(grads: dict[str, np.ndarray], ihvp: IhvpVector) -> float:
-    """Sum of per-layer dot products; layer contributions add exactly."""
-    total = 0.0
-    for name, vec in grads.items():
-        total += float(np.dot(vec, ihvp.vectors[name]))
-    return total
-
-
 def _tokens(instance):
     return instance.tokens if isinstance(instance, CandidateInstance) else instance
-
-
-def _tap_scores(sequences, params: ParamSet, registry, vectors) -> list[float]:
-    """Per-sequence scores straight from engine taps.
-
-    Each tracked layer's per-sequence gradient delta^T x is dotted with that
-    layer's vector and the layer terms are summed in registry order, exactly
-    as ``score_from_grads`` does.
-    """
-    scores = [0.0] * len(sequences)
-    for pos, taps in chunk_taps(params, sequences, registry):
-        for tl, tap in zip(registry, taps):
-            vec = vectors[tl.name]
-            for p, g in zip(pos, sequence_grads(tap, pos.size).reshape(pos.size, -1)):
-                scores[p] += float(np.dot(g, vec))
-    return scores
-
-
-def score_instance(instance, ihvp: IhvpVector, params: ParamSet, registry=None) -> float:
-    registry = registry if registry is not None else tracked_layers(params.config)
-    return _tap_scores([_tokens(instance)], params, registry, ihvp.vectors)[0]
 
 
 def score_batch(instances, ihvp: IhvpVector, params: ParamSet, registry=None) -> InfluenceTable:
     """Score many instances in engine chunks; row order always matches input order.
 
     ``instances`` is a TokenTable, or a list of CandidateInstance or raw
-    token sequences (whose rows get id -1). Rows carry ``ihvp.method``.
-    Every score is checked to be finite.
+    token sequences (whose rows get id -1). Each tracked layer's
+    per-sequence gradient delta^T x, straight from the engine's taps, is
+    dotted with that layer's iHVP vector, and the layer terms are summed in
+    registry order. Rows carry ``ihvp.method``; every score is checked to be
+    finite.
     """
     registry = registry if registry is not None else tracked_layers(params.config)
     if not isinstance(instances, TokenTable):
         instances = list(instances)
         ids = [inst.id if isinstance(inst, CandidateInstance) else -1 for inst in instances]
         instances = TokenTable.from_sequences([_tokens(inst) for inst in instances], ids=ids)
-    scores = _tap_scores(instances, params, registry, ihvp.vectors)
+    scores = [0.0] * len(instances)
+    for pos, taps in chunk_taps(params, instances, registry):
+        for tl, tap in zip(registry, taps):
+            vec = ihvp.vectors[tl.name]
+            for p, g in zip(pos, sequence_grads(tap, pos.size).reshape(pos.size, -1)):
+                scores[p] += float(np.dot(g, vec))
     table = InfluenceTable()
     for inst_id, s in zip(instances.ids.tolist(), scores):
         if not np.isfinite(s):

@@ -18,12 +18,10 @@ Architecture notes (fixed once, documented here):
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorio
 from .corpus import as_table
 from .errors import DataError
 
@@ -495,62 +493,5 @@ def grad_of_sequence(params: ParamSet, tokens, registry=None) -> dict[str, np.nd
     return flat_layer_grads(grads, registry)
 
 
-def grad_of_set(params: ParamSet, sequences, registry=None) -> dict[str, np.ndarray]:
-    """Mean of per-sequence tracked-layer gradients, flattened row-major."""
-    if not sequences:
-        raise DataError("grad_of_set needs a non-empty sequence set")
-    registry = registry if registry is not None else tracked_layers(params.config)
-    acc = {tl.name: np.zeros((tl.d_out, tl.d_in)) for tl in registry}
-    for pos, taps in chunk_taps(params, sequences, registry):
-        for tl, tap in zip(registry, taps):
-            acc[tl.name] += sequence_grads(tap, pos.size).sum(axis=0)
-    n = float(len(sequences))
-    return {name: (mat / n).ravel() for name, mat in acc.items()}
-
-
 def concat_layer_vectors(vectors: dict[str, np.ndarray], registry: list[TrackedLayer]) -> np.ndarray:
     return np.concatenate([vectors[tl.name] for tl in registry])
-
-
-def flat_tracked_grad(params: ParamSet, tokens, registry=None) -> np.ndarray:
-    registry = registry if registry is not None else tracked_layers(params.config)
-    return concat_layer_vectors(grad_of_sequence(params, tokens, registry), registry)
-
-
-# ------------------------------------------------------------- checkpoints
-
-
-def save_checkpoint(path, params: ParamSet) -> None:
-    """Named-tensor container; config rides along as a UTF-8 JSON tensor."""
-    cfg_json = json.dumps(
-        {
-            "vocab_size": params.config.vocab_size,
-            "hidden_dim": params.config.hidden_dim,
-            "n_layers": params.config.n_layers,
-            "n_heads": params.config.n_heads,
-            "max_context": params.config.max_context,
-            "mlp_ratio": params.config.mlp_ratio,
-            "rope_base": params.config.rope_base,
-        },
-        sort_keys=True,
-    )
-    tensors = {"__config__": np.frombuffer(cfg_json.encode("utf-8"), dtype=np.uint8).copy()}
-    for name, arr in params.iter_named():
-        tensors[name] = arr
-    tensorio.write_tensors(path, tensors)
-
-
-def load_checkpoint(path) -> ParamSet:
-    tensors = tensorio.read_tensors(path)
-    if "__config__" not in tensors:
-        raise DataError(f"{path}: checkpoint missing __config__ record")
-    cfg = ModelConfig(**json.loads(tensors["__config__"].tobytes().decode("utf-8")))
-    params = init_params(cfg, seed=0)
-    for name, arr in params.iter_named():
-        if name not in tensors:
-            raise DataError(f"{path}: checkpoint missing tensor {name!r}")
-        if tensors[name].shape != arr.shape:
-            raise DataError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                            f"expected {arr.shape}")
-        arr[...] = tensors[name]
-    return params

@@ -33,7 +33,6 @@ from .model import (
     concat_layer_vectors,
     flat_layer_grads,
     forward,
-    grad_of_set,
     tracked_layers,
 )
 
@@ -182,17 +181,17 @@ def compare_methods(
     registry = registry if registry is not None else tracked_layers(params.config)
     curvature_set = curvature_set if curvature_set is not None else ref_set
 
-    ref_layer = grad_of_set(params, ref_set, registry)
+    ref_layer = collect_factors(params, ref_set, registry)[1]
     ref_flat = concat_layer_vectors(ref_layer, registry)
     cand_grads = []
     for seq in candidates:
-        g = grad_of_set(params, [seq], registry)
+        g = collect_factors(params, [seq], registry)[1]
         cand_grads.append((g, concat_layer_vectors(g, registry)))
 
     H = dense_curvature(params, curvature_set, registry=registry)
     exact = np.array([exact_influence(flat, ref_flat, H, damping) for _, flat in cand_grads])
 
-    factors = collect_factors(params, curvature_set, registry)
+    factors = collect_factors(params, curvature_set, registry)[0]
     approx = {
         "no-hessian": np.array([float(np.dot(flat, ref_flat)) for _, flat in cand_grads]),
         "independent-qkv": _factored_scores(cand_grads, ref_layer, factors, damping, joint=False),

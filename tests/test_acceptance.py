@@ -276,9 +276,8 @@ def _end_to_end_once(master_seed: int):
                          max_context=32, mlp_ratio=2.0)
     params = M.init_params(mcfg, seed=s_model)
     registry = M.tracked_layers(mcfg)
-    factors = C.collect_factors(params, data.reference.sequences, registry)
+    factors, ref_grad = C.collect_factors(params, data.reference.sequences, registry)
     inverses = {n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()}
-    ref_grad = M.grad_of_set(params, data.reference.sequences, registry)
     ihvp = I.reference_ihvp(ref_grad, inverses)
     tokens = {inst.id: inst.tokens for inst in data.instances}
 

@@ -59,8 +59,8 @@ def test_pull_constant_scorer_updates_reward_and_count():
     model = _cluster_model([10])
     st = B.BanditState(n_clusters=1, alpha=0.0)
     ledger = B.SelectionLedger()
-    rec = B.pull_and_update(st, model, lambda ids: [0.25] * len(ids), top_k=1, m=3,
-                            seed=0, ledger=ledger)
+    rec = B.pull_arms(st, model, lambda ids: [0.25] * len(ids), arms=[0], m=3,
+                      seed=0, ledger=ledger)
     assert st.pulls[0] == 1
     assert st.reward[0] == pytest.approx(0.75, rel=1e-12)
     assert len(rec.pulls) == 1
@@ -69,11 +69,9 @@ def test_pull_constant_scorer_updates_reward_and_count():
 
 def test_fresh_tie_resolves_to_lower_index():
     model = _cluster_model([5, 5])
-    st = B.BanditState(n_clusters=2, alpha=1.0)
-    ledger = B.SelectionLedger()
-    rec = B.pull_and_update(st, model, lambda ids: [0.0] * len(ids), top_k=1, m=1,
-                            seed=0, ledger=ledger)
-    assert rec.pulls[0].cluster == 0
+    cfg = B.BanditConfig(alpha=1.0, tau=-1.0, gamma=0.5, top_k=1, batch_size=1)
+    ledger = B.run(cfg, model, lambda ids: [0.0] * len(ids), budget=1, seed=0)
+    assert ledger.iterations[0].pulls[0].cluster == 0
 
 
 def test_pull_batch_excludes_selected_and_retires_exhausted():
@@ -82,8 +80,8 @@ def test_pull_batch_excludes_selected_and_retires_exhausted():
     ledger = B.SelectionLedger()
     ledger.selected = [0, 1, 2]  # whole cluster 0 already selected
     ledger.selected_clusters = [0, 0, 0]
-    rec = B.pull_and_update(st, model, lambda ids: [1.0] * len(ids), top_k=2, m=4,
-                            seed=1, ledger=ledger)
+    rec = B.pull_arms(st, model, lambda ids: [1.0] * len(ids), arms=[0, 1], m=4,
+                      seed=1, ledger=ledger)
     assert 0 in rec.newly_retired
     assert st.retired[0]
     assert st.pulls[0] == 0
@@ -98,8 +96,8 @@ def test_reward_mode_mean():
     model = _cluster_model([10])
     st = B.BanditState(n_clusters=1, alpha=0.0)
     ledger = B.SelectionLedger()
-    B.pull_and_update(st, model, lambda ids: [0.3] * len(ids), top_k=1, m=4, seed=0,
-                      ledger=ledger, reward_mode="mean")
+    B.pull_arms(st, model, lambda ids: [0.3] * len(ids), arms=[0], m=4, seed=0,
+                ledger=ledger, reward_mode="mean")
     assert st.reward[0] == pytest.approx(0.3, rel=1e-12)
 
 
@@ -240,6 +238,13 @@ def test_run_budget_exceeds_corpus():
         B.run(cfg, model, lambda ids: [0.0] * len(ids), budget=10, seed=0)
 
 
+def test_run_top_k_exceeds_cluster_count():
+    model = _cluster_model([4, 4])
+    cfg = B.BanditConfig(top_k=3)
+    with pytest.raises(DataError, match="top_k=3 exceeds cluster count 2"):
+        B.run(cfg, model, lambda ids: [0.0] * len(ids), budget=0, seed=0)
+
+
 def test_argmax_invariance_under_constant_shift():
     st = _state([0.3 * 4, 0.9 * 4, 0.1 * 4], [4, 4, 4], alpha=0.05)
     base = B.cluster_scores(st)
@@ -301,6 +306,26 @@ def test_ledger_jsonl_round_trip(tmp_path):
     sel_path = tmp_path / "sel.txt"
     B.write_selection(sel_path, ledger, fingerprint="fp")
     assert B.read_selection(sel_path) == ledger.selected
+
+
+@pytest.mark.parametrize("reward_mode", B.REWARD_MODES)
+def test_replay_ledger_reproduces_final_state_bitwise(tmp_path, reward_mode):
+    rng = np.random.default_rng(4)
+    model = _cluster_model([30, 12, 25, 8, 40, 17])
+    values = rng.normal(0.3, 0.4, size=model.count)
+    cfg = B.BanditConfig(alpha=0.5, tau=0.3, gamma=0.2, top_k=3, batch_size=5,
+                         reward_mode=reward_mode)
+    ledger = B.run(cfg, model, lambda ids: [float(values[i]) for i in ids], budget=80, seed=2)
+    path = tmp_path / "ledger.jsonl"
+    B.write_ledger_jsonl(path, ledger, fingerprint="fp")
+    state, trajectory = B.replay_ledger(path, model.k, reward_mode)
+    np.testing.assert_array_equal(state.reward, ledger.final_state.reward)
+    np.testing.assert_array_equal(state.pulls, ledger.final_state.pulls)
+    pulls = [(rec.iteration, p.cluster) for rec in ledger.iterations for p in rec.pulls]
+    assert [(it, ci) for it, ci, _ in trajectory] == pulls
+    last = {ci: mean for _, ci, mean in trajectory}
+    for ci, mean in last.items():
+        assert mean == state.reward[ci] / state.pulls[ci]
 
 
 def test_simulation_smoke():

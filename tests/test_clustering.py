@@ -337,6 +337,12 @@ def test_kmeans_rejects_points_whose_squared_distances_overflow():
         kmeans(EmbeddingCorpus(vectors=np.array([[1e160, 0.0], [-1e160, 1.0]])), 2)
 
 
+def test_normalize_rejects_a_row_whose_norm_overflows():
+    corpus = EmbeddingCorpus(vectors=np.array([[0.0, 1.0], [1e200, 1e200], [1.0, 0.0]]))
+    with pytest.raises(DataError, match="embedding row 1: norm overflows"):
+        kmeans(corpus, 2, normalize=True)
+
+
 def test_kmeans_on_coincident_points_is_pinned():
     corpus = EmbeddingCorpus(vectors=np.repeat(_COINCIDENT_POINTS, 4, axis=0))
     model = kmeans(corpus, k=5, seed=0)

@@ -21,14 +21,14 @@ def _identity_inverses(registry, damping=0.0):
 
 def _real_inverses(params, seqs, damping):
     registry = M.tracked_layers(params.config)
-    factors = C.collect_factors(params, seqs, registry)
+    factors = C.collect_factors(params, seqs, registry)[0]
     return {n: C.inverse_of_factor(f, damping) for n, f in factors.items()}
 
 
 def test_identity_factors_ihvp_is_ref_grad():
     params = M.init_params(CFG, seed=0)
     registry = M.tracked_layers(CFG)
-    ref_grad = M.grad_of_set(params, [[1, 2, 3, 4], [5, 6, 7]], registry)
+    ref_grad = C.collect_factors(params, [[1, 2, 3, 4], [5, 6, 7]], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     for name in ref_grad:
         np.testing.assert_array_equal(ihvp.vectors[name], ref_grad[name])
@@ -38,7 +38,7 @@ def test_large_damping_limit():
     params = M.init_params(CFG, seed=1)
     registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3, 4, 5], [6, 7, 8]]
-    ref_grad = M.grad_of_set(params, seqs, registry)
+    ref_grad = C.collect_factors(params, seqs, registry)[1]
     lam = 1e6
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, lam))
     for name in ref_grad:
@@ -48,7 +48,7 @@ def test_large_damping_limit():
 def test_missing_factor_errors():
     params = M.init_params(CFG, seed=0)
     registry = M.tracked_layers(CFG)
-    ref_grad = M.grad_of_set(params, [[1, 2, 3]], registry)
+    ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
     inverses = _identity_inverses(registry)
     inverses.pop(registry[0].name)
     with pytest.raises(DataError, match="missing curvature factor"):
@@ -68,7 +68,7 @@ def test_orthogonal_gradient_scores_zero():
         v = v - g * (float(v @ g) / gg if gg > 0 else 0.0)
         vectors[name] = v
     ihvp = I.IhvpVector(vectors=vectors, damping=0.0)
-    score = I.score_from_grads(grads, ihvp)
+    score = I.score_batch([[1, 2, 3, 4]], ihvp, params, registry).rows[0][1]
     scale = sum(abs(float(g @ vectors[n])) for n, g in grads.items()) + 1.0
     assert abs(score) < 1e-9 * scale
 
@@ -77,9 +77,9 @@ def test_self_alignment_positive_norm_squared():
     params = M.init_params(CFG, seed=3)
     registry = M.tracked_layers(CFG)
     seq = [1, 2, 3, 4, 5, 6]
-    ref_grad = M.grad_of_set(params, [seq], registry)
+    ref_grad = C.collect_factors(params, [seq], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    score = I.score_instance(seq, ihvp, params, registry)
+    score = I.score_batch([seq], ihvp, params, registry).rows[0][1]
     want = sum(float(v @ v) for v in ref_grad.values())
     assert score == pytest.approx(want, rel=1e-12)
     assert score > 0.0
@@ -89,10 +89,10 @@ def test_additivity_over_layers():
     params = M.init_params(CFG, seed=4)
     registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3, 4], [5, 6, 7, 8]]
-    ref_grad = M.grad_of_set(params, seqs, registry)
+    ref_grad = C.collect_factors(params, seqs, registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     inst = [2, 4, 6, 8]
-    total = I.score_instance(inst, ihvp, params, registry)
+    total = I.score_batch([inst], ihvp, params, registry).rows[0][1]
     grads = M.grad_of_sequence(params, inst, registry)
     per_layer = [float(grads[tl.name] @ ihvp.vectors[tl.name]) for tl in registry]
     assert total == sum(per_layer)  # exact float equality: same reduction order
@@ -102,11 +102,11 @@ def test_self_influence_non_increasing_in_damping():
     params = M.init_params(CFG, seed=5)
     registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
-    ref_grad = M.grad_of_set(params, seqs, registry)
+    ref_grad = C.collect_factors(params, seqs, registry)[1]
     scores = []
     for lam in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
         ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, lam))
-        scores.append(I.score_from_grads(ref_grad, ihvp))
+        scores.append(sum(float(ref_grad[n] @ ihvp.vectors[n]) for n in ref_grad))
     assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
     assert all(s > 0 for s in scores)
 
@@ -115,7 +115,7 @@ def test_score_batch_matches_sequential_and_preserves_order():
     params = M.init_params(CFG, seed=6)
     registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3], [4, 5, 6]]
-    ref_grad = M.grad_of_set(params, seqs, registry)
+    ref_grad = C.collect_factors(params, seqs, registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     rng = np.random.default_rng(7)
     instances = [
@@ -125,20 +125,21 @@ def test_score_batch_matches_sequential_and_preserves_order():
     table = I.score_batch(instances, ihvp, params, registry=registry)
     assert [r[0] for r in table.rows] == list(range(100))
     for inst, row in zip(instances, table.rows):
-        assert row[1] == I.score_instance(inst, ihvp, params, registry)
+        assert row[1] == I.score_batch([inst], ihvp, params, registry).rows[0][1]
         assert row[2] == "factored"
 
 
 def test_score_batch_empty_and_singleton():
     params = M.init_params(CFG, seed=6)
     registry = M.tracked_layers(CFG)
-    ref_grad = M.grad_of_set(params, [[1, 2, 3]], registry)
+    ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     assert I.score_batch([], ihvp, params, registry=registry).rows == []
     one = CandidateInstance(id=9, tokens=[2, 3, 4], embedding_row=9)
     table = I.score_batch([one], ihvp, params, registry=registry)
     assert table.rows[0][0] == 9
-    assert table.rows[0][1] == I.score_instance(one, ihvp, params, registry)
+    other = CandidateInstance(id=4, tokens=[5, 6, 7], embedding_row=4)  # same chunk
+    assert table.rows[0][1] == I.score_batch([other, one], ihvp, params, registry).rows[1][1]
 
 
 # ------------------------------------------------------------- sketching
@@ -148,10 +149,10 @@ def test_identity_sketch_hook_is_exact():
     params = M.init_params(CFG, seed=8)
     registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3, 4]]
-    ref_grad = M.grad_of_set(params, seqs, registry)
+    ref_grad = C.collect_factors(params, seqs, registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     inst = [5, 6, 7, 8]
-    exact = I.score_instance(inst, ihvp, params, registry)
+    exact = I.score_batch([inst], ihvp, params, registry).rows[0][1]
     # the hook only supports a single uniform length, so check per layer
     total = 0.0
     for tl in registry:
@@ -189,7 +190,7 @@ def test_sketch_unbiasedness_smoke():
 def test_sketched_batch_method_label_and_determinism():
     params = M.init_params(CFG, seed=8)
     registry = M.tracked_layers(CFG)
-    ref_grad = M.grad_of_set(params, [[1, 2, 3, 4]], registry)
+    ref_grad = C.collect_factors(params, [[1, 2, 3, 4]], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     proj = I.SketchProjector(target_dim=64, seed=3)
     insts = [CandidateInstance(id=i, tokens=[1, 2, 3, i % 11], embedding_row=i) for i in range(5)]
@@ -215,7 +216,7 @@ def test_folded_sketch_matches_jl_sketched_score_on_ragged_batch():
     registry = M.tracked_layers(CFG)
     rng = np.random.default_rng(12)
     ref = [rng.integers(0, 13, size=n).tolist() for n in (5, 9, 3)]
-    ihvp = I.reference_ihvp(M.grad_of_set(params, ref, registry),
+    ihvp = I.reference_ihvp(C.collect_factors(params, ref, registry)[1],
                             _real_inverses(params, ref, 1e-3))
     seqs = [rng.integers(0, 13, size=n).tolist() for n in (2, 7, 16, 3, 11, 7, 5, 14)]
     proj = I.SketchProjector(target_dim=48, seed=21)
@@ -249,7 +250,7 @@ def test_pullback_covers_the_multi_block_stream():
 def test_identity_pullback_is_the_plain_score():
     params = M.init_params(CFG, seed=8)
     registry = M.tracked_layers(CFG, kinds=("attn-out",))
-    ref_grad = M.grad_of_set(params, [[1, 2, 3, 4]], registry)
+    ref_grad = C.collect_factors(params, [[1, 2, 3, 4]], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     proj = I.SketchProjector(target_dim=registry[0].flat_dim, seed=0, identity=True)
     folded = I.pullback_ihvp(proj, ihvp)

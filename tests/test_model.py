@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from influence_select import curvature as C
 from influence_select import model as M
 from influence_select.errors import DataError
 
@@ -171,11 +172,15 @@ def test_head_gradient_rows_sum_to_zero_with_uniform_logits():
     np.testing.assert_allclose(grads.head.sum(axis=0), 0.0, atol=1e-12)
 
 
+def _grad_of_set(params, seqs):
+    return C.collect_factors(params, seqs)[1]
+
+
 def test_grad_of_set_duplicate_equals_single():
     params = M.init_params(TINY, seed=2)
     s = [1, 5, 2, 8]
-    single = M.grad_of_set(params, [s])
-    double = M.grad_of_set(params, [s, s])
+    single = _grad_of_set(params, [s])
+    double = _grad_of_set(params, [s, s])
     for name in single:
         np.testing.assert_allclose(double[name], single[name], rtol=1e-15)
 
@@ -183,9 +188,9 @@ def test_grad_of_set_duplicate_equals_single():
 def test_grad_of_set_linearity():
     params = M.init_params(TINY, seed=2)
     s1, s2 = [1, 5, 2, 8], [3, 3, 9, 0, 4]
-    g1 = M.grad_of_set(params, [s1])
-    g2 = M.grad_of_set(params, [s2])
-    both = M.grad_of_set(params, [s1, s2])
+    g1 = _grad_of_set(params, [s1])
+    g2 = _grad_of_set(params, [s2])
+    both = _grad_of_set(params, [s1, s2])
     for name in g1:
         np.testing.assert_allclose(both[name], (g1[name] + g2[name]) / 2.0, rtol=1e-12, atol=1e-15)
 
@@ -194,11 +199,11 @@ def test_grad_of_set_matches_accumulation_oracle():
     params = M.init_params(TINY, seed=4)
     rng = np.random.default_rng(9)
     seqs = [rng.integers(0, TINY.vocab_size, size=rng.integers(3, 9)).tolist() for _ in range(16)]
-    got = M.grad_of_set(params, seqs)
+    got = _grad_of_set(params, seqs)
     registry = M.tracked_layers(TINY)
     acc = {tl.name: np.zeros(tl.flat_dim) for tl in registry}
     for s in seqs:
-        one = M.grad_of_set(params, [s])
+        one = _grad_of_set(params, [s])
         for name in acc:
             acc[name] += one[name]
     for name in acc:
@@ -249,22 +254,3 @@ def test_config_validation():
         M.ModelConfig(hidden_dim=10, n_heads=4)
     with pytest.raises(DataError, match="even"):
         M.ModelConfig(hidden_dim=12, n_heads=4)  # head_dim 3
-
-
-def test_checkpoint_round_trip(tmp_path):
-    params = M.init_params(TINY, seed=8)
-    path = tmp_path / "model.ntc"
-    M.save_checkpoint(path, params)
-    again = M.load_checkpoint(path)
-    assert again.config == params.config
-    for (n1, a1), (n2, a2) in zip(params.iter_named(), again.iter_named()):
-        assert n1 == n2
-        np.testing.assert_array_equal(a1, a2)
-
-
-def test_checkpoint_bytes_deterministic(tmp_path):
-    params = M.init_params(TINY, seed=8)
-    p1, p2 = tmp_path / "a.ntc", tmp_path / "b.ntc"
-    M.save_checkpoint(p1, params)
-    M.save_checkpoint(p2, params)
-    assert p1.read_bytes() == p2.read_bytes()

@@ -16,7 +16,7 @@ def test_single_sample_rank_one():
     registry = M.tracked_layers(CFG)
     seq = [1, 2, 3, 4, 5]
     H = O.dense_curvature(params, [seq], registry=registry)
-    g = M.flat_tracked_grad(params, seq, registry)
+    g = M.concat_layer_vectors(M.grad_of_sequence(params, seq, registry), registry)
     np.testing.assert_allclose(H.matrix, np.outer(g, g), rtol=1e-12)
     assert np.linalg.matrix_rank(H.matrix, tol=1e-10) == 1
 

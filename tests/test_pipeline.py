@@ -157,6 +157,13 @@ def test_package_and_cli_import_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_package_export_resolves():
+    import influence_select
+
+    missing = [name for name in influence_select.__all__ if not hasattr(influence_select, name)]
+    assert missing == []
+
+
 def test_rerun_is_byte_identical(workdir, tmp_path):
     root, cfg = workdir
     out = tmp_path / "det"
@@ -211,6 +218,22 @@ def _clustered_copy(root, cfg, tmp_path):
     out = tmp_path / "out"
     assert _run("cluster", "--config", str(cfg), "--set", f"paths.output_dir={out}") == 0
     return out
+
+
+@pytest.mark.parametrize("override, needle", [
+    ("bandit.top_k=9", "top_k=9 exceeds cluster count 8"),
+    ("selection.budget=601", "budget 601 exceeds corpus count 600"),
+])
+def test_select_checks_bandit_inputs_before_curvature_setup(workdir, tmp_path, capsys,
+                                                            no_factor_setup, override, needle):
+    root, cfg = workdir
+    out = _clustered_copy(root, cfg, tmp_path)
+    code = _run("select", "--config", str(cfg), "--set", f"paths.output_dir={out}",
+                "--set", override)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert needle in err
+    assert "Traceback" not in err
 
 
 def test_select_non_finite_score_is_typed_error(workdir, tmp_path, monkeypatch, capsys):
