@@ -40,11 +40,7 @@ def main() -> None:
     os.makedirs(args.out, exist_ok=True)
     write_embeddings(os.path.join(args.out, "embeddings.bin"), data.embeddings)
     write_tokens(os.path.join(args.out, "tokens.tsv"), data.instances)
-    ref_rows = [
-        synthetic.CandidateInstance(id=i, tokens=seq, embedding_row=i)
-        for i, seq in enumerate(data.reference.sequences)
-    ]
-    write_tokens(os.path.join(args.out, "reference.tsv"), ref_rows)
+    write_tokens(os.path.join(args.out, "reference.tsv"), data.reference)
     with open(os.path.join(args.out, "components.csv"), "w", encoding="utf-8") as fh:
         fh.write("instance_id,component,aligned\n")
         for i, c in enumerate(data.component):

@@ -10,9 +10,7 @@ oracle layer validates every approximation at tiny scale.
 from .bandit import BanditConfig, BanditState, cluster_score, run, select_step
 from .clustering import ClusterModel, kmeans, objective
 from .corpus import (
-    CandidateInstance,
     EmbeddingCorpus,
-    ReferenceSet,
     TokenTable,
     load_embeddings,
     load_tokens,
@@ -34,7 +32,6 @@ from .trainer import TrainConfig, eval_loss, train
 __all__ = [
     "BanditConfig",
     "BanditState",
-    "CandidateInstance",
     "ClusterModel",
     "EmbeddingCorpus",
     "IhvpVector",
@@ -42,7 +39,6 @@ __all__ = [
     "KroneckerFactor",
     "ModelConfig",
     "ParamSet",
-    "ReferenceSet",
     "SketchProjector",
     "TokenTable",
     "TrainConfig",

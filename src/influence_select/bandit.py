@@ -111,7 +111,6 @@ class IterationRecord:
 class SelectionLedger:
     iterations: list[IterationRecord] = field(default_factory=list)
     selected: list[int] = field(default_factory=list)  # selection order
-    selected_clusters: list[int] = field(default_factory=list)  # parallel to selected
     truncated: bool = False
     final_state: BanditState | None = None
     _mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool),
@@ -206,7 +205,6 @@ def pull_arms(
         start += len(ids)
         _credit(state, ci, batch_sum, len(ids), reward_mode)
         rec.pulls.append(PullRecord(cluster=ci, sampled_ids=ids, batch_sum=batch_sum))
-    rec.selected_total = len(ledger.selected)
     return rec
 
 
@@ -252,7 +250,6 @@ def select_step(
             if not ids:
                 continue
         ledger.selected.extend(ids)
-        ledger.selected_clusters.extend([ci] * len(ids))
         out.append((ci, ids))
     return out
 
@@ -506,15 +503,3 @@ def simulate_policies(
                 )
             )
     return results
-
-
-def write_regret_csv(path, results: list[SimResult], fingerprint: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint={fingerprint}\n")
-        fh.write("policy,trial,step,regret,cum_regret\n")
-        for res in results:
-            cum = 0.0
-            for step, r in enumerate(res.regret):
-                cum += float(r)
-                fh.write(f"{res.policy},{res.trial},{step},{r:.17g},{cum:.17g}\n")

@@ -2,9 +2,10 @@
 simulate-bandit, report.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Every output file carries the resolved-config fingerprint (CSV/JSONL inline;
-binary artifacts get a ``.meta.json`` sidecar), and commands are idempotent:
-identical config implies byte-identical outputs.
+Every output file carries the resolved-config fingerprint (CSV/JSONL inline,
+every CSV through ``write_csv``; binary artifacts get a ``.meta.json``
+sidecar), and commands are idempotent: identical config implies
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def _write_meta(path: str, fp: str, extra: dict | None = None) -> None:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
 
 
+def write_csv(path: str, fp: str, header: str, rows) -> None:
+    """The one writer of fingerprinted CSVs: a ``# config_fingerprint=`` line,
+    the ``header`` line, then one line per row; floats at 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config_fingerprint={fp}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
+
+
 def _load_corpus(cfg: RunConfig) -> corpus.EmbeddingCorpus:
     path = cfg.paths.embeddings
     if not os.path.exists(path):
@@ -50,7 +61,7 @@ def _load_corpus(cfg: RunConfig) -> corpus.EmbeddingCorpus:
 
 
 def _load_inputs(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
-    """Token table, id -> row index and reference set, checked against the
+    """Token table, id -> row index and reference table, checked against the
     corpus and the model (see ``corpus.load_inputs``)."""
     return corpus.load_inputs(cfg.paths.tokens, cfg.paths.reference, count=emb.count,
                               vocab_size=cfg.model.vocab_size,
@@ -74,12 +85,12 @@ def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clusteri
     return cmodel
 
 
-def _scoring_setup(cfg: RunConfig, ref: corpus.ReferenceSet, factor_path: str | None = None):
+def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable, factor_path: str | None = None):
     """Model init, factor estimation over the reference set, reference iHVP
     (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
     params = model_mod.init_params(cfg.model.model_config(), seed=cfg.model.init_seed)
     registry = model_mod.tracked_layers(params.config, cfg.influence.kinds())
-    factors, ref_grad = curvature.collect_factors(params, ref.sequences, registry)
+    factors, ref_grad = curvature.collect_factors(params, ref, registry)
     if factor_path is not None:
         curvature.save_factors(factor_path, factors)
         _write_meta(factor_path, fingerprint(cfg))
@@ -132,7 +143,7 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params, registry=registry)
     path = _out(cfg, "scores.csv")
-    influence.write_influence_csv(path, scores, fingerprint=fp)
+    write_csv(path, fp, "instance_id,score,method", scores.rows)
     print(f"scored {len(ids)} instances -> {path}")
     return 0
 
@@ -188,12 +199,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
             rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
             worst = max(worst, rel)
             rows.append((case, d_out, d_in, lam, rel))
-    path = _out(cfg, "oracle_kronecker.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_fingerprint={fp}\n")
-        fh.write("case,d_out,d_in,damping,rel_err\n")
-        for case, d_out, d_in, lam, rel in rows:
-            fh.write(f"{case},{d_out},{d_in},{lam:.17g},{rel:.17g}\n")
+    write_csv(_out(cfg, "oracle_kronecker.csv"), fp, "case,d_out,d_in,damping,rel_err", rows)
     if worst > 1e-10:
         raise NumericError(f"kronecker identity breach: rel err {worst:.3e} > 1e-10")
 
@@ -205,11 +211,8 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     params = model_mod.init_params(mcfg, seed=oc.seed)
     seqs = [rng.integers(0, oc.vocab_size, size=oc.seq_len).tolist() for _ in range(3)]
     gc_worst = _grad_check(params, seqs, samples=200, rng=rng)
-    path = _out(cfg, "oracle_gradcheck.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_fingerprint={fp}\n")
-        fh.write("check,worst_rel_err\n")
-        fh.write(f"finite-difference-sample,{gc_worst:.17g}\n")
+    write_csv(_out(cfg, "oracle_gradcheck.csv"), fp, "check,worst_rel_err",
+              [("finite-difference-sample", gc_worst)])
     if gc_worst > 1e-6:
         raise NumericError(f"gradient check breach: rel err {gc_worst:.3e} > 1e-6")
 
@@ -219,8 +222,8 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
         d_proj=6, d_in=8, coupling=0.85, seed=oc.seed,
     )
     reports, _ = oracle.run_qkv_study(data, damping=oc.damping)
-    path = _out(cfg, "oracle_methods.csv")
-    oracle.write_method_report_csv(path, reports, fingerprint=fp)
+    write_csv(_out(cfg, "oracle_methods.csv"), fp, "method,pearson,spearman,n",
+              [(r.method, r.pearson, r.spearman, r.n) for r in reports])
     by = {r.method: r.pearson for r in reports}
     if not (by["joint-qkv"] > by["independent-qkv"] > by["no-hessian"]):
         raise NumericError(f"method ordering violated: {by}")
@@ -275,12 +278,21 @@ def cmd_simulate_bandit(cfg: RunConfig) -> int:
         seed=sc.seed, best_mean=sc.best_mean, spread=sc.spread,
     )
     path = _out(cfg, "regret.csv")
-    bandit_mod.write_regret_csv(path, results, fingerprint=fp)
+    write_csv(path, fp, "policy,trial,step,regret,cum_regret", _regret_rows(results))
     ucb = [r for r in results if r.policy == "ucb"]
     hits = sum(int(np.argmax(r.pull_counts)) == r.best_arm for r in ucb)
     print(f"simulated {sc.trials} trials x {sc.steps} steps; "
           f"ucb found best arm in {hits}/{len(ucb)} trials -> {path}")
     return 0
+
+
+def _regret_rows(results):
+    """(policy, trial, step, regret, cumulative regret) per simulated step."""
+    for res in results:
+        cum = 0.0
+        for step, r in enumerate(res.regret.tolist()):
+            cum += r
+            yield res.policy, res.trial, step, r, cum
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -296,20 +308,12 @@ def cmd_report(cfg: RunConfig) -> int:
     # selection composition per cluster
     comp = np.bincount(cmodel.assignment[np.asarray(selected, dtype=np.int64)],
                        minlength=cmodel.k)
-    path = _out(cfg, "report_composition.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_fingerprint={fp}\n")
-        fh.write("cluster,selected_count\n")
-        for ci in range(cmodel.k):
-            fh.write(f"{ci},{int(comp[ci])}\n")
+    write_csv(_out(cfg, "report_composition.csv"), fp, "cluster,selected_count",
+              enumerate(comp.tolist()))
 
     # mean-reward trajectories from the ledger
-    path = _out(cfg, "report_trajectories.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_fingerprint={fp}\n")
-        fh.write("iteration,cluster,mean_reward\n")
-        for it, ci, mean in trajectory:
-            fh.write(f"{it},{ci},{mean:.17g}\n")
+    write_csv(_out(cfg, "report_trajectories.csv"), fp, "iteration,cluster,mean_reward",
+              trajectory)
 
     # end-to-end loss table: selection vs random vs top-clusters baselines
     params = model_mod.init_params(cfg.model.model_config(), seed=cfg.model.init_seed)
@@ -325,12 +329,7 @@ def cmd_report(cfg: RunConfig) -> int:
         for name, ids in baselines:
             data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
             rows.append((name, trainer.eval_loss(trainer.train(params, data, cfg.trainer), ref)))
-    path = _out(cfg, "report_loss.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_fingerprint={fp}\n")
-        fh.write("method,reference_loss\n")
-        for name, loss in rows:
-            fh.write(f"{name},{loss:.17g}\n")
+    write_csv(_out(cfg, "report_loss.csv"), fp, "method,reference_loss", rows)
     print("report written:", ", ".join(name for name, _ in rows))
     return 0
 

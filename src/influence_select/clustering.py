@@ -21,6 +21,8 @@ CLUSTER_MAGIC = b"KMC1"
 # 122 ms in blocks of 256 or 512 rows, 128 ms in 1024, 138 ms in 2048, 185 ms
 # unblocked; at 10000 x 16, k=64, 512 rows were within 5% of the fastest.
 ASSIGN_BLOCK_ROWS = 512
+# A norm below this comes from a sum of squares that is subnormal or 0: it lost bits.
+_SAFE_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 @dataclass
@@ -212,14 +214,25 @@ def kmeans(
 
 
 def _points(corpus: EmbeddingCorpus, normalize: bool) -> np.ndarray:
+    """The rows to cluster; with ``normalize`` each nonzero row is scaled to unit norm.
+
+    A row whose sum of squares underflows (norm below sqrt of the smallest
+    normal float64) or overflows is first divided by its largest absolute
+    entry, so it too lands on the unit sphere; every other row is divided by
+    its norm as is.
+    """
     x = corpus.vectors
     if normalize:
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(x, axis=1, keepdims=True)
-        if np.isinf(norms).any():
-            row = int(np.argmax(np.isinf(norms)))
-            raise DataError(f"embedding row {row}: norm overflows float64, cannot normalize")
         x = x / np.where(norms == 0.0, 1.0, norms)
+        odd = np.flatnonzero((norms[:, 0] < _SAFE_NORM) | np.isinf(norms[:, 0]))
+        if odd.size:
+            y = corpus.vectors[odd]
+            top = np.max(np.abs(y), axis=1, keepdims=True)
+            y = y / np.where(top == 0.0, 1.0, top)
+            norms = np.linalg.norm(y, axis=1, keepdims=True)
+            x[odd] = y / np.where(norms == 0.0, 1.0, norms)
     return x
 
 

@@ -12,7 +12,8 @@ Token files are newline-delimited text records::
 
 Every field is an ASCII decimal integer with an optional leading ``-``,
 lines end in LF, and blank lines are skipped. A token file parses into one
-columnar ``TokenTable``.
+columnar ``TokenTable``, the one in-memory form of token records, candidate
+and reference alike.
 
 Instance ids index 1:1 into the embedding matrix (id == row).
 """
@@ -57,36 +58,6 @@ class EmbeddingCorpus:
         return self.vectors.shape[1]
 
 
-@dataclass
-class ReferenceSet:
-    """Held-out token sequences whose loss selection aims to reduce."""
-
-    sequences: "list[list[int]] | TokenTable"
-    vocab_size: int
-
-    def __post_init__(self):
-        table = as_table(self.sequences)
-        if not len(table):
-            raise DataError("reference set is empty")
-        lengths = table.lengths
-        high, low = table.row_reduce(np.maximum), table.row_reduce(np.minimum)
-        i = _first(lengths < 2, high >= self.vocab_size, low < 0)
-        if i is None:
-            return
-        if lengths[i] < 2:
-            raise DataError(f"reference sequence {i} has length {lengths[i]} < 2")
-        raise DataError(f"reference sequence {i} has token id outside vocab")
-
-
-@dataclass
-class CandidateInstance:
-    """One candidate: stable id, its token sequence, and its embedding row."""
-
-    id: int
-    tokens: list[int]
-    embedding_row: int
-
-
 @dataclass(eq=False)
 class TokenTable:
     """Token records in columns, in file order.
@@ -112,13 +83,12 @@ class TokenTable:
     def __len__(self) -> int:
         return self.ids.size
 
-    def __getitem__(self, r: int) -> CandidateInstance:
+    def __getitem__(self, r: int) -> list[int]:
+        """Record ``r``'s tokens."""
         if not -len(self) <= r < len(self):
             raise IndexError(f"record {r} out of range for {len(self)} records")
         r %= len(self)
-        i = int(self.ids[r])
-        tokens = self.tokens[self.offsets[r]:self.offsets[r + 1]].tolist()
-        return CandidateInstance(id=i, tokens=tokens, embedding_row=i)
+        return self.tokens[self.offsets[r]:self.offsets[r + 1]].tolist()
 
     @property
     def lengths(self) -> np.ndarray:
@@ -360,15 +330,11 @@ def _first_row(end, positions, skip=None) -> int | None:
     return int(rows.min()) if rows.size else None
 
 
-def write_tokens(path, instances: list[CandidateInstance]) -> None:
+def write_tokens(path, table: TokenTable) -> None:
+    """Companion writer: one ``id<TAB>tokens`` line per record, in table order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:  # load_tokens rejects CR
-        for inst in instances:
-            fh.write(f"{inst.id}\t{' '.join(str(t) for t in inst.tokens)}\n")
-
-
-def load_reference(path, vocab_size: int) -> ReferenceSet:
-    """Reference sequences share the token-file format; ids only name rows in errors."""
-    return ReferenceSet(sequences=load_tokens(path), vocab_size=vocab_size)
+        for i, seq in zip(table.ids.tolist(), table):
+            fh.write(f"{i}\t{' '.join(map(str, seq))}\n")
 
 
 def load_inputs(tokens_path, reference_path, count: int, vocab_size: int, max_context: int,
@@ -376,40 +342,47 @@ def load_inputs(tokens_path, reference_path, count: int, vocab_size: int, max_co
     """Parse the candidate and reference token files and check them against a
     ``count``-row embedding corpus and the model; every input check is here.
 
-    Returns ``(table, row_of, reference)``, where ``row_of[i]`` is the table
-    row of instance id ``i`` and -1 when it has no record. With ``cover_all``
-    every embedding row must have a record, since the bandit and the random
-    baseline may sample any row.
+    Returns ``(table, row_of, reference)``: two TokenTables, and ``row_of[i]``,
+    the table row of instance id ``i`` or -1 when it has no record. Every
+    record of either file needs a length in [2, max_context] and tokens below
+    ``vocab_size``; a candidate id must be an embedding row, and the reference
+    must not be empty. With ``cover_all`` every embedding row must have a
+    record, since the bandit and the random baseline may sample any row.
+    Errors name the file and the record's id.
     """
-    if not os.path.exists(tokens_path):
-        raise DataError(f"token file {tokens_path!r} not found")
-    table = load_tokens(tokens_path)
-    ids, lengths = table.ids, table.lengths
-    no_row = (ids < 0) | (ids >= count)
-    bad_len = (lengths < 2) | (lengths > max_context)
-    bad_tok = table.row_reduce(np.maximum) >= vocab_size
-    r = _first(no_row, bad_len, bad_tok)
-    if r is not None:
-        i = ids[r]
-        if no_row[r]:
-            raise DataError(f"instance id {i} has no embedding row (corpus count {count})")
-        if bad_len[r]:
-            raise DataError(f"instance {i} has length {lengths[r]}, "
-                            f"outside [2, model.max_context={max_context}]")
-        raise DataError(f"instance {i} has token id >= vocab_size {vocab_size}")
+    table = _load_checked(tokens_path, "token", "instance", vocab_size, max_context, count)
     row_of = np.full(count, -1, dtype=np.int64)
-    row_of[ids] = np.arange(len(table))
+    row_of[table.ids] = np.arange(len(table))
     if cover_all and len(table) < count:
         first = int(np.argmax(row_of < 0))
         raise DataError(f"embedding row {first} has no token record in {tokens_path!r} "
                         f"({len(table)} of {count} rows covered)")
+    reference = _load_checked(reference_path, "reference", "reference id", vocab_size,
+                              max_context)
+    if not len(reference):
+        raise DataError(f"{reference_path}: reference set is empty")
+    return table, row_of, reference
 
-    if not os.path.exists(reference_path):
-        raise DataError(f"reference file {reference_path!r} not found")
-    ref = load_tokens(reference_path)
-    lengths = ref.lengths
-    r = _first((lengths < 2) | (lengths > max_context))
-    if r is not None:
-        raise DataError(f"{reference_path}: reference id {ref.ids[r]} has length {lengths[r]}, "
+
+def _load_checked(path, kind: str, name: str, vocab_size: int, max_context: int,
+                  count: int | None = None) -> TokenTable:
+    """``load_tokens(path)`` with each record checked against the model and,
+    given ``count``, its id against the embedding rows; ``name`` labels a
+    record in errors."""
+    if not os.path.exists(path):
+        raise DataError(f"{kind} file {path!r} not found")
+    table = load_tokens(path)
+    ids, lengths = table.ids, table.lengths
+    no_row = (ids < 0) | (ids >= count) if count is not None else np.zeros(len(table), bool)
+    bad_len = (lengths < 2) | (lengths > max_context)
+    bad_tok = table.row_reduce(np.maximum) >= vocab_size
+    r = _first(no_row, bad_len, bad_tok)
+    if r is None:
+        return table
+    i = ids[r]
+    if no_row[r]:
+        raise DataError(f"{path}: instance id {i} has no embedding row (corpus count {count})")
+    if bad_len[r]:
+        raise DataError(f"{path}: {name} {i} has length {lengths[r]}, "
                         f"outside [2, model.max_context={max_context}]")
-    return table, row_of, ReferenceSet(sequences=ref, vocab_size=vocab_size)
+    raise DataError(f"{path}: {name} {i} has token id >= vocab_size {vocab_size}")

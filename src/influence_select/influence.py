@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CandidateInstance, TokenTable
+from .corpus import TokenTable
 from .curvature import DampedFactorInverse, kron_ihvp
 from .errors import DataError
 from .model import ParamSet, chunk_taps, sequence_grads, tracked_layers
@@ -128,47 +128,29 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
     return IhvpVector(vectors=vectors, damping=ihvp.damping, method="factored+sketch")
 
 
-def _tokens(instance):
-    return instance.tokens if isinstance(instance, CandidateInstance) else instance
+def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet,
+                registry=None) -> InfluenceTable:
+    """Score every record of ``table`` in engine chunks; rows come in table
+    order, each under its record's id.
 
-
-def score_batch(instances, ihvp: IhvpVector, params: ParamSet, registry=None) -> InfluenceTable:
-    """Score many instances in engine chunks; row order always matches input order.
-
-    ``instances`` is a TokenTable, or a list of CandidateInstance or raw
-    token sequences (whose rows get id -1). Each tracked layer's
-    per-sequence gradient delta^T x, straight from the engine's taps, is
-    dotted with that layer's iHVP vector, and the layer terms are summed in
-    registry order. Rows carry ``ihvp.method``; every score is checked to be
-    finite.
+    Each tracked layer's per-sequence gradient delta^T x, straight from the
+    engine's taps, is dotted with that layer's iHVP vector, and the layer
+    terms are summed in registry order. Rows carry ``ihvp.method``; every
+    score is checked to be finite.
     """
     registry = registry if registry is not None else tracked_layers(params.config)
-    if not isinstance(instances, TokenTable):
-        instances = list(instances)
-        ids = [inst.id if isinstance(inst, CandidateInstance) else -1 for inst in instances]
-        instances = TokenTable.from_sequences([_tokens(inst) for inst in instances], ids=ids)
-    scores = [0.0] * len(instances)
-    for pos, taps in chunk_taps(params, instances, registry):
+    scores = [0.0] * len(table)
+    for pos, taps in chunk_taps(params, table, registry):
         for tl, tap in zip(registry, taps):
             vec = ihvp.vectors[tl.name]
             for p, g in zip(pos, sequence_grads(tap, pos.size).reshape(pos.size, -1)):
                 scores[p] += float(np.dot(g, vec))
-    table = InfluenceTable()
-    for inst_id, s in zip(instances.ids.tolist(), scores):
+    out = InfluenceTable()
+    for inst_id, s in zip(table.ids.tolist(), scores):
         if not np.isfinite(s):
             raise DataError(f"non-finite influence score for instance {inst_id}")
-        table.rows.append((inst_id, s, ihvp.method))
-    return table
-
-
-def write_influence_csv(path, table: InfluenceTable, fingerprint: str = "") -> None:
-    """CSV with 17 significant digits: instance_id,score,method."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint={fingerprint}\n")
-        fh.write("instance_id,score,method\n")
-        for inst_id, score, method in table.rows:
-            fh.write(f"{inst_id},{score:.17g},{method}\n")
+        out.rows.append((inst_id, s, ihvp.method))
+    return out
 
 
 def jl_epsilon(target_dim: int, failure_prob: float = 0.01) -> float:

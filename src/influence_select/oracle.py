@@ -325,12 +325,3 @@ def run_qkv_study(data: QkvStudyData, damping: float) -> tuple[list[MethodReport
     detail = {"exact": exact, **approx,
               "joint_ihvp": joint_vec, "independent_ihvp": indep_vec}
     return reports, detail
-
-
-def write_method_report_csv(path, reports: list[MethodReport], fingerprint: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint={fingerprint}\n")
-        fh.write("method,pearson,spearman,n\n")
-        for r in reports:
-            fh.write(f"{r.method},{r.pearson:.17g},{r.spearman:.17g},{r.n}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CandidateInstance, EmbeddingCorpus, ReferenceSet
+from .corpus import EmbeddingCorpus, TokenTable
 from .errors import DataError
 
 
@@ -44,8 +44,8 @@ class SyntheticSpec:
 @dataclass
 class SyntheticCorpus:
     embeddings: EmbeddingCorpus
-    instances: list[CandidateInstance]
-    reference: ReferenceSet
+    instances: TokenTable  # record i is instance id i, embedding row i
+    reference: TokenTable  # ids 0..n_reference-1
     component: np.ndarray  # (n_instances,) mixture component per instance
     aligned_components: np.ndarray
 
@@ -79,22 +79,20 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
     )
     aligned = np.arange(spec.n_aligned)
     cycles = [_pattern_cycle(rng, spec.pattern_tokens) for s in range(spec.n_aligned)]
-    instances = []
-    for i in range(spec.n_instances):
-        c = int(component[i])
+    seqs = []
+    for c in component.tolist():
         if c < spec.n_aligned:
-            tokens = _pattern_sequence(rng, cycles[c], c * spec.pattern_tokens, spec.seq_len)
+            seqs.append(_pattern_sequence(rng, cycles[c], c * spec.pattern_tokens, spec.seq_len))
         else:
-            tokens = [int(t) for t in rng.integers(0, spec.vocab_size, size=spec.seq_len)]
-        instances.append(CandidateInstance(id=i, tokens=tokens, embedding_row=i))
+            seqs.append(rng.integers(0, spec.vocab_size, size=spec.seq_len))
     ref_seqs = []
     for j in range(spec.n_reference):
         s = j % spec.n_aligned
         ref_seqs.append(_pattern_sequence(rng, cycles[s], s * spec.pattern_tokens, spec.seq_len))
     return SyntheticCorpus(
         embeddings=EmbeddingCorpus(vectors=vectors),
-        instances=instances,
-        reference=ReferenceSet(sequences=ref_seqs, vocab_size=spec.vocab_size),
+        instances=TokenTable.from_sequences(seqs),
+        reference=TokenTable.from_sequences(ref_seqs),
         component=component,
         aligned_components=aligned,
     )

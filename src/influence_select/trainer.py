@@ -105,11 +105,11 @@ def _batch_gradient(params: ParamSet, batch):
 
 
 def eval_loss(params: ParamSet, sequences) -> float:
-    """Mean per-sequence next-token loss; exact (order-invariant) summation."""
-    seqs = sequences.sequences if hasattr(sequences, "sequences") else sequences
-    if not seqs:
+    """Mean per-sequence next-token loss over ``sequences`` (a TokenTable or a
+    list of token sequences); exact (order-invariant) summation."""
+    if not len(sequences):
         raise DataError("evaluation set is empty")
-    losses = np.empty(len(seqs))
-    for pos, tokens in chunks(seqs):
+    losses = np.empty(len(sequences))
+    for pos, tokens in chunks(sequences):
         losses[pos], _ = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
     return math.fsum(losses) / len(losses)

@@ -20,7 +20,7 @@ from influence_select import oracle as O
 from influence_select import trainer as T
 from influence_select.clustering import kmeans, objective
 from influence_select.corpus import EmbeddingCorpus, write_embeddings, write_tokens
-from influence_select.synthetic import CandidateInstance, SyntheticSpec, gaussian_blobs, generate
+from influence_select.synthetic import SyntheticSpec, gaussian_blobs, generate
 
 
 def _report(n, text):
@@ -276,13 +276,13 @@ def _end_to_end_once(master_seed: int):
                          max_context=32, mlp_ratio=2.0)
     params = M.init_params(mcfg, seed=s_model)
     registry = M.tracked_layers(mcfg)
-    factors, ref_grad = C.collect_factors(params, data.reference.sequences, registry)
+    factors, ref_grad = C.collect_factors(params, data.reference, registry)
     inverses = {n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()}
     ihvp = I.reference_ihvp(ref_grad, inverses)
-    tokens = {inst.id: inst.tokens for inst in data.instances}
+    tokens = data.instances  # record i is instance i
 
     def scorer(ids):
-        return I.score_batch([tokens[i] for i in ids], ihvp, params, registry).scores()
+        return I.score_batch(tokens.take(ids), ihvp, params, registry).scores()
 
     bcfg = B.BanditConfig(alpha=20.0, tau=150.0, gamma=0.05, top_k=8, batch_size=8,
                           reward_mode="mean", max_rounds=300)
@@ -290,11 +290,11 @@ def _end_to_end_once(master_seed: int):
     n = len(ledger.selected)
 
     tcfg = T.TrainConfig(learning_rate=1e-3, batch_size=16, steps=200, seed=s_train)
-    quad_loss = T.eval_loss(T.train(params, [tokens[i] for i in ledger.selected], tcfg),
+    quad_loss = T.eval_loss(T.train(params, tokens.take(ledger.selected), tcfg),
                             data.reference)
     rng = np.random.default_rng(s_base)
     rand_ids = [int(i) for i in rng.choice(10000, size=n, replace=False)]
-    rand_loss = T.eval_loss(T.train(params, [tokens[i] for i in rand_ids], tcfg),
+    rand_loss = T.eval_loss(T.train(params, tokens.take(rand_ids), tcfg),
                             data.reference)
     state = ledger.final_state
     means = np.where(state.pulls > 0, state.reward / np.maximum(state.pulls, 1), -np.inf)
@@ -305,7 +305,7 @@ def _end_to_end_once(master_seed: int):
         if len(pool) >= n:
             break
     top_ids = [int(i) for i in rng.choice(np.asarray(pool), size=n, replace=False)]
-    top_loss = T.eval_loss(T.train(params, [tokens[i] for i in top_ids], tcfg),
+    top_loss = T.eval_loss(T.train(params, tokens.take(top_ids), tcfg),
                            data.reference)
     return quad_loss, rand_loss, top_loss
 
@@ -340,9 +340,7 @@ def test_acceptance_9_pipeline_determinism(tmp_path):
     ))
     write_embeddings(tmp_path / "embeddings.bin", data.embeddings)
     write_tokens(tmp_path / "tokens.tsv", data.instances)
-    write_tokens(tmp_path / "reference.tsv",
-                 [CandidateInstance(id=i, tokens=s, embedding_row=i)
-                  for i, s in enumerate(data.reference.sequences)])
+    write_tokens(tmp_path / "reference.tsv", data.reference)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"paths.embeddings = {tmp_path}/embeddings.bin\n"

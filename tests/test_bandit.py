@@ -79,7 +79,6 @@ def test_pull_batch_excludes_selected_and_retires_exhausted():
     st = B.BanditState(n_clusters=2, alpha=0.0)
     ledger = B.SelectionLedger()
     ledger.selected = [0, 1, 2]  # whole cluster 0 already selected
-    ledger.selected_clusters = [0, 0, 0]
     rec = B.pull_arms(st, model, lambda ids: [1.0] * len(ids), arms=[0, 1], m=4,
                       seed=1, ledger=ledger)
     assert 0 in rec.newly_retired
@@ -203,8 +202,9 @@ def test_run_accounting_and_consistency():
         )
     # no duplicate selections, every id in its recorded cluster
     assert len(set(ledger.selected)) == len(ledger.selected)
-    for inst, cl in zip(ledger.selected, ledger.selected_clusters):
-        assert model.assignment[inst] == cl
+    for rec in ledger.iterations:
+        for cl, ids in rec.selections:
+            assert (model.assignment[ids] == cl).all()
 
 
 def test_run_determinism():
@@ -272,7 +272,7 @@ def test_planted_influence_composition():
     cfg = B.BanditConfig(alpha=0.5, tau=0.2, gamma=0.2, top_k=2, batch_size=8,
                          reward_mode="mean")
     ledger = B.run(cfg, model, scorer, budget=300, seed=3)
-    clusters = np.array(ledger.selected_clusters)
+    clusters = model.assignment[ledger.selected]
     frac_blob = float(np.mean(clusters <= 2))
     assert frac_blob >= 0.7
     assert len(set(int(c) for c in clusters if c > 2)) >= 2

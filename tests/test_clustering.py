@@ -9,6 +9,7 @@ from influence_select.clustering import (
     ASSIGN_BLOCK_ROWS,
     _kmeans_pp_init,
     _pairwise_sq_dists,
+    _points,
     kmeans,
     load_cluster_model,
     objective,
@@ -337,10 +338,15 @@ def test_kmeans_rejects_points_whose_squared_distances_overflow():
         kmeans(EmbeddingCorpus(vectors=np.array([[1e160, 0.0], [-1e160, 1.0]])), 2)
 
 
-def test_normalize_rejects_a_row_whose_norm_overflows():
-    corpus = EmbeddingCorpus(vectors=np.array([[0.0, 1.0], [1e200, 1e200], [1.0, 0.0]]))
-    with pytest.raises(DataError, match="embedding row 1: norm overflows"):
-        kmeans(corpus, 2, normalize=True)
+def test_normalize_puts_underflowing_and_overflowing_rows_on_the_unit_sphere():
+    # squares that underflow to 0, squares that are subnormal, squares that overflow
+    x = np.array([[1e-200, 1e-200], [3e-160, 4e-160], [1e200, 1e200], [0.0, 1.0], [0.0, 0.0]])
+    got = _points(EmbeddingCorpus(vectors=x), True)
+    np.testing.assert_allclose(np.linalg.norm(got[:4], axis=1), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(got[1], [0.6, 0.8], rtol=1e-15)
+    np.testing.assert_array_equal(got[4], [0.0, 0.0])
+    model = kmeans(EmbeddingCorpus(vectors=x[[3, 2, 4, 0]]), 2, normalize=True)
+    assert model.assignment[1] == model.assignment[3]  # both at (1, 1) / sqrt(2)
 
 
 def test_kmeans_on_coincident_points_is_pinned():

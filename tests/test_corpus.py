@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from influence_select import corpus
 from influence_select.corpus import (
-    CandidateInstance,
     EmbeddingCorpus,
+    TokenTable,
     load_embeddings,
-    load_reference,
+    load_inputs,
     load_tokens,
     write_embeddings,
     write_tokens,
@@ -120,10 +121,10 @@ def test_binary_round_trip_property(tmp_path_factory, count, dim, seed):
 def test_load_tokens_single_record(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("0\t5 7 9\n")
-    instances = load_tokens(path)
-    assert len(instances) == 1
-    assert instances[0].tokens == [5, 7, 9]
-    assert instances[0].id == 0
+    table = load_tokens(path)
+    assert len(table) == 1
+    assert table[0] == [5, 7, 9]
+    assert table.ids.tolist() == [0]
 
 
 def test_load_tokens_duplicate_id_names_offender(tmp_path):
@@ -142,38 +143,48 @@ def test_load_tokens_empty_token_list(tmp_path):
 
 def test_tokens_generator_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    instances = [
-        CandidateInstance(id=i, tokens=[int(t) for t in rng.integers(0, 99, size=rng.integers(1, 12))],
-                          embedding_row=i)
-        for i in range(10000)
-    ]
+    table = TokenTable.from_sequences(
+        [rng.integers(0, 99, size=rng.integers(1, 12)) for _ in range(10000)],
+        ids=rng.permutation(10000),
+    )
     path = tmp_path / "big.tsv"
-    write_tokens(path, instances)
+    write_tokens(path, table)
     again = load_tokens(path)
     assert len(again) == 10000
+    np.testing.assert_array_equal(again.ids, table.ids)
+    np.testing.assert_array_equal(again.offsets, table.offsets)
+    np.testing.assert_array_equal(again.tokens, table.tokens)
     for idx in (0, 17, 4999, 9999):
-        assert again[idx].id == instances[idx].id
-        assert again[idx].tokens == instances[idx].tokens
+        assert again[idx] == table[idx]
 
 
 def test_load_tokens_order_preserved(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("5\t1 2\n3\t3 4\n9\t5 6\n")
-    instances = load_tokens(path)
-    assert [inst.id for inst in instances] == [5, 3, 9]
+    assert load_tokens(path).ids.tolist() == [5, 3, 9]
+
+
+def _reference_of(tmp_path, text, vocab_size=6, max_context=4):
+    """The reference table ``load_inputs`` returns for a reference file ``text``."""
+    tokens = tmp_path / "t.tsv"
+    tokens.write_text("0\t1 2\n1\t3 4\n")
+    path = tmp_path / "r.tsv"
+    path.write_text(text)
+    return load_inputs(tokens, path, count=2, vocab_size=vocab_size,
+                       max_context=max_context)[2]
 
 
 def test_reference_set_validation(tmp_path):
-    path = tmp_path / "r.tsv"
-    path.write_text("0\t1 2 3\n1\t4 5\n")
-    ref = load_reference(path, vocab_size=6)
-    assert len(ref.sequences) == 2
-    with pytest.raises(DataError, match="outside vocab"):
-        load_reference(path, vocab_size=5)
-    short = tmp_path / "short.tsv"
-    short.write_text("0\t1\n")
-    with pytest.raises(DataError, match="length 1 < 2"):
-        load_reference(short, vocab_size=6)
+    assert list(_reference_of(tmp_path, "0\t1 2 3\n1\t4 5\n")) == [[1, 2, 3], [4, 5]]
+    for text, vocab_size, needle in [
+        ("0\t1 2 3\n1\t4 5\n", 5, ": reference id 1 has token id >= vocab_size 5"),
+        ("0\t1 2\n7\t1\n", 6, ": reference id 7 has length 1, outside [2, model.max_context=4]"),
+        ("0\t1 2 3 4 5\n", 6, ": reference id 0 has length 5, outside [2, model.max_context=4]"),
+        ("\n", 6, ": reference set is empty"),
+        ("0\t1 2\n1\t3 -4\n", 6, ":2: negative token id in record 1"),
+    ]:
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'r.tsv'}{needle}")):
+            _reference_of(tmp_path, text, vocab_size=vocab_size)
 
 
 def test_corpus_invariants():
@@ -239,7 +250,7 @@ def _assert_parsers_agree(path):
     else:
         assert not isinstance(got, str), got
         assert list(got.ids) == [i for i, _ in want]
-        assert [got[r].tokens for r in range(len(got))] == [t for _, t in want]
+        assert list(got) == [t for _, t in want]
         np.testing.assert_array_equal(np.diff(got.offsets), [len(t) for _, t in want])
 
 
@@ -327,9 +338,9 @@ def test_token_table_rows_and_take(tmp_path):
     path.write_text("5\t1 2\n3\t3 4 5\n9\t6 7\n")
     table = load_tokens(path)
     assert len(table) == 3
-    assert table[-1] == CandidateInstance(id=9, tokens=[6, 7], embedding_row=9)
+    assert table[-1] == [6, 7]
     with pytest.raises(IndexError):
         table[3]
     sub = table.take([2, 0, 2])
     assert list(sub.ids) == [9, 5, 9]
-    assert [inst.tokens for inst in sub] == [[6, 7], [1, 2], [6, 7]]
+    assert list(sub) == [[6, 7], [1, 2], [6, 7]]

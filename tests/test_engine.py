@@ -10,7 +10,7 @@ from influence_select import curvature as C
 from influence_select import influence as I
 from influence_select import model as M
 from influence_select.clustering import ClusterModel
-from influence_select.corpus import CandidateInstance
+from influence_select.corpus import TokenTable
 
 CFG = M.ModelConfig(vocab_size=11, hidden_dim=8, n_layers=2, n_heads=2,
                     max_context=16, mlp_ratio=2.0, rope_base=100.0)
@@ -104,11 +104,11 @@ def test_score_batch_rows_keep_input_order(chunk_tokens):
     inverses = {n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()}
     ihvp = I.reference_ihvp(ref_grad, inverses)
     ids = list(range(100, 100 + len(seqs)))[::-1]
-    instances = [CandidateInstance(id=i, tokens=s, embedding_row=i) for i, s in zip(ids, seqs)]
+    instances = TokenTable.from_sequences(seqs, ids=ids)
     table = I.score_batch(instances, ihvp, params, registry=registry)
     assert [r[0] for r in table.rows] == ids
-    for inst, row in zip(instances, table.rows):
-        assert row[1] == I.score_batch([inst], ihvp, params, registry).rows[0][1]
+    for r, row in enumerate(table.rows):
+        assert row[1] == I.score_batch(instances.take([r]), ihvp, params, registry).rows[0][1]
 
 
 def test_collect_factors_reference_gradient_in_the_same_pass():
@@ -157,7 +157,6 @@ def _per_pull_arms(state, model, scorer, arms, m, seed, ledger, iteration=0,
         state.reward[ci] += batch_sum if reward_mode == "sum" else batch_sum / len(ids)
         state.pulls[ci] += 1
         rec.pulls.append(B.PullRecord(cluster=ci, sampled_ids=ids, batch_sum=batch_sum))
-    rec.selected_total = len(ledger.selected)
     return rec
 
 

@@ -4,7 +4,8 @@ import pytest
 from influence_select import curvature as C
 from influence_select import influence as I
 from influence_select import model as M
-from influence_select.corpus import CandidateInstance
+from influence_select.cli import write_csv
+from influence_select.corpus import TokenTable
 from influence_select.errors import DataError
 
 CFG = M.ModelConfig(vocab_size=13, hidden_dim=8, n_layers=1, n_heads=2,
@@ -68,7 +69,7 @@ def test_orthogonal_gradient_scores_zero():
         v = v - g * (float(v @ g) / gg if gg > 0 else 0.0)
         vectors[name] = v
     ihvp = I.IhvpVector(vectors=vectors, damping=0.0)
-    score = I.score_batch([[1, 2, 3, 4]], ihvp, params, registry).rows[0][1]
+    score = I.score_batch(TokenTable.from_sequences([[1, 2, 3, 4]]), ihvp, params, registry).rows[0][1]
     scale = sum(abs(float(g @ vectors[n])) for n, g in grads.items()) + 1.0
     assert abs(score) < 1e-9 * scale
 
@@ -79,7 +80,7 @@ def test_self_alignment_positive_norm_squared():
     seq = [1, 2, 3, 4, 5, 6]
     ref_grad = C.collect_factors(params, [seq], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    score = I.score_batch([seq], ihvp, params, registry).rows[0][1]
+    score = I.score_batch(TokenTable.from_sequences([seq]), ihvp, params, registry).rows[0][1]
     want = sum(float(v @ v) for v in ref_grad.values())
     assert score == pytest.approx(want, rel=1e-12)
     assert score > 0.0
@@ -92,7 +93,7 @@ def test_additivity_over_layers():
     ref_grad = C.collect_factors(params, seqs, registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     inst = [2, 4, 6, 8]
-    total = I.score_batch([inst], ihvp, params, registry).rows[0][1]
+    total = I.score_batch(TokenTable.from_sequences([inst]), ihvp, params, registry).rows[0][1]
     grads = M.grad_of_sequence(params, inst, registry)
     per_layer = [float(grads[tl.name] @ ihvp.vectors[tl.name]) for tl in registry]
     assert total == sum(per_layer)  # exact float equality: same reduction order
@@ -118,14 +119,11 @@ def test_score_batch_matches_sequential_and_preserves_order():
     ref_grad = C.collect_factors(params, seqs, registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     rng = np.random.default_rng(7)
-    instances = [
-        CandidateInstance(id=i, tokens=rng.integers(0, 13, size=6).tolist(), embedding_row=i)
-        for i in range(100)
-    ]
+    instances = TokenTable.from_sequences([rng.integers(0, 13, size=6) for _ in range(100)])
     table = I.score_batch(instances, ihvp, params, registry=registry)
     assert [r[0] for r in table.rows] == list(range(100))
-    for inst, row in zip(instances, table.rows):
-        assert row[1] == I.score_batch([inst], ihvp, params, registry).rows[0][1]
+    for r, row in enumerate(table.rows):
+        assert row[1] == I.score_batch(instances.take([r]), ihvp, params, registry).rows[0][1]
         assert row[2] == "factored"
 
 
@@ -134,12 +132,13 @@ def test_score_batch_empty_and_singleton():
     registry = M.tracked_layers(CFG)
     ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    assert I.score_batch([], ihvp, params, registry=registry).rows == []
-    one = CandidateInstance(id=9, tokens=[2, 3, 4], embedding_row=9)
-    table = I.score_batch([one], ihvp, params, registry=registry)
+    empty = TokenTable.from_sequences([])
+    assert I.score_batch(empty, ihvp, params, registry=registry).rows == []
+    one = TokenTable.from_sequences([[2, 3, 4]], ids=[9])
+    table = I.score_batch(one, ihvp, params, registry=registry)
     assert table.rows[0][0] == 9
-    other = CandidateInstance(id=4, tokens=[5, 6, 7], embedding_row=4)  # same chunk
-    assert table.rows[0][1] == I.score_batch([other, one], ihvp, params, registry).rows[1][1]
+    pair = TokenTable.from_sequences([[5, 6, 7], [2, 3, 4]], ids=[4, 9])  # same chunk
+    assert table.rows[0][1] == I.score_batch(pair, ihvp, params, registry).rows[1][1]
 
 
 # ------------------------------------------------------------- sketching
@@ -152,7 +151,7 @@ def test_identity_sketch_hook_is_exact():
     ref_grad = C.collect_factors(params, seqs, registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     inst = [5, 6, 7, 8]
-    exact = I.score_batch([inst], ihvp, params, registry).rows[0][1]
+    exact = I.score_batch(TokenTable.from_sequences([inst]), ihvp, params, registry).rows[0][1]
     # the hook only supports a single uniform length, so check per layer
     total = 0.0
     for tl in registry:
@@ -193,7 +192,7 @@ def test_sketched_batch_method_label_and_determinism():
     ref_grad = C.collect_factors(params, [[1, 2, 3, 4]], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     proj = I.SketchProjector(target_dim=64, seed=3)
-    insts = [CandidateInstance(id=i, tokens=[1, 2, 3, i % 11], embedding_row=i) for i in range(5)]
+    insts = TokenTable.from_sequences([[1, 2, 3, i % 11] for i in range(5)])
     t1 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
     t2 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
     assert t1.rows == t2.rows
@@ -220,7 +219,7 @@ def test_folded_sketch_matches_jl_sketched_score_on_ragged_batch():
                             _real_inverses(params, ref, 1e-3))
     seqs = [rng.integers(0, 13, size=n).tolist() for n in (2, 7, 16, 3, 11, 7, 5, 14)]
     proj = I.SketchProjector(target_dim=48, seed=21)
-    insts = [CandidateInstance(id=i, tokens=s, embedding_row=i) for i, s in enumerate(seqs)]
+    insts = TokenTable.from_sequences(seqs)
     table = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
     got = np.asarray(table.scores())
     want = _jl_scores(proj, params, registry, ihvp, seqs)
@@ -256,12 +255,12 @@ def test_identity_pullback_is_the_plain_score():
     folded = I.pullback_ihvp(proj, ihvp)
     np.testing.assert_array_equal(folded.vectors[registry[0].name],
                                   ihvp.vectors[registry[0].name])
-    insts = [CandidateInstance(id=i, tokens=[5, 6, 7, i % 13], embedding_row=i) for i in range(4)]
+    insts = TokenTable.from_sequences([[5, 6, 7, i % 13] for i in range(4)])
     got = I.score_batch(insts, folded, params, registry=registry)
     want = I.score_batch(insts, ihvp, params, registry=registry)
     assert got.scores() == want.scores()
     assert got.scores() == pytest.approx(
-        list(_jl_scores(proj, params, registry, ihvp, [i.tokens for i in insts])), rel=1e-12)
+        list(_jl_scores(proj, params, registry, ihvp, list(insts))), rel=1e-12)
     wrong = I.SketchProjector(target_dim=7, seed=0, identity=True)
     with pytest.raises(DataError, match="identity sketch"):
         I.pullback_ihvp(wrong, ihvp)
@@ -271,7 +270,7 @@ def test_influence_csv_round_trip(tmp_path):
     table = I.InfluenceTable(rows=[(0, 1.2345678901234567e-3, "factored"),
                                    (7, -2.5, "factored+sketch")])
     path = tmp_path / "scores.csv"
-    I.write_influence_csv(path, table, fingerprint="abc123")
+    write_csv(path, "abc123", "instance_id,score,method", table.rows)
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# config_fingerprint=abc123", "instance_id,score,method"]
     again = [line.split(",") for line in lines[2:]]

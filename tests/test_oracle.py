@@ -5,6 +5,7 @@ from influence_select import curvature as C
 from influence_select import model as M
 from influence_select import oracle as O
 from influence_select import synthetic as S
+from influence_select.cli import write_csv
 from influence_select.errors import DataError, NumericError
 
 CFG = M.ModelConfig(vocab_size=13, hidden_dim=8, n_layers=1, n_heads=2,
@@ -173,7 +174,7 @@ def test_factored_ranking_tracks_exact_oracle():
                         max_context=16, mlp_ratio=1.0)
     params = M.init_params(cfg, seed=2)
     rng = np.random.default_rng(11)
-    base = [data.instances[i].tokens for i in range(1200) if data.component[i] < 4]
+    base = [data.instances[i] for i in range(1200) if data.component[i] < 4]
     cands = []
     for i, frac in enumerate(np.linspace(0.0, 1.0, 20)):
         seq = list(base[i % len(base)])
@@ -181,8 +182,8 @@ def test_factored_ranking_tracks_exact_oracle():
         for t in pos:
             seq[t] = int(rng.integers(0, 32))
         cands.append(seq)
-    curv = [data.instances[i].tokens for i in range(200, 1200)]
-    reports = O.compare_methods(cands, params, data.reference.sequences, damping=1e-2,
+    curv = [data.instances[i] for i in range(200, 1200)]
+    reports = O.compare_methods(cands, params, data.reference, damping=1e-2,
                                 curvature_set=curv)
     by = {r.method: r for r in reports}
     assert by["joint-qkv"].spearman >= 0.9
@@ -191,7 +192,8 @@ def test_factored_ranking_tracks_exact_oracle():
 def test_method_report_csv(tmp_path):
     reports = [O.MethodReport("joint-qkv", 0.5, 0.25, 200)]
     path = tmp_path / "m.csv"
-    O.write_method_report_csv(path, reports, fingerprint="fp")
+    write_csv(path, "fp", "method,pearson,spearman,n",
+              [(r.method, r.pearson, r.spearman, r.n) for r in reports])
     text = path.read_text()
     assert "method,pearson,spearman,n" in text
     assert "joint-qkv,0.5,0.25,200" in text

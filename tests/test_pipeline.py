@@ -10,7 +10,7 @@ import pytest
 from influence_select import cli
 from influence_select.bandit import read_selection
 from influence_select.corpus import write_embeddings, write_tokens
-from influence_select.synthetic import CandidateInstance, SyntheticSpec, generate
+from influence_select.synthetic import SyntheticSpec, generate
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +22,7 @@ def workdir(tmp_path_factory):
     ))
     write_embeddings(root / "embeddings.bin", data.embeddings)
     write_tokens(root / "tokens.tsv", data.instances)
-    ref_rows = [CandidateInstance(id=i, tokens=seq, embedding_row=i)
-                for i, seq in enumerate(data.reference.sequences)]
-    write_tokens(root / "reference.tsv", ref_rows)
+    write_tokens(root / "reference.tsv", data.reference)
     cfg = root / "run.cfg"
     cfg.write_text(
         f"paths.embeddings = {root}/embeddings.bin\n"
@@ -299,6 +297,23 @@ def test_reference_length_outside_context_fails_at_load(workdir, tmp_path, capsy
                 "--set", f"paths.reference={bad}")
     assert code == 2
     assert "reference id 3 has length 17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("", "reference set is empty"),
+    ("0\t1 2 3\n1\t4 5\n2\t6 24 7\n", "reference id 2 has token id >= vocab_size 24"),
+])
+def test_score_reference_errors_name_the_file(workdir, tmp_path, capsys, no_factor_setup,
+                                             text, needle):
+    root, cfg = workdir
+    bad = tmp_path / "reference.tsv"
+    bad.write_text(text)
+    code = _run("score", "--config", str(cfg), "--ids", "0", "--set", f"paths.reference={bad}",
+                "--set", f"paths.output_dir={tmp_path}/out")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}: {needle}" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------ bad inputs exit 1 or 2

@@ -5,7 +5,7 @@ import pytest
 
 from influence_select import model as M
 from influence_select import trainer as T
-from influence_select.corpus import ReferenceSet
+from influence_select.corpus import TokenTable
 from influence_select.errors import TrainingDivergedError
 
 CFG = M.ModelConfig(vocab_size=12, hidden_dim=8, n_layers=1, n_heads=2,
@@ -69,7 +69,7 @@ def test_adam_step_matches_hand_computation():
 def test_eval_loss_uniform_model():
     params = M.init_params(CFG, seed=0)
     params.head[...] = 0.0
-    ref = ReferenceSet(sequences=[[1, 2, 3], [4, 5]], vocab_size=12)
+    ref = TokenTable.from_sequences([[1, 2, 3], [4, 5]])
     assert T.eval_loss(params, ref) == pytest.approx(math.log(12), rel=1e-12)
 
 
