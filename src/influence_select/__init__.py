@@ -17,7 +17,7 @@ from .corpus import (
     write_embeddings,
     write_tokens,
 )
-from .curvature import KroneckerFactor, accumulate, joint_qkv_pack, kron_ihvp
+from .curvature import KroneckerFactor, accumulate, kron_ihvp
 from .influence import (
     IhvpVector,
     InfluenceTable,
@@ -51,7 +51,6 @@ __all__ = [
     "exact_influence",
     "forward",
     "init_params",
-    "joint_qkv_pack",
     "kmeans",
     "kron_ihvp",
     "load_embeddings",

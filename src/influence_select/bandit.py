@@ -381,37 +381,54 @@ def read_selection(path, count: int | None = None) -> list[int]:
     return out
 
 
-def replay_ledger(path, k: int, reward_mode: str):
+def replay_ledger(path, model: ClusterModel, reward_mode: str):
     """Replay the pulls of a ledger written by ``write_ledger_jsonl``.
 
     Returns ``(state, trajectory)``: the arms' reward and pull counts as
     ``run`` left them (alpha and retirements are not recorded, so alpha is 0
     and no arm is retired), and one ``(iteration, cluster, mean reward)`` row
-    per pull, in file order. Errors name the file and line.
+    per pull, in file order. Iterations are non-decreasing non-negative ints;
+    a pull names a cluster of ``model``, a non-empty list of its members as
+    ``sampled_ids`` and a finite ``batch_sum``. Errors name the file and line.
     """
-    state = BanditState(n_clusters=k, alpha=0.0)
+    state = BanditState(n_clusters=model.k, alpha=0.0)
     trajectory = []
+    last = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except ValueError:
-                raise DataError(f"{path}:{lineno}: not a JSON record") from None
+                raise DataError(f"{where}: not a JSON record") from None
             if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: not a JSON object")
+                raise DataError(f"{where}: not a JSON object")
             if "iteration" not in rec:
                 continue
+            it = rec["iteration"]
+            if type(it) is not int or it < last:
+                raise DataError(f"{where}: iteration {it!r}: expected an int >= {last} "
+                                "(iterations start at 0 and never decrease)")
+            last = it
             try:
-                pulls = [(p["cluster"], len(p["sampled_ids"]), float(p["batch_sum"]))
+                pulls = [(p["cluster"], p["sampled_ids"], p["batch_sum"])
                          for p in rec.get("pulls", [])]
-            except (KeyError, TypeError, ValueError):
-                raise DataError(f"{path}:{lineno}: malformed pull record") from None
-            for ci, n_sampled, batch_sum in pulls:
-                if type(ci) is not int or not 0 <= ci < k:
-                    raise DataError(f"{path}:{lineno}: pull of cluster {ci!r}, "
-                                    f"outside [0, k={k})")
-                _credit(state, ci, batch_sum, n_sampled, reward_mode)
-                trajectory.append((rec["iteration"], ci, state.reward[ci] / state.pulls[ci]))
+            except (KeyError, TypeError):
+                raise DataError(f"{where}: malformed pull record") from None
+            for ci, ids, batch_sum in pulls:
+                if type(ci) is not int or not 0 <= ci < model.k:
+                    raise DataError(f"{where}: pull of cluster {ci!r}, "
+                                    f"outside [0, k={model.k})")
+                if type(batch_sum) not in (int, float) or not math.isfinite(batch_sum):
+                    raise DataError(f"{where}: batch_sum {batch_sum!r} of cluster {ci} "
+                                    "is not a finite number")
+                if not isinstance(ids, list) or not ids:
+                    raise DataError(f"{where}: sampled_ids of cluster {ci} is not a non-empty list")
+                for i in ids:
+                    if type(i) is not int or not 0 <= i < model.count or model.assignment[i] != ci:
+                        raise DataError(f"{where}: sampled id {i!r} is not a member of cluster {ci}")
+                _credit(state, ci, float(batch_sum), len(ids), reward_mode)
+                trajectory.append((it, ci, state.reward[ci] / state.pulls[ci]))
     return state, trajectory
 
 

@@ -1,7 +1,8 @@
 """Command-line pipeline: cluster, score, select, oracle-check,
 simulate-bandit, report.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error (an unreadable config file included),
+2 data error (any OS error on a data path included), 3 numeric failure.
 Every output file carries the resolved-config fingerprint (CSV/JSONL inline,
 every CSV through ``write_csv``; binary artifacts get a ``.meta.json``
 sidecar), and commands are idempotent: identical config implies
@@ -54,10 +55,7 @@ def write_csv(path: str, fp: str, header: str, rows) -> None:
 
 
 def _load_corpus(cfg: RunConfig) -> corpus.EmbeddingCorpus:
-    path = cfg.paths.embeddings
-    if not os.path.exists(path):
-        raise DataError(f"embeddings file {path!r} not found")
-    return corpus.load_embeddings(path, format=cfg.paths.embedding_format)
+    return corpus.load_embeddings(cfg.paths.embeddings, format=cfg.paths.embedding_format)
 
 
 def _load_inputs(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
@@ -88,7 +86,7 @@ def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clusteri
 def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable, factor_path: str | None = None):
     """Model init, factor estimation over the reference set, reference iHVP
     (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
-    params = model_mod.init_params(cfg.model.model_config(), seed=cfg.model.init_seed)
+    params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
     registry = model_mod.tracked_layers(params.config, cfg.influence.kinds())
     factors, ref_grad = curvature.collect_factors(params, ref, registry)
     if factor_path is not None:
@@ -177,96 +175,10 @@ def cmd_select(cfg: RunConfig) -> int:
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
-    oc = cfg.oracle
-    rng = np.random.default_rng(oc.seed)
-
-    # Kronecker identity suite: factored iHVP vs dense solve
-    rows = []
-    worst = 0.0
-    for case in range(40):
-        d_out = int(rng.integers(2, 9))
-        d_in = int(rng.integers(2, 9))
-        a = rng.normal(size=(d_out, d_out))
-        b = rng.normal(size=(d_in, d_in))
-        delta = a @ a.T + 0.05 * np.eye(d_out)
-        x = b @ b.T + 0.05 * np.eye(d_in)
-        for lam in (0.0, 1e-3, 1e-1):
-            v = rng.normal(size=d_out * d_in)
-            inv = curvature.factor_inverse(delta, x, lam)
-            got = curvature.kron_ihvp(inv, v)
-            dense = curvature.dense_kron_matrix(delta, x) + lam * np.eye(d_out * d_in)
-            want = np.linalg.solve(dense, v)
-            rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
-            worst = max(worst, rel)
-            rows.append((case, d_out, d_in, lam, rel))
-    write_csv(_out(cfg, "oracle_kronecker.csv"), fp, "case,d_out,d_in,damping,rel_err", rows)
-    if worst > 1e-10:
-        raise NumericError(f"kronecker identity breach: rel err {worst:.3e} > 1e-10")
-
-    # gradient check on a tiny model
-    mcfg = model_mod.ModelConfig(
-        vocab_size=oc.vocab_size, hidden_dim=oc.hidden_dim, n_layers=oc.n_layers,
-        n_heads=oc.n_heads, max_context=4 * oc.seq_len, mlp_ratio=8.0 / 3.0,
-    )
-    params = model_mod.init_params(mcfg, seed=oc.seed)
-    seqs = [rng.integers(0, oc.vocab_size, size=oc.seq_len).tolist() for _ in range(3)]
-    gc_worst = _grad_check(params, seqs, samples=200, rng=rng)
-    write_csv(_out(cfg, "oracle_gradcheck.csv"), fp, "check,worst_rel_err",
-              [("finite-difference-sample", gc_worst)])
-    if gc_worst > 1e-6:
-        raise NumericError(f"gradient check breach: rel err {gc_worst:.3e} > 1e-6")
-
-    # method correlations on the constructed qkv study
-    data = oracle.make_qkv_study(
-        n_curvature=4000, n_candidates=max(oc.candidates, 30),
-        d_proj=6, d_in=8, coupling=0.85, seed=oc.seed,
-    )
-    reports, _ = oracle.run_qkv_study(data, damping=oc.damping)
-    write_csv(_out(cfg, "oracle_methods.csv"), fp, "method,pearson,spearman,n",
-              [(r.method, r.pearson, r.spearman, r.n) for r in reports])
-    by = {r.method: r.pearson for r in reports}
-    if not (by["joint-qkv"] > by["independent-qkv"] > by["no-hessian"]):
-        raise NumericError(f"method ordering violated: {by}")
-    print(
-        f"oracle checks passed: kron rel_err {worst:.2e}, grad rel_err {gc_worst:.2e}, "
-        f"pearson joint={by['joint-qkv']:.3f} indep={by['independent-qkv']:.3f} "
-        f"none={by['no-hessian']:.3f}"
-    )
+    summary = oracle.run_oracle_check(
+        cfg.oracle, lambda name, header, rows: write_csv(_out(cfg, name), fp, header, rows))
+    print(f"oracle checks passed: {summary}")
     return 0
-
-
-def _grad_check(params, seqs, samples: int, rng) -> float:
-    """Central-difference spot check over a random parameter sample."""
-    grads = model_mod.zeros_like_params(params)
-    gn = dict(grads.iter_named())
-    for seq in seqs:
-        _, cache = model_mod.forward(params, seq)
-        g, _ = model_mod.backward(params, cache)
-        for name, arr in g.iter_named():
-            gn[name] += arr / len(seqs)
-
-    def set_loss():
-        import math
-
-        return math.fsum(model_mod.forward(params, s)[0] for s in seqs) / len(seqs)
-
-    names = [name for name, _ in params.iter_named()]
-    h = 1e-5
-    worst = 0.0
-    for _ in range(samples):
-        name = names[int(rng.integers(len(names)))]
-        arr = dict(params.iter_named())[name]
-        idx = tuple(int(rng.integers(s)) for s in arr.shape)
-        old = arr[idx]
-        arr[idx] = old + h
-        lp = set_loss()
-        arr[idx] = old - h
-        lm = set_loss()
-        arr[idx] = old
-        fd = (lp - lm) / (2 * h)
-        an = gn[name][idx]
-        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-3))
-    return worst
 
 
 def cmd_simulate_bandit(cfg: RunConfig) -> int:
@@ -303,7 +215,7 @@ def cmd_report(cfg: RunConfig) -> int:
     sel_path = _require(os.path.join(cfg.paths.output_dir, "selection.txt"), "select")
     led_path = _require(os.path.join(cfg.paths.output_dir, "ledger.jsonl"), "select")
     selected = bandit_mod.read_selection(sel_path, count=emb.count)
-    state, trajectory = bandit_mod.replay_ledger(led_path, cmodel.k, cfg.bandit.reward_mode)
+    state, trajectory = bandit_mod.replay_ledger(led_path, cmodel, cfg.bandit.reward_mode)
 
     # selection composition per cluster
     comp = np.bincount(cmodel.assignment[np.asarray(selected, dtype=np.int64)],
@@ -316,7 +228,7 @@ def cmd_report(cfg: RunConfig) -> int:
               trajectory)
 
     # end-to-end loss table: selection vs random vs top-clusters baselines
-    params = model_mod.init_params(cfg.model.model_config(), seed=cfg.model.init_seed)
+    params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
     n = len(selected)
     rows = [("initial", trainer.eval_loss(params, ref))]
     if n:
@@ -421,6 +333,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a data path the OS refuses (missing, a directory, ...)
+        where = f"{exc.filename!r}: " if exc.filename is not None else ""
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -76,50 +76,12 @@ class SelectionConfig:
             raise UsageError(f"selection.budget must be >= 0, got {self.budget}")
 
 
-def _check_model_shape(section: str, cfg) -> None:
-    """Bounds on the transformer sizes shared by the ``model`` and ``oracle`` sections."""
-    for key in ("vocab_size", "hidden_dim", "n_layers", "n_heads"):
-        if getattr(cfg, key) < 1:
-            raise UsageError(f"{section}.{key} must be >= 1, got {getattr(cfg, key)}")
-    if cfg.hidden_dim % cfg.n_heads != 0:
-        raise UsageError(f"{section}.n_heads must divide {section}.hidden_dim, got "
-                         f"{cfg.n_heads} and {cfg.hidden_dim}")
-    if (cfg.hidden_dim // cfg.n_heads) % 2 != 0:
-        raise UsageError(f"{section}.hidden_dim / {section}.n_heads must be even for rotary "
-                         f"embeddings, got {cfg.hidden_dim} / {cfg.n_heads}")
+@dataclass(frozen=True)
+class ModelSection(ModelConfig):
+    """The ``model`` section: the model's shape, checked by ``ModelConfig``,
+    plus the seed of its initial weights."""
 
-
-@dataclass
-class ModelSection:
-    vocab_size: int = 256
-    hidden_dim: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    max_context: int = 64
-    mlp_ratio: float = 8.0 / 3.0
-    rope_base: float = 10000.0
     init_seed: int = 0
-
-    def __post_init__(self):
-        _check_model_shape("model", self)
-        if self.max_context < 2:
-            raise UsageError(f"model.max_context must be >= 2, got {self.max_context}")
-        width = self.mlp_ratio * self.hidden_dim
-        if not (math.isfinite(width) and round(width) >= 1):
-            raise UsageError(f"model.mlp_ratio must give an MLP width >= 1, got {self.mlp_ratio!r}")
-        if not self.rope_base > 0.0:
-            raise UsageError(f"model.rope_base must be > 0, got {self.rope_base!r}")
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=self.vocab_size,
-            hidden_dim=self.hidden_dim,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            max_context=self.max_context,
-            mlp_ratio=self.mlp_ratio,
-            rope_base=self.rope_base,
-        )
 
 
 @dataclass
@@ -159,9 +121,17 @@ class OracleConfig:
             raise UsageError(f"oracle.candidates must be >= 1, got {self.candidates}")
         if not self.damping >= 0.0:
             raise UsageError(f"oracle.damping must be >= 0, got {self.damping!r}")
-        _check_model_shape("oracle", self)
         if self.seq_len < 2:
             raise UsageError(f"oracle.seq_len must be >= 2, got {self.seq_len}")
+        self.model_config()
+
+    def model_config(self) -> ModelConfig:
+        """The tiny model of the gradient check; bad sizes name ``oracle.<key>``."""
+        return ModelConfig(
+            vocab_size=self.vocab_size, hidden_dim=self.hidden_dim, n_layers=self.n_layers,
+            n_heads=self.n_heads, max_context=4 * self.seq_len, mlp_ratio=8.0 / 3.0,
+            section="oracle",
+        )
 
 
 @dataclass
@@ -218,21 +188,20 @@ def _parse_value(text: str, typ):
     return text
 
 
-def apply_assignment(cfg: RunConfig, key: str, value: str) -> None:
-    """Set ``section.field`` from its text form."""
+def _parse_assignment(key: str, value: str) -> tuple[str, str, object]:
+    """``(section, field, value)`` from the text form of ``section.field = value``."""
     key = key.strip()
     if "." not in key:
         raise UsageError(f"config key {key!r} must look like section.field")
     section, name = key.split(".", 1)
     if section not in _SECTIONS:
         raise UsageError(f"unknown config section {section!r}")
-    target = getattr(cfg, section)
     if (section, name) not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {section}.{name}")
     parsed = _parse_value(value, _FIELD_TYPES[(section, name)])
     if isinstance(parsed, float) and not math.isfinite(parsed):
         raise UsageError(f"{section}.{name} must be finite, got {parsed!r}")
-    setattr(target, name, parsed)
+    return section, name, parsed
 
 
 def _field_types():
@@ -248,32 +217,38 @@ _FIELD_TYPES = _field_types()
 
 
 def load_config(path: str | None, overrides: list[str] = ()) -> RunConfig:
-    """Build a RunConfig from an optional file plus key=value overrides."""
-    cfg = RunConfig()
+    """Build a RunConfig from an optional file plus key=value overrides.
+
+    Every section is constructed once, from its defaults and the assignments,
+    so each section's checks see the final values.
+    """
     assignments: list[tuple[str, str]] = []
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected 'section.key = value'")
-                key, value = line.split("=", 1)
-                assignments.append((key, value))
+        try:  # a config file that cannot be read is a usage error
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise UsageError(f"config file {path!r}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file {path!r}: not UTF-8 text at byte {exc.start}") from None
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{lineno}: expected 'section.key = value'")
+            key, value = line.split("=", 1)
+            assignments.append((key, value))
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"override {item!r} must look like section.key=value")
         key, value = item.split("=", 1)
         assignments.append((key, value))
+    values: dict[str, dict] = {sec: {} for sec in _SECTIONS}
     for key, value in assignments:
-        apply_assignment(cfg, key, value)
-    # re-run validation hooks that only fire on construction
-    for sec in _SECTIONS:
-        check = getattr(getattr(cfg, sec), "__post_init__", None)
-        if check is not None:
-            check()
-    return cfg
+        section, name, parsed = _parse_assignment(key, value)
+        values[section][name] = parsed
+    return RunConfig(**{sec: cls(**values[sec]) for sec, cls in _SECTIONS.items()})
 
 
 def canonical_text(cfg: RunConfig) -> str:

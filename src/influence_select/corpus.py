@@ -21,7 +21,6 @@ Instance ids index 1:1 into the embedding matrix (id == row).
 from __future__ import annotations
 
 import itertools
-import os
 import struct
 from dataclasses import InitVar, dataclass
 
@@ -350,27 +349,24 @@ def load_inputs(tokens_path, reference_path, count: int, vocab_size: int, max_co
     record, since the bandit and the random baseline may sample any row.
     Errors name the file and the record's id.
     """
-    table = _load_checked(tokens_path, "token", "instance", vocab_size, max_context, count)
+    table = _load_checked(tokens_path, "instance", vocab_size, max_context, count)
     row_of = np.full(count, -1, dtype=np.int64)
     row_of[table.ids] = np.arange(len(table))
     if cover_all and len(table) < count:
         first = int(np.argmax(row_of < 0))
         raise DataError(f"embedding row {first} has no token record in {tokens_path!r} "
                         f"({len(table)} of {count} rows covered)")
-    reference = _load_checked(reference_path, "reference", "reference id", vocab_size,
-                              max_context)
+    reference = _load_checked(reference_path, "reference id", vocab_size, max_context)
     if not len(reference):
         raise DataError(f"{reference_path}: reference set is empty")
     return table, row_of, reference
 
 
-def _load_checked(path, kind: str, name: str, vocab_size: int, max_context: int,
+def _load_checked(path, name: str, vocab_size: int, max_context: int,
                   count: int | None = None) -> TokenTable:
     """``load_tokens(path)`` with each record checked against the model and,
     given ``count``, its id against the embedding rows; ``name`` labels a
     record in errors."""
-    if not os.path.exists(path):
-        raise DataError(f"{kind} file {path!r} not found")
     table = load_tokens(path)
     ids, lengths = table.ids, table.lengths
     no_row = (ids < 0) | (ids >= count) if count is not None else np.zeros(len(table), bool)

@@ -19,7 +19,6 @@ from .errors import DataError, SingularFactorError
 from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads, tracked_layers
 
 EIG_FLOOR_REL = 1e-12
-DEFAULT_DAMPING = 1e-3
 
 
 @dataclass
@@ -79,20 +78,6 @@ def accumulate(factor: KroneckerFactor, tap: LayerTap) -> KroneckerFactor:
         delta_sum=factor.delta_sum + tap.delta.T @ tap.delta,
         x_sum=factor.x_sum + tap.x.T @ tap.x,
         sample_count=factor.sample_count + tap.x.shape[0],
-    )
-
-
-def joint_qkv_pack(tap_q: LayerTap, tap_k: LayerTap, tap_v: LayerTap) -> LayerTap:
-    """Stack per-projection deltas over the shared input into one joint tap."""
-    if tap_q.x.shape != tap_k.x.shape or tap_q.x.shape != tap_v.x.shape:
-        raise DataError("q/k/v taps disagree on input shape")
-    if not (np.array_equal(tap_q.x, tap_k.x) and np.array_equal(tap_q.x, tap_v.x)):
-        raise DataError("q/k/v taps must share the same input activations")
-    return LayerTap(
-        layer=tap_q.layer,
-        kind="qkv-joint",
-        x=tap_q.x,
-        delta=np.concatenate([tap_q.delta, tap_k.delta, tap_v.delta], axis=1),
     )
 
 
@@ -216,11 +201,6 @@ def qkv_blockwise_ihvp(invs: list[DampedFactorInverse], v: np.ndarray) -> np.nda
         raise DataError("stacked qkv vector has the wrong length")
     parts = [kron_ihvp(inv, v[i * per : (i + 1) * per]) for i, inv in enumerate(invs)]
     return np.concatenate(parts)
-
-
-def dense_kron_matrix(delta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Materialized Delta (x) X consistent with row-major flattening (oracle use)."""
-    return np.kron(delta, x)
 
 
 def save_factors(path, factors: dict[str, KroneckerFactor]) -> None:

@@ -151,22 +151,3 @@ def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet,
             raise DataError(f"non-finite influence score for instance {inst_id}")
         out.rows.append((inst_id, s, ihvp.method))
     return out
-
-
-def jl_epsilon(target_dim: int, failure_prob: float = 0.01) -> float:
-    """Distortion bound for dot products at the given sketch width.
-
-    Solves 4 exp(-d (eps^2/4 - eps^3/6)) = failure_prob for eps, the standard
-    norm-preservation tail applied to the polarization identity, so a pair of
-    unit vectors has its dot product preserved within eps except with the
-    stated probability.
-    """
-    target = np.log(4.0 / failure_prob) / target_dim
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid * mid / 4.0 - mid ** 3 / 6.0 < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi

@@ -18,12 +18,13 @@ Architecture notes (fixed once, documented here):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .corpus import as_table
-from .errors import DataError
+from .errors import DataError, UsageError
 
 RMS_EPS = 1e-6
 
@@ -32,6 +33,10 @@ TAP_KINDS = ("qkv-joint", "attn-out", "mlp-1", "mlp-2")
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The model's shape, checked on construction; errors name the config key
+    ``<section>.<field>``. ``section`` is not a field, so the hash (the RoPE and
+    mask cache key) and equality ignore it."""
+
     vocab_size: int = 256
     hidden_dim: int = 64
     n_layers: int = 2
@@ -39,14 +44,26 @@ class ModelConfig:
     max_context: int = 64
     mlp_ratio: float = 8.0 / 3.0
     rope_base: float = 10000.0
+    section: InitVar[str] = "model"
 
-    def __post_init__(self):
+    def __post_init__(self, section):
+        for key in ("vocab_size", "hidden_dim", "n_layers", "n_heads"):
+            if getattr(self, key) < 1:
+                raise UsageError(f"{section}.{key} must be >= 1, got {getattr(self, key)}")
         if self.hidden_dim % self.n_heads != 0:
-            raise DataError("hidden_dim must be divisible by n_heads")
+            raise UsageError(f"{section}.n_heads must divide {section}.hidden_dim, got "
+                             f"{self.n_heads} and {self.hidden_dim}")
         if self.head_dim % 2 != 0:
-            raise DataError("head_dim must be even for rotary embeddings")
-        if self.mlp_hidden < 1:
-            raise DataError("mlp hidden size must be >= 1")
+            raise UsageError(f"{section}.hidden_dim / {section}.n_heads must be even for rotary "
+                             f"embeddings, got {self.hidden_dim} / {self.n_heads}")
+        if self.max_context < 2:
+            raise UsageError(f"{section}.max_context must be >= 2, got {self.max_context}")
+        width = self.mlp_ratio * self.hidden_dim
+        if not (math.isfinite(width) and round(width) >= 1):
+            raise UsageError(f"{section}.mlp_ratio must give an MLP width >= 1, "
+                             f"got {self.mlp_ratio!r}")
+        if not self.rope_base > 0.0:
+            raise UsageError(f"{section}.rope_base must be > 0, got {self.rope_base!r}")
 
     @property
     def head_dim(self) -> int:
@@ -82,19 +99,8 @@ class ParamSet:
                 yield f"layer{i}.{nm}", getattr(blk, nm)
 
     def copy(self) -> "ParamSet":
-        return ParamSet(
-            config=self.config,
-            embed=self.embed.copy(),
-            head=self.head.copy(),
-            layers=[
-                BlockParams(**{nm: getattr(b, nm).copy() for nm in
-                               ("w_q", "w_k", "w_v", "w_o", "w_up", "w_down")})
-                for b in self.layers
-            ],
-        )
-
-    def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.iter_named())
+        layers = [BlockParams(**{nm: w.copy() for nm, w in vars(b).items()}) for b in self.layers]
+        return ParamSet(self.config, self.embed.copy(), self.head.copy(), layers)
 
 
 @dataclass
@@ -255,11 +261,11 @@ def _token_sum(delta, x):
 
 # ------------------------------------------------------------------- engine
 #
-# One engine serves every caller. A call takes one sequence, or a chunk of B
-# equal-length sequences; every cached array then carries a leading B axis,
-# and every operation is elementwise, a reduction over the last axis, or a
-# stacked matmul, so each sequence's numbers are bitwise the same whichever
-# chunk (and chunk position) it is computed in.
+# One engine serves every caller. A call takes a chunk of B equal-length
+# sequences (one sequence is a chunk of one); every cached array carries a
+# leading B axis, and every operation is elementwise, a reduction over the
+# last axis, or a stacked matmul, so each sequence's numbers are bitwise the
+# same whichever chunk (and chunk position) it is computed in.
 
 CHUNK_TOKENS = 384  # tokens per engine call; measured in README "Model engine"
 
@@ -289,34 +295,32 @@ def chunks(sequences):
 @dataclass
 class ForwardCache:
     params: ParamSet
-    tokens: np.ndarray  # (T,) or (B, T)
+    tokens: np.ndarray  # (B, T)
     layer_saves: list[dict] = field(default_factory=list)
     h_final: np.ndarray = None
     hn: np.ndarray = None
     logits: np.ndarray = None
     probs: np.ndarray = None
-    loss: float | np.ndarray = 0.0
+    loss: np.ndarray = None  # (B,)
 
 
-def forward(params: ParamSet, tokens, seq_len: int | None = None):
+def forward(params: ParamSet, tokens, seq_len: int):
     """Mean next-token cross-entropy per sequence; returns (loss, cache).
 
-    ``tokens`` is one sequence, or with ``seq_len`` a chunk of B sequences of
-    that length laid end to end (``len(tokens)`` is always the token count).
-    A single sequence gives a float loss and unbatched cache arrays; a chunk
-    gives a (B,) loss array and a leading B axis on every cached array.
+    ``tokens`` is a chunk of B sequences of length ``seq_len`` laid end to end
+    (``len(tokens)`` is the token count, B * seq_len). The loss is a (B,)
+    array, and every cached array has a leading B axis.
     """
     cfg = params.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    T = tokens.size if seq_len is None else seq_len
+    T = seq_len
     if tokens.ndim != 1 or T < 2 or tokens.size < T or tokens.size % T:
-        raise DataError("sequence must be 1-D with length >= 2")
+        raise DataError("chunk must be 1-D, whole sequences of length >= 2")
     if T > cfg.max_context:
         raise DataError(f"sequence length {T} exceeds max_context {cfg.max_context}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise DataError("token id outside vocabulary")
-    if seq_len is not None:
-        tokens = tokens.reshape(-1, T)
+    tokens = tokens.reshape(-1, T)
 
     H, dh = cfg.n_heads, cfg.head_dim
     cos, sin = rope_tables(cfg, T)
@@ -355,8 +359,7 @@ def forward(params: ParamSet, tokens, seq_len: int | None = None):
     cache.probs = lex / lex.sum(axis=-1, keepdims=True)
     n_pred = T - 1
     p_target = np.take_along_axis(cache.probs[..., :n_pred, :], tokens[..., 1:, None], axis=-1)
-    loss = -np.log(p_target[..., 0]).sum(axis=-1) / n_pred
-    cache.loss = float(loss) if seq_len is None else loss
+    cache.loss = -np.log(p_target[..., 0]).sum(axis=-1) / n_pred
     return cache.loss, cache
 
 
@@ -487,8 +490,10 @@ def flat_layer_grads(grads: ParamSet, registry: list[TrackedLayer]) -> dict[str,
 
 
 def grad_of_sequence(params: ParamSet, tokens, registry=None) -> dict[str, np.ndarray]:
+    """One sequence's flattened tracked-layer gradients, from the parameter
+    gradient of a one-sequence chunk (the per-sequence oracle)."""
     registry = registry if registry is not None else tracked_layers(params.config)
-    _, cache = forward(params, tokens)
+    _, cache = forward(params, tokens, seq_len=len(tokens))
     grads, _ = backward(params, cache)
     return flat_layer_grads(grads, registry)
 

@@ -9,6 +9,7 @@ their correlation against the exact scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .curvature import (
     KroneckerFactor,
     accumulate,
     collect_factors,
+    factor_inverse,
     inverse_of_factor,
     kron_ihvp,
     qkv_block_inverses,
@@ -33,6 +35,8 @@ from .model import (
     concat_layer_vectors,
     flat_layer_grads,
     forward,
+    grad_of_sequence,
+    init_params,
     tracked_layers,
 )
 
@@ -42,38 +46,20 @@ SOLVE_RESIDUAL_RTOL = 1e-9
 METHODS = ("no-hessian", "independent-qkv", "joint-qkv")
 
 
-@dataclass
-class DenseCurvature:
-    matrix: np.ndarray  # (P, P)
-    registry: list[TrackedLayer]
-    definition: str  # empirical-gradient-outer-product | gauss-newton
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def layer_slice(self, name: str):
-        off = 0
-        for tl in self.registry:
-            if tl.name == name:
-                return slice(off, off + tl.flat_dim)
-            off += tl.flat_dim
-        raise DataError(f"unknown tracked layer {name!r}")
-
-
 def dense_curvature(
     params: ParamSet,
     dataset,
     definition: str = "empirical-gradient-outer-product",
     registry=None,
     param_cap: int = PARAM_CAP,
-) -> DenseCurvature:
-    """Exact curvature over the flattened tracked parameters.
+) -> np.ndarray:
+    """Exact (P, P) curvature over the flattened tracked parameters.
 
     "empirical-gradient-outer-product" is the mean of per-sequence flattened
     gradient outer products (the quantity the Kronecker factorization
     targets); "gauss-newton" is the model's predictive-distribution Fisher,
-    computed by enumerating labels per position.
+    computed by enumerating labels per position. Each sequence goes through
+    the engine as a chunk of one.
     """
     registry = registry if registry is not None else tracked_layers(params.config)
     P = sum(tl.flat_dim for tl in registry)
@@ -82,25 +68,22 @@ def dense_curvature(
     H = np.zeros((P, P))
     if definition == "empirical-gradient-outer-product":
         for seq in dataset:
-            _, cache = forward(params, seq)
-            grads, _ = backward(params, cache)
-            g = concat_layer_vectors(flat_layer_grads(grads, registry), registry)
+            g = concat_layer_vectors(grad_of_sequence(params, seq, registry), registry)
             H += np.outer(g, g)
         H /= len(dataset)
     elif definition == "gauss-newton":
         for seq in dataset:
-            _, cache = forward(params, seq)
-            T = cache.tokens.size
-            n_pred = T - 1
+            _, cache = forward(params, seq, seq_len=len(seq))
+            n_pred = len(seq) - 1
             for t in range(n_pred):
-                p_t = cache.probs[t]
+                p_t = cache.probs[0, t]
                 for y in range(params.config.vocab_size):
                     w = p_t[y]
                     if w < 1e-14:
                         continue
                     dlogits = np.zeros_like(cache.logits)
-                    dlogits[t] = p_t
-                    dlogits[t, y] -= 1.0
+                    dlogits[0, t] = p_t
+                    dlogits[0, t, y] -= 1.0
                     dlogits /= n_pred
                     grads, _ = backward_from_dlogits(params, cache, dlogits)
                     g = concat_layer_vectors(flat_layer_grads(grads, registry), registry)
@@ -108,7 +91,7 @@ def dense_curvature(
         H /= len(dataset)
     else:
         raise DataError(f"unknown curvature definition {definition!r}")
-    return DenseCurvature(matrix=H, registry=registry, definition=definition)
+    return H
 
 
 def dense_ihvp(H: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
@@ -124,11 +107,62 @@ def dense_ihvp(H: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
     return x
 
 
-def exact_influence(grad_z: np.ndarray, ref_grad: np.ndarray, H: DenseCurvature | np.ndarray,
+def exact_influence(grad_z: np.ndarray, ref_grad: np.ndarray, H: np.ndarray,
                     damping: float) -> float:
     """<grad(z), (H + lambda I)^-1 grad(ref)>, same orientation as the fast path."""
-    mat = H.matrix if isinstance(H, DenseCurvature) else H
-    return float(np.dot(grad_z, dense_ihvp(mat, ref_grad, damping)))
+    return float(np.dot(grad_z, dense_ihvp(H, ref_grad, damping)))
+
+
+def kronecker_identity_suite(rng: np.random.Generator, cases: int = 40) -> list[tuple]:
+    """Factored iHVP against a dense solve on random SPD factors of sizes 2..8,
+    at dampings 0, 1e-3 and 1e-1; rows ``(case, d_out, d_in, damping, rel_err)``."""
+    rows = []
+    for case in range(cases):
+        d_out = int(rng.integers(2, 9))
+        d_in = int(rng.integers(2, 9))
+        a = rng.normal(size=(d_out, d_out))
+        b = rng.normal(size=(d_in, d_in))
+        delta = a @ a.T + 0.05 * np.eye(d_out)
+        x = b @ b.T + 0.05 * np.eye(d_in)
+        for lam in (0.0, 1e-3, 1e-1):
+            v = rng.normal(size=d_out * d_in)
+            got = kron_ihvp(factor_inverse(delta, x, lam), v)
+            dense = np.kron(delta, x) + lam * np.eye(d_out * d_in)  # row-major vec
+            want = np.linalg.solve(dense, v)
+            rows.append((case, d_out, d_in, lam,
+                         float(np.linalg.norm(got - want) / np.linalg.norm(want))))
+    return rows
+
+
+def finite_difference_check(params: ParamSet, seqs, picks) -> float:
+    """Worst |fd - grad| / max(|fd|, |grad|, 1e-3) of the engine's gradient of
+    the mean loss of ``seqs`` against central differences, at each
+    ``(parameter name, index)`` of ``picks``."""
+    grad = {name: np.zeros_like(arr) for name, arr in params.iter_named()}
+    for seq in seqs:
+        _, cache = forward(params, seq, seq_len=len(seq))
+        g, _ = backward(params, cache)
+        for name, arr in g.iter_named():
+            grad[name] += arr / len(seqs)
+
+    def mean_loss():
+        return math.fsum(forward(params, s, seq_len=len(s))[0][0] for s in seqs) / len(seqs)
+
+    arrays = dict(params.iter_named())
+    h = 1e-5
+    worst = 0.0
+    for name, idx in picks:
+        arr = arrays[name]
+        old = arr[idx]
+        arr[idx] = old + h
+        lp = mean_loss()
+        arr[idx] = old - h
+        lm = mean_loss()
+        arr[idx] = old
+        fd = (lp - lm) / (2 * h)
+        an = grad[name][idx]
+        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-3))
+    return worst
 
 
 @dataclass
@@ -325,3 +359,45 @@ def run_qkv_study(data: QkvStudyData, damping: float) -> tuple[list[MethodReport
     detail = {"exact": exact, **approx,
               "joint_ihvp": joint_vec, "independent_ihvp": indep_vec}
     return reports, detail
+
+
+# ------------------------------------------------------------ oracle-check
+
+
+def run_oracle_check(oc, write) -> str:
+    """The ``oracle-check`` command for config section ``oc``: the Kronecker
+    identity suite, central differences at 200 random entries of a tiny model,
+    and the method ordering on the joint-QKV study. Each table goes to
+    ``write(file name, header, rows)`` before its tolerance is applied; a
+    breach raises NumericError. Returns a one-line summary."""
+    rng = np.random.default_rng(oc.seed)
+    rows = kronecker_identity_suite(rng)
+    write("oracle_kronecker.csv", "case,d_out,d_in,damping,rel_err", rows)
+    kron_worst = max(row[4] for row in rows)
+    if kron_worst > 1e-10:
+        raise NumericError(f"kronecker identity breach: rel err {kron_worst:.3e} > 1e-10")
+
+    params = init_params(oc.model_config(), seed=oc.seed)
+    seqs = [rng.integers(0, oc.vocab_size, size=oc.seq_len).tolist() for _ in range(3)]
+    arrays = dict(params.iter_named())
+    names = list(arrays)
+    picks = []
+    for _ in range(200):
+        name = names[int(rng.integers(len(names)))]
+        picks.append((name, tuple(int(rng.integers(s)) for s in arrays[name].shape)))
+    grad_worst = finite_difference_check(params, seqs, picks)
+    write("oracle_gradcheck.csv", "check,worst_rel_err", [("finite-difference-sample", grad_worst)])
+    if grad_worst > 1e-6:
+        raise NumericError(f"gradient check breach: rel err {grad_worst:.3e} > 1e-6")
+
+    data = make_qkv_study(n_curvature=4000, n_candidates=max(oc.candidates, 30),
+                          d_proj=6, d_in=8, coupling=0.85, seed=oc.seed)
+    reports, _ = run_qkv_study(data, damping=oc.damping)
+    write("oracle_methods.csv", "method,pearson,spearman,n",
+          [(r.method, r.pearson, r.spearman, r.n) for r in reports])
+    by = {r.method: r.pearson for r in reports}
+    if not (by["joint-qkv"] > by["independent-qkv"] > by["no-hessian"]):
+        raise NumericError(f"method ordering violated: {by}")
+    return (f"kron rel_err {kron_worst:.2e}, grad rel_err {grad_worst:.2e}, "
+            f"pearson joint={by['joint-qkv']:.3f} indep={by['independent-qkv']:.3f} "
+            f"none={by['no-hessian']:.3f}")

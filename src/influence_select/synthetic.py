@@ -96,19 +96,3 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
         component=component,
         aligned_components=aligned,
     )
-
-
-def gaussian_blobs(
-    n_per_blob: int,
-    centers: np.ndarray,
-    sigma: float,
-    seed: int = 0,
-) -> tuple[EmbeddingCorpus, np.ndarray]:
-    """Well-separated blobs for clustering tests; returns (corpus, labels)."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    labels = []
-    for b, c in enumerate(np.asarray(centers, dtype=np.float64)):
-        rows.append(c + rng.normal(0.0, sigma, size=(n_per_blob, c.shape[0])))
-        labels.extend([b] * n_per_blob)
-    return EmbeddingCorpus(vectors=np.concatenate(rows)), np.asarray(labels)

@@ -20,7 +20,7 @@ from influence_select import oracle as O
 from influence_select import trainer as T
 from influence_select.clustering import kmeans, objective
 from influence_select.corpus import EmbeddingCorpus, write_embeddings, write_tokens
-from influence_select.synthetic import SyntheticSpec, gaussian_blobs, generate
+from influence_select.synthetic import SyntheticSpec, generate
 
 
 def _report(n, text):
@@ -32,23 +32,9 @@ def _report(n, text):
 
 def test_acceptance_1_kronecker_ihvp_correctness():
     start = time.time()
-    rng = np.random.default_rng(2024)
-    worst = 0.0
     n_pairs = 120
-    for _ in range(n_pairs):
-        d_out = int(rng.integers(2, 9))
-        d_in = int(rng.integers(2, 9))
-        a = rng.normal(size=(d_out, d_out))
-        b = rng.normal(size=(d_in, d_in))
-        delta = a @ a.T + 0.05 * np.eye(d_out)
-        x = b @ b.T + 0.05 * np.eye(d_in)
-        for lam in (0.0, 1e-3, 1e-1):
-            v = rng.normal(size=d_out * d_in)
-            got = C.kron_ihvp(C.factor_inverse(delta, x, lam), v)
-            dense = C.dense_kron_matrix(delta, x) + lam * np.eye(d_out * d_in)
-            want = np.linalg.solve(dense, v)
-            rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
-            worst = max(worst, rel)
+    rows = O.kronecker_identity_suite(np.random.default_rng(2024), cases=n_pairs)
+    worst = max(row[4] for row in rows)
     elapsed = time.time() - start
     assert worst <= 1e-10
     assert elapsed < 10.0
@@ -64,47 +50,22 @@ def test_acceptance_2_gradient_exactness():
     cfg = M.ModelConfig(vocab_size=13, hidden_dim=12, n_layers=2, n_heads=3,
                         max_context=16, mlp_ratio=8.0 / 3.0, rope_base=1000.0)
     params = M.init_params(cfg, seed=11)
-    n_params = params.n_params()
+    every_entry = [(name, idx) for name, arr in params.iter_named() for idx in np.ndindex(arr.shape)]
+    n_params = len(every_entry)
     assert n_params <= 10000
     rng = np.random.default_rng(7)
     seqs = [list(range(13))[:10],
             rng.integers(0, 13, size=8).tolist(),
             rng.integers(0, 13, size=9).tolist()]
-
-    grads = M.zeros_like_params(params)
-    gd = dict(grads.iter_named())
-    taps_all = []
-    for s in seqs:
-        _, cache = M.forward(params, s)
-        g, taps = M.backward(params, cache)
-        taps_all.append((g, taps))
-        for name, arr in g.iter_named():
-            gd[name] += arr / len(seqs)
-
-    def set_loss():
-        return math.fsum(M.forward(params, s)[0] for s in seqs) / len(seqs)
-
-    h = 1e-5
-    worst = 0.0
-    for name, arr in params.iter_named():
-        flat = arr.reshape(-1)
-        for j in range(flat.size):
-            idx = np.unravel_index(j, arr.shape)
-            old = arr[idx]
-            arr[idx] = old + h
-            lp = set_loss()
-            arr[idx] = old - h
-            lm = set_loss()
-            arr[idx] = old
-            fd = (lp - lm) / (2 * h)
-            an = gd[name][idx]
-            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-3))
+    worst = O.finite_difference_check(params, seqs, every_entry)
     assert worst <= 1e-6
 
     # tap reconstruction: vec_rowmajor(sum_t delta_t x_t^T) == layer gradient
     registry = {(tl.layer, tl.kind): tl for tl in M.tracked_layers(cfg)}
     tap_worst = 0.0
-    for g, taps in taps_all:
+    for s in seqs:
+        _, cache = M.forward(params, s, seq_len=len(s))
+        g, taps = M.backward(params, cache)
         for tap in taps:
             tl = registry[(tap.layer, tap.kind)]
             rec = tap.delta.T @ tap.x
@@ -209,7 +170,10 @@ def test_acceptance_6_kmeans():
     assert model.converged
 
     centers = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
-    blob_corpus, labels = gaussian_blobs(70, centers, sigma=0.05, seed=4)
+    blob_rng = np.random.default_rng(4)
+    blob_corpus = EmbeddingCorpus(vectors=np.concatenate(
+        [c + blob_rng.normal(0.0, 0.05, size=(70, 3)) for c in centers]))
+    labels = np.repeat(np.arange(3), 70)
     bm = kmeans(blob_corpus, k=3, seed=5)
     import itertools
 
@@ -228,7 +192,16 @@ def test_acceptance_6_kmeans():
 def test_acceptance_7_jl_sketching():
     start = time.time()
     target_dim = 256
-    eps = I.jl_epsilon(target_dim, failure_prob=0.01)
+    # eps solves 4 exp(-d (eps^2/4 - eps^3/6)) = 0.01: the norm-preservation tail
+    # applied to the polarization identity bounds a unit pair's dot product
+    # error by eps except with probability 0.01
+    tail = np.log(4.0 / 0.01) / target_dim
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * mid / 4.0 - mid ** 3 / 6.0 < tail else (lo, mid)
+    eps = hi
+    assert eps * eps / 4.0 - eps ** 3 / 6.0 == pytest.approx(tail, rel=1e-6)
     rng = np.random.default_rng(77)
     dim = 2000
     within = 0
@@ -357,7 +330,7 @@ def test_acceptance_9_pipeline_determinism(tmp_path):
     )
 
     def run_all():
-        for cmd in ("cluster", "select", "report", "simulate-bandit"):
+        for cmd in ("cluster", "select", "report", "simulate-bandit", "oracle-check"):
             assert cli.main([cmd, "--config", str(cfg)]) == 0
         assert cli.main(["score", "--config", str(cfg), "--ids", "0,3,9"]) == 0
         out = tmp_path / "out"
@@ -368,5 +341,6 @@ def test_acceptance_9_pipeline_determinism(tmp_path):
     assert set(first) == set(second)
     diffs = [name for name in first if first[name] != second[name]]
     assert diffs == []
-    _report(9, f"re-running cluster/select/report/simulate-bandit/score reproduced "
+    assert {"oracle_kronecker.csv", "oracle_gradcheck.csv", "oracle_methods.csv"} <= set(first)
+    _report(9, f"re-running cluster/select/report/simulate-bandit/oracle-check/score reproduced "
                f"{len(first)} output files byte-identically")

@@ -318,7 +318,7 @@ def test_replay_ledger_reproduces_final_state_bitwise(tmp_path, reward_mode):
     ledger = B.run(cfg, model, lambda ids: [float(values[i]) for i in ids], budget=80, seed=2)
     path = tmp_path / "ledger.jsonl"
     B.write_ledger_jsonl(path, ledger, fingerprint="fp")
-    state, trajectory = B.replay_ledger(path, model.k, reward_mode)
+    state, trajectory = B.replay_ledger(path, model, reward_mode)
     np.testing.assert_array_equal(state.reward, ledger.final_state.reward)
     np.testing.assert_array_equal(state.pulls, ledger.final_state.pulls)
     pulls = [(rec.iteration, p.cluster) for rec in ledger.iterations for p in rec.pulls]

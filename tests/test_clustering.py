@@ -17,7 +17,6 @@ from influence_select.clustering import (
 )
 from influence_select.corpus import EmbeddingCorpus
 from influence_select.errors import DataError
-from influence_select.synthetic import gaussian_blobs
 
 
 def test_two_points_two_clusters():
@@ -44,7 +43,10 @@ def _label_agreement(assignment, labels, k):
 
 def test_three_blob_recovery():
     centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
-    corpus, labels = gaussian_blobs(60, centers, sigma=0.05, seed=3)
+    rng = np.random.default_rng(3)
+    corpus = EmbeddingCorpus(vectors=np.concatenate(
+        [c + rng.normal(0.0, 0.05, size=(60, 2)) for c in centers]))
+    labels = np.repeat(np.arange(3), 60)
     model = kmeans(corpus, k=3, seed=1)
     assert _label_agreement(model.assignment, labels, 3) == 1.0
 

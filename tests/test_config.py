@@ -150,7 +150,7 @@ def test_section_boundary_values_accepted():
         "selection.budget=0", "trainer.learning_rate=0", "trainer.steps=0",
         "trainer.batch_size=1",
     ])
-    assert cfg.model.model_config().head_dim == 2
+    assert cfg.model.head_dim == 2
     assert cfg.selection.budget == 0
 
 

@@ -275,11 +275,3 @@ def test_influence_csv_round_trip(tmp_path):
     assert lines[:2] == ["# config_fingerprint=abc123", "instance_id,score,method"]
     again = [line.split(",") for line in lines[2:]]
     assert [(int(i), float(s), m) for i, s, m in again] == table.rows
-
-
-def test_jl_epsilon_sane():
-    eps = I.jl_epsilon(256, failure_prob=0.01)
-    assert 0.2 < eps < 0.5
-    # tail bound really holds at that epsilon
-    target = np.log(4.0 / 0.01) / 256
-    assert eps**2 / 4 - eps**3 / 6 == pytest.approx(target, rel=1e-6)

@@ -5,10 +5,16 @@ import pytest
 
 from influence_select import curvature as C
 from influence_select import model as M
-from influence_select.errors import DataError
+from influence_select import oracle as O
+from influence_select.errors import DataError, UsageError
 
 TINY = M.ModelConfig(vocab_size=11, hidden_dim=8, n_layers=2, n_heads=2,
                      max_context=16, mlp_ratio=2.0, rope_base=100.0)
+
+
+def _forward(params, seq):
+    """One sequence through the engine, as a chunk of one."""
+    return M.forward(params, seq, seq_len=len(seq))
 
 
 def _seqs_covering_vocab(cfg, rng, n_extra=2, length=9):
@@ -21,16 +27,17 @@ def _seqs_covering_vocab(cfg, rng, n_extra=2, length=9):
 def test_uniform_head_gives_log_vocab_loss():
     params = M.init_params(TINY, seed=0)
     params.head[...] = 0.0
-    loss, _ = M.forward(params, [1, 2, 3, 4, 5])
-    assert loss == pytest.approx(math.log(TINY.vocab_size), rel=1e-12)
+    loss, _ = _forward(params, [1, 2, 3, 4, 5])
+    assert loss.shape == (1,)
+    assert loss[0] == pytest.approx(math.log(TINY.vocab_size), rel=1e-12)
 
 
 def test_zero_wq_gives_uniform_attention_over_prefix():
     params = M.init_params(TINY, seed=0)
     for blk in params.layers:
         blk.w_q[...] = 0.0
-    _, cache = M.forward(params, [3, 1, 4, 1, 5, 9])
-    attn = cache.layer_saves[0]["attn"]  # (H, T, T)
+    _, cache = _forward(params, [3, 1, 4, 1, 5, 9])
+    attn = cache.layer_saves[0]["attn"][0]  # (H, T, T) of the chunk's one sequence
     T = attn.shape[1]
     for t in range(T):
         np.testing.assert_allclose(attn[:, t, : t + 1], 1.0 / (t + 1), rtol=1e-12)
@@ -101,50 +108,25 @@ def test_forward_matches_hand_rolled_oracle():
                         max_context=8, mlp_ratio=2.0, rope_base=50.0)
     params = M.init_params(cfg, seed=5)
     tokens = [2, 6, 1, 0, 4]
-    loss, _ = M.forward(params, tokens)
+    loss, _ = _forward(params, tokens)
     want = _hand_forward_single_layer(params, tokens)
-    assert loss == pytest.approx(want, rel=1e-12)
+    assert loss[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_gradients_match_finite_differences():
     params = M.init_params(TINY, seed=1)
     rng = np.random.default_rng(0)
     seqs = _seqs_covering_vocab(TINY, rng)
-
-    grads = M.zeros_like_params(params)
-    gd = dict(grads.iter_named())
-    for s in seqs:
-        _, cache = M.forward(params, s)
-        g, _ = M.backward(params, cache)
-        for name, arr in g.iter_named():
-            gd[name] += arr / len(seqs)
-
-    def set_loss():
-        return math.fsum(M.forward(params, s)[0] for s in seqs) / len(seqs)
-
-    h = 1e-5
-    worst = 0.0
-    for name, arr in params.iter_named():
-        flat = arr.reshape(-1)
-        picks = rng.choice(flat.size, size=min(30, flat.size), replace=False)
-        for j in picks:
-            idx = np.unravel_index(j, arr.shape)
-            old = arr[idx]
-            arr[idx] = old + h
-            lp = set_loss()
-            arr[idx] = old - h
-            lm = set_loss()
-            arr[idx] = old
-            fd = (lp - lm) / (2 * h)
-            an = gd[name][idx]
-            worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-3))
-    assert worst < 1e-6
+    picks = [(name, np.unravel_index(j, arr.shape))
+             for name, arr in params.iter_named()
+             for j in rng.choice(arr.size, size=min(30, arr.size), replace=False)]
+    assert O.finite_difference_check(params, seqs, picks) < 1e-6
 
 
 def test_tap_reconstruction_equals_gradient():
     params = M.init_params(TINY, seed=3)
     seq = np.random.default_rng(5).integers(0, TINY.vocab_size, size=10).tolist()
-    _, cache = M.forward(params, seq)
+    _, cache = _forward(params, seq)
     grads, taps = M.backward(params, cache)
     by_key = {(t.layer, t.kind): t for t in M.tracked_layers(TINY)}
     assert len(taps) == len(by_key)
@@ -156,7 +138,7 @@ def test_tap_reconstruction_equals_gradient():
 
 def test_qkv_joint_tap_dimensions():
     params = M.init_params(TINY, seed=3)
-    _, cache = M.forward(params, [1, 2, 3, 4])
+    _, cache = _forward(params, [1, 2, 3, 4])
     _, taps = M.backward(params, cache)
     joint = [t for t in taps if t.kind == "qkv-joint"][0]
     assert joint.delta.shape[1] == 3 * TINY.hidden_dim
@@ -167,7 +149,7 @@ def test_qkv_joint_tap_dimensions():
 def test_head_gradient_rows_sum_to_zero_with_uniform_logits():
     params = M.init_params(TINY, seed=0)
     params.head[...] = 0.0
-    _, cache = M.forward(params, [0, 1, 2, 3])
+    _, cache = _forward(params, [0, 1, 2, 3])
     grads, _ = M.backward(params, cache)
     np.testing.assert_allclose(grads.head.sum(axis=0), 0.0, atol=1e-12)
 
@@ -213,18 +195,18 @@ def test_grad_of_set_matches_accumulation_oracle():
 def test_causality():
     params = M.init_params(TINY, seed=6)
     seq = [1, 2, 3, 4, 5, 6, 7]
-    _, c1 = M.forward(params, seq)
+    _, c1 = _forward(params, seq)
     for t in range(1, len(seq)):
         other = list(seq)
         other[t] = (other[t] + 3) % TINY.vocab_size
-        _, c2 = M.forward(params, other)
-        np.testing.assert_array_equal(c1.logits[:t], c2.logits[:t])
+        _, c2 = _forward(params, other)
+        np.testing.assert_array_equal(c1.logits[0, :t], c2.logits[0, :t])
 
 
 def test_rope_scores_depend_on_relative_offset_only():
     params = M.init_params(TINY, seed=7)
-    _, cache = M.forward(params, [4] * 9)
-    scores = cache.layer_saves[0]["scores"]  # (H, T, T) with -inf above diagonal
+    _, cache = _forward(params, [4] * 9)
+    scores = cache.layer_saves[0]["scores"][0]  # (H, T, T) with -inf above diagonal
     for h in range(TINY.n_heads):
         for i in range(2, 8):
             for j in range(1, i):
@@ -234,23 +216,27 @@ def test_rope_scores_depend_on_relative_offset_only():
 def test_forward_input_validation():
     params = M.init_params(TINY, seed=0)
     with pytest.raises(DataError, match="length >= 2"):
-        M.forward(params, [1])
+        _forward(params, [1])
+    with pytest.raises(DataError, match="whole sequences"):
+        M.forward(params, [1, 2, 3, 4, 5], seq_len=2)
     with pytest.raises(DataError, match="max_context"):
-        M.forward(params, list(range(5)) * 5)
+        _forward(params, list(range(5)) * 5)
     with pytest.raises(DataError, match="outside vocab"):
-        M.forward(params, [0, TINY.vocab_size])
+        _forward(params, [0, TINY.vocab_size])
 
 
 def test_stale_cache_rejected():
     params = M.init_params(TINY, seed=0)
     other = M.init_params(TINY, seed=1)
-    _, cache = M.forward(params, [1, 2, 3])
+    _, cache = _forward(params, [1, 2, 3])
     with pytest.raises(DataError, match="stale cache"):
         M.backward(other, cache)
 
 
 def test_config_validation():
-    with pytest.raises(DataError, match="divisible"):
+    with pytest.raises(UsageError, match=r"model\.n_heads must divide model\.hidden_dim"):
         M.ModelConfig(hidden_dim=10, n_heads=4)
-    with pytest.raises(DataError, match="even"):
+    with pytest.raises(UsageError, match="even"):
         M.ModelConfig(hidden_dim=12, n_heads=4)  # head_dim 3
+    with pytest.raises(UsageError, match=r"^oracle\.n_layers must be >= 1"):
+        M.ModelConfig(n_layers=0, section="oracle")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shutil
@@ -182,6 +183,33 @@ def test_missing_embeddings_is_data_error(workdir, tmp_path):
     root, cfg = workdir
     assert _run("cluster", "--config", str(cfg),
                 "--set", "paths.embeddings=/nonexistent/x.bin") == 2
+
+
+def _unreadable_path(case, cfg, tmp):
+    """``(arguments, the path the error must name)`` for one case."""
+    if case == "missing-config":
+        return ["--config", str(tmp / "nope.cfg")], tmp / "nope.cfg"
+    if case == "non-utf8-config":
+        (tmp / "bad.cfg").write_bytes(b"clustering.k = 8\n\xff\n")
+        return ["--config", str(tmp / "bad.cfg")], tmp / "bad.cfg"
+    if case == "embeddings-is-a-directory":
+        return ["--config", str(cfg), "--set", f"paths.embeddings={tmp}"], tmp
+    (tmp / "out").write_text("")
+    return ["--config", str(cfg), "--set", f"paths.output_dir={tmp / 'out'}"], tmp / "out"
+
+
+@pytest.mark.parametrize("case, code", [
+    ("missing-config", 1), ("non-utf8-config", 1),
+    ("embeddings-is-a-directory", 2), ("output-dir-is-a-file", 2),
+])
+def test_unreadable_path_exits_naming_it(workdir, tmp_path, capsys, case, code):
+    root, cfg = workdir
+    argv, path = _unreadable_path(case, cfg, tmp_path)
+    assert _run("cluster", *argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 1 else "data error: ")
+    assert repr(str(path)) in err
+    assert "Traceback" not in err
 
 
 def test_sketched_selection_path(workdir, tmp_path):
@@ -387,9 +415,10 @@ def selected_out(workdir, tmp_path_factory):
     return out
 
 
-def _pull_cluster(line, cluster):
+def _set(line, key, value, pull=True):
+    """The ledger line with ``key`` of its first pull (or of the record) set."""
     rec = json.loads(line)
-    rec["pulls"][0]["cluster"] = cluster
+    (rec["pulls"][0] if pull else rec)[key] = value
     return json.dumps(rec, sort_keys=True) + "\n"
 
 
@@ -399,9 +428,26 @@ def _pull_cluster(line, cluster):
     ("selection.txt", 3, lambda lines: "99999\n", "instance id 99999 has no embedding row"),
     ("selection.txt", 4, lambda lines: lines[1], "duplicate instance id"),
     ("ledger.jsonl", 2, lambda lines: "{not json\n", "not a JSON record"),
-    ("ledger.jsonl", 2, lambda lines: _pull_cluster(lines[1], 8),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "cluster", 8),
      "pull of cluster 8, outside [0, k=8)"),
-    ("ledger.jsonl", 2, lambda lines: _pull_cluster(lines[1], -1), "pull of cluster -1"),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "cluster", -1), "pull of cluster -1"),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "iteration", "abc", pull=False),
+     "iteration 'abc': expected an int >= 0"),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "iteration", -1, pull=False),
+     "iteration -1: expected an int >= 0"),
+    ("ledger.jsonl", 4, lambda lines: _set(lines[3], "iteration", 0, pull=False),
+     "iteration 0: expected an int >= 1"),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "batch_sum", float("nan")),
+     "batch_sum nan of cluster 0 is not a finite number"),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "batch_sum", "1.5"),
+     "batch_sum '1.5' of cluster 0 is not a finite number"),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "sampled_ids", []),
+     "sampled_ids of cluster 0 is not a non-empty list"),
+    ("ledger.jsonl", 2,  # an id of the line's second pull, from cluster 1
+     lambda lines: _set(lines[1], "sampled_ids", json.loads(lines[1])["pulls"][1]["sampled_ids"]),
+     "is not a member of cluster 0"),
+    ("ledger.jsonl", 2, lambda lines: _set(lines[1], "sampled_ids", [True]),
+     "sampled id True is not a member of cluster 0"),
 ])
 def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path, capsys,
                                                 monkeypatch, name, lineno, edit, needle):
@@ -424,3 +470,33 @@ def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path,
     assert code == 2
     assert f"{path}:{lineno}: " in err and needle in err
     assert "Traceback" not in err
+
+
+def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_path):
+    """``perfbench/tracing.py`` runs ``select`` and reads ``model.tokens`` from the
+    ``tokens`` argument of every ``model.forward`` call: the reference set once,
+    then each distinct sampled id once (the bandit caches scores)."""
+    from influence_select.corpus import load_tokens
+
+    root, cfg = workdir
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tracer = os.path.join(repo, "perfbench", "tracing.py")
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    spans_path = tmp_path / "spans.json"
+    done = subprocess.run([sys.executable, tracer, str(spans_path), "select", "--config", str(cfg),
+                           "--set", f"paths.output_dir={out}"], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracer)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    metrics = tracing.command_metrics(json.loads(spans_path.read_text()), 0.0)
+    tokens = load_tokens(root / "tokens.tsv")
+    length = dict(zip(tokens.ids.tolist(), tokens.lengths.tolist()))
+    sampled = {i for line in (out / "ledger.jsonl").read_text().splitlines()
+               for pull in json.loads(line).get("pulls", []) for i in pull["sampled_ids"]}
+    want = int(load_tokens(root / "reference.tsv").lengths.sum()) + sum(length[i] for i in sampled)
+    assert metrics["model.tokens"] == want

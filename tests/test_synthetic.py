@@ -8,7 +8,7 @@ import pytest
 
 from influence_select.corpus import load_embeddings, load_inputs
 from influence_select.errors import DataError
-from influence_select.synthetic import SyntheticSpec, gaussian_blobs, generate
+from influence_select.synthetic import SyntheticSpec, generate
 
 
 def test_generator_shapes_and_alignment():
@@ -65,14 +65,6 @@ def test_generator_parameter_validation():
         SyntheticSpec(n_components=4, n_aligned=5)
     with pytest.raises(DataError, match="do not fit"):
         SyntheticSpec(vocab_size=8, n_aligned=4, pattern_tokens=4)
-
-
-def test_gaussian_blobs_labels():
-    centers = np.array([[0.0, 0.0], [9.0, 9.0]])
-    corpus, labels = gaussian_blobs(10, centers, sigma=0.01, seed=0)
-    assert corpus.count == 20
-    assert labels.tolist() == [0] * 10 + [1] * 10
-    assert np.linalg.norm(corpus.vectors[:10].mean(axis=0)) < 0.1
 
 
 def test_make_synthetic_data_script_writes_loadable_pinned_files(tmp_path):

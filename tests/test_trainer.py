@@ -83,7 +83,7 @@ def test_eval_loss_matches_accumulation_oracle():
     params = M.init_params(CFG, seed=5)
     rng = np.random.default_rng(1)
     seqs = [rng.integers(0, 12, size=rng.integers(2, 9)).tolist() for _ in range(9)]
-    per = [M.forward(params, s)[0] for s in seqs]
+    per = [M.forward(params, s, seq_len=len(s))[0][0] for s in seqs]
     assert T.eval_loss(params, seqs) == pytest.approx(sum(per) / len(per), rel=1e-12)
 
 
