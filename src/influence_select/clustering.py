@@ -81,7 +81,8 @@ def _kmeans_pp_init(
 
     closest[r] is the least direct form sum((x[r] - c)^2) over the seeds c so
     far. A new seed c = x[idx] is screened by one float32 gemv over x32, the
-    float32 copy of x: g = x32 @ x32[idx], S = x_sq[r] - 2 g[r] + x_sq[idx].
+    float32 copy of x stored dimension-major as (dim, n), so that the gemv
+    streams contiguous rows: g = x32[:, idx] @ x32, S = x_sq[r] - 2 g[r] + x_sq[idx].
     Row r skips the direct form iff S - kappa (x_sq[r] + x_sq[idx]) - tau >=
     (1 + kappa) closest[r], where u = 2^-24, eta = 2^-150 (half the least
     float32 subnormal), kappa = (2 dim + 8) u and tau = 8 dim eta.
@@ -119,7 +120,9 @@ def _kmeans_pp_init(
     centroids = np.empty((k, dim), dtype=np.float64)
     idx = int(rng.integers(n))
     with np.errstate(over="ignore", invalid="ignore"):  # the test handles overflow
-        x32 = x.astype(np.float32)
+        x32 = np.empty((dim, n), dtype=np.float32)
+        for lo in range(0, n, ASSIGN_BLOCK_ROWS):  # in blocks: one whole transpose is slower
+            x32[:, lo : lo + ASSIGN_BLOCK_ROWS] = x[lo : lo + ASSIGN_BLOCK_ROWS].T
         for i in range(k):
             if i:
                 total = closest.sum()
@@ -129,7 +132,7 @@ def _kmeans_pp_init(
                 else:
                     idx = _d2_draw(closest, total, rng)
             centroids[i] = x[idx]
-            np.matmul(x32, x32[idx], out=g)
+            np.matmul(np.ascontiguousarray(x32[:, idx]), x32, out=g)
             np.subtract(g, half, out=t)
             rows = np.flatnonzero(~((t <= (low[idx] - tau) / 2) & (t > -np.inf)))
             _lower_closest(x, x[idx], rows, closest)
@@ -169,7 +172,12 @@ def kmeans(
 
     Iterates assign/update until the assignment reaches a fixpoint, the max
     centroid shift drops below ``tol``, or ``max_iters`` is hit. With
-    ``normalize`` rows are L2-normalized before clustering.
+    ``normalize`` rows are L2-normalized before clustering. The result is
+    that of full-matrix Lloyd passes, bit for bit, but after the first pass
+    distances are computed only for rows whose bounds cannot prove their
+    nearest centroid unchanged (_assign_pruned), and means only for clusters
+    whose members changed. objective_history holds each pass's objective(), the direct-form
+    sum of squares, before its centroid update.
     """
     if k == 0:
         raise DataError("k must be positive")
@@ -183,22 +191,33 @@ def kmeans(
             raise DataError("embedding values too large: squared distances overflow float64")
     centroids = _kmeans_pp_init(x, x_sq, k, np.random.default_rng(seed))
     assignment = np.full(corpus.count, -1, dtype=np.int64)
+    # Hamerly bounds; upper = inf sends a row to the distance pass (see _assign_pruned)
+    upper, lower = np.full(corpus.count, np.inf), np.zeros(corpus.count)
+    buf = np.empty_like(x)  # serves the history, the means gather and the repair
     history: list[float] = []
     converged = False
     it = 0
     while it < max_iters:
         it += 1
-        new_assignment, row_min = _assign(x, x_sq, centroids)
-        history.append(float(row_min.sum()))
-        if np.array_equal(new_assignment, assignment):
+        new_assignment = _assign_pruned(x, x_sq, centroids, assignment, upper, lower)
+        history.append(float(np.sum(_squared_errors(x, centroids, new_assignment, buf))))
+        moved = np.flatnonzero(new_assignment != assignment)
+        if moved.size == 0:
             converged = True
             break
+        touched = np.zeros(k, dtype=bool)  # clusters that gained or lost a member
+        touched[new_assignment[moved]] = True
+        if it > 1:
+            touched[assignment[moved]] = True
         assignment = new_assignment
-        new_centroids = _cluster_means(x, assignment, centroids.copy())
-        assignment, new_centroids = _repair_empty(x, assignment, new_centroids)
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        new_centroids = _cluster_means(x, assignment, centroids.copy(), touched, buf)
+        if not np.bincount(assignment, minlength=k).all():
+            assignment, new_centroids = _repair_empty(x, assignment, new_centroids, buf)
+            upper[:] = np.inf  # donors changed cluster: every row gets a distance pass
+        shifts = np.linalg.norm(new_centroids - centroids, axis=1)
+        _shift_bounds(shifts, x.shape[1], assignment, upper, lower)
         centroids = new_centroids
-        if shift <= tol:
+        if float(np.max(shifts)) <= tol:
             break
 
     # each exit leaves every centroid at its members' mean (none is empty)
@@ -236,52 +255,156 @@ def _points(corpus: EmbeddingCorpus, normalize: bool) -> np.ndarray:
     return x
 
 
-def _assign(x, x_sq, centroids) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid of every row and its squared distance, by row blocks.
+def _assign_pruned(x, x_sq, centroids, assignment, upper, lower) -> np.ndarray:
+    """Nearest centroid of every row, as argmin over the full _pairwise_sq_dists
+    matrix gives it, with distances computed only for rows that may move.
 
-    Blocks split the pool evenly and are never below ASSIGN_BLOCK_ROWS unless
-    the pool is: gemms of 1-4 rows take another OpenBLAS kernel that differs
+    upper[r] >= |x[r] - c[assignment[r]]| and lower[r] <= |x[r] - c[j]| for
+    every j != assignment[r], exactly, for the stored floats (Hamerly 2010).
+    Rows the test below cannot keep, padded with other rows to at least
+    min(n, ASSIGN_BLOCK_ROWS), go through _assign_rows and get fresh bounds;
+    upper and lower are updated in place.
+
+    Error: write E for an entry of the matrix, D = |x - c|^2 exactly, X =
+    |x|^2, C = |c|^2, u = 2^-53, eta = 2^-1075 and gamma = dim u / (1 - dim u),
+    with IEEE arithmetic and gradual underflow (a subnormal sum is exact).
+    - x_sq, c_sq and the gemm (any order, with or without FMA; 2|x_i c_i| <=
+      x_i^2 + c_i^2) are within gamma X, gamma C and gamma (X + C) of X, C and
+      2 x.c, plus eta per underflowed product: 3.03 dim eta in all.
+    - The subtraction and the addition round by at most u (1 + gamma)(2X + C)
+      and u (1 + u)(1 + gamma)(2X + 2C); the clamp at 0 only moves E toward D.
+    So |E - D| <= (2 gamma + 4.01 u (1 + gamma))(X + C) + 3.03 dim eta, and
+    eps = kappa (x_sq + Cmax) + tau, with Cmax the largest c_sq, kappa = (2 dim
+    + 32) u / (1 - dim u) and tau = 32 dim eta, exceeds it by over 27 u (X + C)
+    (of which X, C against x_sq, Cmax and the rounding of eps take under 2 u).
+
+    Test: sep[j] <= min over i != j of |c[j] - c[i]|, so by the triangle
+    inequality every other centroid is at least L = max(lower, sep[a] -
+    upper, 0) from the row (Hamerly's max(l, s(a)) test, with s = sep / 2).
+    A row keeps a = assignment[r] when L^2 - upper^2 > 2 eps. L is at most a
+    true distance, under sqrt(X) + sqrt(C), so the float64 test errs by under
+    9 u (X + Cmax), inside the slack of 2 eps. Then for every j != a, D_j >=
+    L^2 > upper^2 + 2 eps >= D_a + 2 eps, so E_j >= D_j - eps > D_a + eps >=
+    E_a, the clamped E_a included: a is the row's strict argmin, and so the
+    full matrix's lowest-index argmin too. The margin is 2 eps: one eps for
+    each of the two entries the test compares.
+
+    Bounds: a row with best entry E_a and second-best E_2 has D_a <= E_a + eps
+    and D_j >= E_2 - eps for j != a. upper and lower are the square roots of
+    those, each float operation rounded outward (np.nextafter), and sep comes
+    the same way from the centroids' own matrix, whose error is at most
+    kappa 2 Cmax + tau. On the first pass (assignment -1) and after a repair,
+    upper is inf, so no row is kept.
+    """
+    n, dim = x.shape
+    kappa = (2 * dim + 32) * 2.0**-53 / (1.0 - dim * 2.0**-53)
+    tau = dim * 2.0**-1070
+    c_sq = np.sum(centroids * centroids, axis=1)
+    c_max = float(c_sq.max())
+    eps = kappa * (x_sq + c_max) + tau
+    cc = _pairwise_sq_dists(centroids, centroids, c_sq)
+    np.fill_diagonal(cc, np.inf)
+    sep = _down(np.sqrt(np.maximum(_down(cc.min(axis=1) - (kappa * 2 * c_max + tau)), 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: the row is not kept
+        reach = np.maximum(np.maximum(lower, _down(sep[assignment] - upper)), 0.0)
+        stale = ~(reach * reach - upper * upper > 2 * eps)
+    short = min(n, ASSIGN_BLOCK_ROWS) - np.count_nonzero(stale)
+    if short > 0:  # small gemms take another kernel: fill the pass with kept rows
+        stale[np.flatnonzero(~stale)[:short]] = True
+    rows = np.flatnonzero(stale)
+    best, first, second = _assign_rows(x, x_sq, centroids, rows)
+    upper[rows] = _up(np.sqrt(_up(first + eps[rows])))
+    lower[rows] = _down(np.sqrt(np.maximum(_down(second - eps[rows]), 0.0)))
+    new_assignment = assignment.copy()
+    new_assignment[rows] = best
+    return new_assignment
+
+
+def _shift_bounds(shifts, dim, assignment, upper, lower) -> None:
+    """Loosen the bounds by the centroid shifts, in place.
+
+    shifts is np.linalg.norm(new - old, axis=1): a row of rounded differences,
+    squares and sums, then a square root, which is within (dim / 2 + 4) u of
+    the exact shift relatively, plus sqrt(dim eta) for underflowed squares.
+    delta exceeds the exact shift after its own two roundings, and the moved
+    bounds are rounded outward: |x - c'[a]| <= upper + delta[a] and, for j !=
+    a, |x - c'[j]| >= lower - max(delta)."""
+    delta = shifts * (1.0 + (dim + 8) * 2.0**-53) + dim * 2.0**-536
+    upper += delta[assignment]
+    _up(upper)
+    lower -= delta.max()
+    _down(lower)
+
+
+def _up(v):
+    """v moved in place to the next float up, which is at least the exact
+    value of the operation that rounded to v."""
+    return np.nextafter(v, np.inf, out=v)
+
+
+def _down(v):
+    """v moved in place to the next float down: at most that exact value."""
+    return np.nextafter(v, -np.inf, out=v)
+
+
+def _assign_rows(x, x_sq, centroids, rows):
+    """Best index, best entry and second-best entry of _pairwise_sq_dists for
+    x[rows], by row blocks.
+
+    Blocks split ``rows`` evenly and are never below ASSIGN_BLOCK_ROWS unless
+    ``rows`` is: gemms of 1-4 rows take another OpenBLAS kernel that differs
     from the full product in the last bit, while blocks of 5+ rows match it."""
-    n = x.shape[0]
-    n_blocks = max(1, n // ASSIGN_BLOCK_ROWS)
-    bounds = np.arange(n_blocks + 1) * n // n_blocks
-    buf = np.empty((-(-n // n_blocks), centroids.shape[0]), dtype=np.float64)
-    assignment, row_min = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.float64)
+    m, k = rows.size, centroids.shape[0]
+    n_blocks = max(1, m // ASSIGN_BLOCK_ROWS)
+    bounds = np.arange(n_blocks + 1) * m // n_blocks
+    buf = np.empty((-(-m // n_blocks), k), dtype=np.float64)
+    best, first, second = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        d2 = _pairwise_sq_dists(x[lo:hi], centroids, x_sq[lo:hi], out=buf[: hi - lo])
-        best = np.argmin(d2, axis=1, out=assignment[lo:hi])
-        row_min[lo:hi] = d2[np.arange(hi - lo), best]
-    return assignment, row_min
+        r = rows[lo:hi]
+        d2 = _pairwise_sq_dists(x[r], centroids, x_sq[r], out=buf[: hi - lo])
+        b = np.argmin(d2, axis=1, out=best[lo:hi])
+        at = np.arange(hi - lo)
+        first[lo:hi] = d2[at, b]
+        d2[at, b] = np.inf
+        np.min(d2, axis=1, out=second[lo:hi])
+    return best, first, second
 
 
-def _cluster_means(x, assignment, centroids):
-    """Set each non-empty cluster's centroid to its members' mean, in place.
+def _squared_errors(x, centroids, assignment, out) -> np.ndarray:
+    """(x - centroids[assignment])^2 entrywise, built in ``out``, an (n, dim) buffer."""
+    np.take(centroids, assignment, axis=0, out=out, mode="clip")  # "raise" would buffer
+    np.subtract(x, out, out=out)
+    return np.square(out, out=out)
 
-    Members are a slice of the pool stably sorted by cluster: the rows of
+
+def _cluster_means(x, assignment, centroids, touched, buf):
+    """Set each non-empty ``touched`` cluster's centroid to its members' mean, in place.
+
+    The touched clusters' rows, stably sorted by cluster, are gathered into
+    ``buf``: each cluster is a contiguous slice holding the rows of
     x[assignment == j] in the same order, so each mean is bitwise the same."""
-    order, bounds = _member_slices(assignment, centroids.shape[0])
-    xs = x[order]
+    rows = np.flatnonzero(touched[assignment])
+    order, bounds = _member_slices(assignment[rows], centroids.shape[0])
+    xs = np.take(x, rows[order], axis=0, out=buf[: rows.size], mode="clip")
     for j in np.flatnonzero(bounds[1:] > bounds[:-1]):
         centroids[j] = xs[bounds[j] : bounds[j + 1]].mean(axis=0)
     return centroids
 
 
-def _repair_empty(x, assignment, centroids):
+def _repair_empty(x, assignment, centroids, buf):
     """Move the globally farthest-from-centroid point into each empty cluster."""
     k = centroids.shape[0]
     empties = np.flatnonzero(np.bincount(assignment, minlength=k) == 0)
-    if empties.size == 0:
-        return assignment, centroids
     assignment = assignment.copy()
     for j in empties:
-        dists = np.sum((x - centroids[assignment]) ** 2, axis=1)
+        dists = np.sum(_squared_errors(x, centroids, assignment, buf), axis=1)
         # never steal the last member of another cluster
         sizes = np.bincount(assignment, minlength=k)
         dists[sizes[assignment] <= 1] = -np.inf
         donor = int(np.argmax(dists))
         assignment[donor] = j
         centroids[j] = x[donor]
-    return assignment, _cluster_means(x, assignment, centroids)
+    return assignment, _cluster_means(x, assignment, centroids, np.ones(k, dtype=bool), buf)
 
 
 def objective(model: ClusterModel, corpus: EmbeddingCorpus, normalize: bool = False) -> float:
@@ -291,10 +414,7 @@ def objective(model: ClusterModel, corpus: EmbeddingCorpus, normalize: bool = Fa
     if model.count != corpus.count:
         raise DataError(f"count mismatch: model {model.count}, corpus {corpus.count}")
     x = _points(corpus, normalize)
-    # one (count, dim) buffer, in the operation order of sum((x - c)^2)
-    diffs = model.centroids[model.assignment]
-    np.subtract(x, diffs, out=diffs)
-    return float(np.sum(np.square(diffs, out=diffs)))
+    return float(np.sum(_squared_errors(x, model.centroids, model.assignment, np.empty_like(x))))
 
 
 def save_cluster_model(path, model: ClusterModel) -> None:

@@ -117,8 +117,8 @@ class OracleConfig:
     seq_len: int = 8
 
     def __post_init__(self):
-        if self.candidates < 1:
-            raise UsageError(f"oracle.candidates must be >= 1, got {self.candidates}")
+        if self.candidates < 30:
+            raise UsageError(f"oracle.candidates must be >= 30, got {self.candidates}")
         if not self.damping >= 0.0:
             raise UsageError(f"oracle.damping must be >= 0, got {self.damping!r}")
         if self.seq_len < 2:

@@ -427,7 +427,8 @@ def backward_from_dlogits(params: ParamSet, cache: ForwardCache, dlogits: np.nda
         dkh = _rope_backward(dscores.swapaxes(-1, -2) @ qr, cos, sin)
         delta_qkv = np.concatenate([_merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)],
                                    axis=-1)
-        dh = dh + _rmsnorm_backward(save["h_in"], delta_qkv @ save["w_qkv"])
+        if li or param_grads:  # below layer 0, dh feeds only the embedding gradient
+            dh = dh + _rmsnorm_backward(save["h_in"], delta_qkv @ save["w_qkv"])
         tap(li, "attn-out", save["attn_in"], delta_o)
         tap(li, "qkv-joint", save["x_attn"], delta_qkv)
 

@@ -390,7 +390,7 @@ def run_oracle_check(oc, write) -> str:
     if grad_worst > 1e-6:
         raise NumericError(f"gradient check breach: rel err {grad_worst:.3e} > 1e-6")
 
-    data = make_qkv_study(n_curvature=4000, n_candidates=max(oc.candidates, 30),
+    data = make_qkv_study(n_curvature=4000, n_candidates=oc.candidates,
                           d_proj=6, d_in=8, coupling=0.85, seed=oc.seed)
     reports, _ = run_qkv_study(data, damping=oc.damping)
     write("oracle_methods.csv", "method,pearson,spearman,n",

@@ -398,7 +398,7 @@ def _reference_kmeans(x, k, seed=0, max_iters=100, tol=0.0, normalize=False):
         it += 1
         d2 = _pairwise_sq_dists(x, centroids, x_sq)
         new_assignment = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(x.shape[0]), new_assignment].sum()))
+        history.append(float(np.sum((x - centroids[new_assignment]) ** 2)))
         if np.array_equal(new_assignment, assignment):
             converged = True
             break
@@ -450,6 +450,59 @@ def test_kmeans_equals_full_matrix_mask_reference(name, seed):
         assert len(np.unique(x, axis=0)) < np.count_nonzero(got.sizes) == k
     if name == "tol-exit":
         assert not got.converged and got.n_iters < 100
+
+
+_PRUNING_CORPORA = {
+    **{name: (x, k, {"seed": 0, **kw}) for name, (x, k, kw) in _REFERENCE_CORPORA.items()},
+    "blobs-20000x64": (_SEEDING_CORPORA["blobs-20000x64"][0], 64, {"seed": 1}),
+    # rounding in the expansion form is about as large as the gaps between
+    # nearest and second-nearest centroids: only the error margins keep it exact
+    "offset-1e7": (1e7 + np.random.default_rng(5).normal(size=(2000, 4)), 12,
+                   {"seed": 0, "max_iters": 30}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRUNING_CORPORA))
+def test_pruned_pass_keeps_only_rows_whose_argmin_cannot_change(name, monkeypatch):
+    x, k, kwargs = _PRUNING_CORPORA[name]
+    n = x.shape[0]
+    assign_pruned, assign_rows = clustering._assign_pruned, clustering._assign_rows
+    pairwise = clustering._pairwise_sq_dists
+    recomputed, gemm_rows = [], []
+
+    def rows_spy(x, x_sq, centroids, rows):
+        recomputed.append(rows)
+        return assign_rows(x, x_sq, centroids, rows)
+
+    def pruned_spy(x, x_sq, centroids, assignment, upper, lower):
+        new = assign_pruned(x, x_sq, centroids, assignment, upper, lower)
+        kept = np.setdiff1d(np.arange(n), recomputed[-1])
+        full = np.argmin(pairwise(x, centroids, x_sq), axis=1)
+        np.testing.assert_array_equal(new[kept], assignment[kept])
+        np.testing.assert_array_equal(full[kept], assignment[kept])
+        return new
+
+    def pairwise_spy(a, centroids, a_sq=None, out=None):
+        if a is not centroids:  # the centroids' own matrix is bounded in any kernel
+            gemm_rows.append(a.shape[0])
+        return pairwise(a, centroids, a_sq, out)
+
+    monkeypatch.setattr(clustering, "_assign_rows", rows_spy)
+    monkeypatch.setattr(clustering, "_assign_pruned", pruned_spy)
+    monkeypatch.setattr(clustering, "_pairwise_sq_dists", pairwise_spy)
+    model = kmeans(EmbeddingCorpus(vectors=x), k, **kwargs)
+    monkeypatch.undo()
+
+    sizes = [rows.size for rows in recomputed]
+    assert len(sizes) == model.n_iters and sizes[0] == n
+    assert min(gemm_rows) >= min(n, ASSIGN_BLOCK_ROWS)
+    if model.converged:
+        normalize = kwargs.get("normalize", False)
+        assert model.objective_history[-1] == objective(
+            model, EmbeddingCorpus(vectors=x), normalize)
+    if name.startswith("blobs"):
+        assert model.converged and model.n_iters > 10
+        assert np.mean(sizes[1:]) < 0.1 * n
 
 
 def test_kmeans_never_holds_an_n_by_k_matrix():

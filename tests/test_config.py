@@ -183,6 +183,7 @@ def test_bad_section_value_exits_1_without_traceback(command, override, tmp_path
     ("sim.sigma=-1", "sim.sigma"),
     ("sim.sigma=nan", "sim.sigma"),
     ("oracle.candidates=0", "oracle.candidates"),
+    ("oracle.candidates=29", "oracle.candidates"),
     ("oracle.damping=-1", "oracle.damping"),
     ("oracle.damping=nan", "oracle.damping"),
     ("oracle.vocab_size=0", "oracle.vocab_size"),
@@ -201,7 +202,7 @@ def test_sim_and_oracle_sections_validated_at_load(override, key):
 def test_sim_and_oracle_boundary_values_accepted():
     cfg = load_config(None, overrides=[
         "sim.arms=1", "sim.steps=1", "sim.trials=1", "sim.members_per_arm=1", "sim.sigma=0",
-        "oracle.candidates=1", "oracle.damping=0", "oracle.vocab_size=1", "oracle.hidden_dim=2",
+        "oracle.candidates=30", "oracle.damping=0", "oracle.vocab_size=1", "oracle.hidden_dim=2",
         "oracle.n_layers=1", "oracle.n_heads=1", "oracle.seq_len=2",
     ])
     assert cfg.sim.arms == 1
@@ -214,6 +215,7 @@ def test_sim_and_oracle_boundary_values_accepted():
     ("simulate-bandit", "sim.trials=0"),
     ("oracle-check", "oracle.n_heads=0"),
     ("oracle-check", "oracle.seq_len=1"),
+    ("oracle-check", "oracle.candidates=5"),
 ])
 def test_bad_sim_or_oracle_value_exits_1_without_traceback(command, override, tmp_path, capsys):
     from influence_select import cli

@@ -96,6 +96,19 @@ def test_sequence_grads_equal_parameter_gradients(chunk_tokens):
                 np.testing.assert_array_equal(per_seq[b].ravel(), want)
 
 
+def test_taps_equal_with_and_without_parameter_gradients():
+    params = M.init_params(CFG, seed=6)
+    for _, tokens in M.chunks(_ragged_sequences(seed=2)):
+        _, cache = M.forward(params, tokens.ravel(), seq_len=tokens.shape[1])
+        grads, want = M.backward(params, cache, param_grads=True)
+        none, got = M.backward(params, cache, param_grads=False)
+        assert grads is not None and none is None
+        assert [(t.layer, t.kind) for t in got] == [(t.layer, t.kind) for t in want]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.x, w.x)
+            np.testing.assert_array_equal(g.delta, w.delta)
+
+
 def test_score_batch_rows_keep_input_order(chunk_tokens):
     params = M.init_params(CFG, seed=5)
     registry = M.tracked_layers(CFG)
