@@ -68,11 +68,6 @@ class BanditState:
             self.retired = np.zeros(self.n_clusters, dtype=bool)
 
 
-def cluster_score(state: BanditState, i: int) -> float:
-    """Arm i's entry of cluster_scores."""
-    return float(cluster_scores(state)[i])
-
-
 def cluster_scores(state: BanditState) -> np.ndarray:
     """Mean reward plus the UCB exploration bonus, for every arm.
 
@@ -314,11 +309,10 @@ def _derive_seed(seed: int, iteration: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed & 0xFFFFFFFF, iteration, stream]).generate_state(1)[0])
 
 
-def write_ledger_jsonl(path, ledger: SelectionLedger, fingerprint: str = "") -> None:
-    """One JSON record per iteration plus a final summary record."""
+def write_ledger_jsonl(path, ledger: SelectionLedger, fingerprint: str) -> None:
+    """A fingerprint record, one JSON record per iteration, then a summary record."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fingerprint:
-            fh.write(json.dumps({"config_fingerprint": fingerprint}, sort_keys=True) + "\n")
+        fh.write(json.dumps({"config_fingerprint": fingerprint}, sort_keys=True) + "\n")
         for rec in ledger.iterations:
             fh.write(
                 json.dumps(
@@ -349,10 +343,9 @@ def write_ledger_jsonl(path, ledger: SelectionLedger, fingerprint: str = "") -> 
         )
 
 
-def write_selection(path, ledger: SelectionLedger, fingerprint: str = "") -> None:
+def write_selection(path, ledger: SelectionLedger, fingerprint: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fingerprint:
-            fh.write(f"# config_fingerprint={fingerprint}\n")
+        fh.write(f"# config_fingerprint={fingerprint}\n")
         for i in ledger.selected:
             fh.write(f"{i}\n")
 
@@ -475,12 +468,7 @@ def simulate_policies(
         best_arm = int(np.argmax(means))
         values = means[:, None] + sigma * trial_rng.normal(size=(n_arms, members_per_arm))
         assignment = np.repeat(np.arange(n_arms, dtype=np.uint32), members_per_arm)
-        model = ClusterModel(
-            k=n_arms,
-            centroids=np.zeros((n_arms, 1)),
-            assignment=assignment,
-            sizes=np.full(n_arms, members_per_arm, dtype=np.int64),
-        )
+        model = ClusterModel(k=n_arms, centroids=np.zeros((n_arms, 1)), assignment=assignment)
 
         def scorer(ids):
             return [float(values[i // members_per_arm, i % members_per_arm]) for i in ids]

@@ -141,7 +141,8 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params, registry=registry)
     path = _out(cfg, "scores.csv")
-    write_csv(path, fp, "instance_id,score,method", scores.rows)
+    write_csv(path, fp, "instance_id,score,method",
+              ((i, s, ihvp.method) for i, s in zip(ids, scores)))
     print(f"scored {len(ids)} instances -> {path}")
     return 0
 
@@ -156,7 +157,7 @@ def cmd_select(cfg: RunConfig) -> int:
 
     def scorer(ids):
         rows = row_of[np.asarray(ids, dtype=np.int64)]
-        return influence.score_batch(table.take(rows), ihvp, params, registry=registry).scores()
+        return influence.score_batch(table.take(rows), ihvp, params, registry=registry)
 
     ledger = bandit_mod.run(
         cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
@@ -298,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry (flags win over the file)")
         if name == "score":
-            p.add_argument("--ids", default=None, help="comma-separated instance ids")
-            p.add_argument("--ids-file", default=None, help="whitespace-separated id file")
+            ids = p.add_mutually_exclusive_group()
+            ids.add_argument("--ids", default=None, help="comma-separated instance ids")
+            ids.add_argument("--ids-file", default=None, help="whitespace-separated id file")
     return parser
 
 

@@ -8,7 +8,7 @@ assigned centroid, which keeps k fixed (the bandit needs k arms).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class ClusterModel:
     k: int
     centroids: np.ndarray  # (k, dim) float64
     assignment: np.ndarray  # (count,) uint32
-    sizes: np.ndarray  # (k,) int64
-    objective_history: list[float] = field(default_factory=list)
     n_iters: int = 0
     converged: bool = False
 
@@ -176,8 +174,8 @@ def kmeans(
     that of full-matrix Lloyd passes, bit for bit, but after the first pass
     distances are computed only for rows whose bounds cannot prove their
     nearest centroid unchanged (_assign_pruned), and means only for clusters
-    whose members changed. objective_history holds each pass's objective(), the direct-form
-    sum of squares, before its centroid update.
+    whose members changed. n_iters counts the assign passes run; converged
+    is set when the last one moved no row.
     """
     if k == 0:
         raise DataError("k must be positive")
@@ -193,14 +191,12 @@ def kmeans(
     assignment = np.full(corpus.count, -1, dtype=np.int64)
     # Hamerly bounds; upper = inf sends a row to the distance pass (see _assign_pruned)
     upper, lower = np.full(corpus.count, np.inf), np.zeros(corpus.count)
-    buf = np.empty_like(x)  # serves the history, the means gather and the repair
-    history: list[float] = []
+    buf = np.empty_like(x)  # serves the means gather and the repair
     converged = False
     it = 0
     while it < max_iters:
         it += 1
         new_assignment = _assign_pruned(x, x_sq, centroids, assignment, upper, lower)
-        history.append(float(np.sum(_squared_errors(x, centroids, new_assignment, buf))))
         moved = np.flatnonzero(new_assignment != assignment)
         if moved.size == 0:
             converged = True
@@ -225,8 +221,6 @@ def kmeans(
         k=k,
         centroids=centroids,
         assignment=assignment.astype(np.uint32),
-        sizes=np.bincount(assignment, minlength=k).astype(np.int64),
-        objective_history=history,
         n_iters=it,
         converged=converged,
     )
@@ -443,5 +437,4 @@ def load_cluster_model(path) -> ClusterModel:
     assignment = np.frombuffer(data, dtype="<u4", count=count, offset=off).copy()
     if assignment.size and assignment.max() >= k:
         raise DataError(f"{path}: assignment index out of range")
-    sizes = np.bincount(assignment, minlength=k).astype(np.int64)
-    return ClusterModel(k=int(k), centroids=centroids, assignment=assignment, sizes=sizes)
+    return ClusterModel(k=int(k), centroids=centroids, assignment=assignment)

@@ -21,7 +21,7 @@ through the plain path, so sketched scoring costs the same as unsketched.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,28 +38,15 @@ class IhvpVector:
     """Reference gradient after the per-layer damped factored inverse."""
 
     vectors: dict[str, np.ndarray]
-    damping: float
     method: str = "factored"  # score label; "factored+sketch" after pullback_ihvp
 
 
 @dataclass(frozen=True)
 class SketchProjector:
-    """Seeded Rademacher projection spec; identity=True is a test hook that
-    bypasses projection entirely (target_dim must equal the input length)."""
+    """Seeded Rademacher projection spec."""
 
     target_dim: int
     seed: int
-    identity: bool = False
-
-
-@dataclass
-class InfluenceTable:
-    """(instance id, score, method) rows, in scoring order."""
-
-    rows: list[tuple[int, float, str]] = field(default_factory=list)
-
-    def scores(self) -> list[float]:
-        return [r[1] for r in self.rows]
 
 
 def reference_ihvp(
@@ -70,14 +57,8 @@ def reference_ihvp(
     missing = sorted(set(ref_grad) - set(inverses))
     if missing:
         raise DataError(f"missing curvature factor for tracked layer(s): {missing}")
-    vectors = {}
-    damping = None
-    for name, vec in ref_grad.items():
-        inv = inverses[name]
-        if damping is None:
-            damping = inv.damping
-        vectors[name] = kron_ihvp(inv, vec)
-    return IhvpVector(vectors=vectors, damping=float(damping))
+    return IhvpVector(vectors={name: kron_ihvp(inverses[name], vec)
+                               for name, vec in ref_grad.items()})
 
 
 def _layer_rng(projector: SketchProjector, layer_name: str) -> np.random.Generator:
@@ -98,10 +79,6 @@ def _sign_blocks(projector: SketchProjector, layer_name: str, n: int):
 
 def sketch_vector(projector: SketchProjector, layer_name: str, v: np.ndarray) -> np.ndarray:
     """Project one flat layer vector down to target_dim."""
-    if projector.identity:
-        if projector.target_dim != v.shape[0]:
-            raise DataError("identity sketch requires target_dim == vector length")
-        return v.copy()
     out = np.zeros(projector.target_dim)
     for cols, signs in _sign_blocks(projector, layer_name, v.shape[0]):
         out += signs @ v[cols]
@@ -113,30 +90,27 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
     draws for that layer, so ``<g, S^T S v>`` is the sketched score ``<S g, S v>``.
 
     Two passes over the layer's sign stream (S v, then S^T of it) keep one
-    block in memory at a time. The identity hook leaves v as it is.
+    block in memory at a time.
     """
     vectors = {}
     for name, vec in ihvp.vectors.items():
         sv = sketch_vector(projector, name, vec)
-        if projector.identity:
-            vectors[name] = sv
-            continue
         out = np.empty(vec.shape[0])
         for cols, signs in _sign_blocks(projector, name, vec.shape[0]):
             out[cols] = sv @ signs
         vectors[name] = out / np.sqrt(projector.target_dim)
-    return IhvpVector(vectors=vectors, damping=ihvp.damping, method="factored+sketch")
+    return IhvpVector(vectors=vectors, method="factored+sketch")
 
 
 def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet,
-                registry=None) -> InfluenceTable:
-    """Score every record of ``table`` in engine chunks; rows come in table
-    order, each under its record's id.
+                registry=None) -> list[float]:
+    """The influence score of every record of ``table``, in table order,
+    computed in engine chunks.
 
     Each tracked layer's per-sequence gradient delta^T x, straight from the
     engine's taps, is dotted with that layer's iHVP vector, and the layer
-    terms are summed in registry order. Rows carry ``ihvp.method``; every
-    score is checked to be finite.
+    terms are summed in registry order. Every score is checked to be finite;
+    the error names the record's instance id.
     """
     registry = registry if registry is not None else tracked_layers(params.config)
     scores = [0.0] * len(table)
@@ -145,9 +119,7 @@ def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet,
             vec = ihvp.vectors[tl.name]
             for p, g in zip(pos, sequence_grads(tap, pos.size).reshape(pos.size, -1)):
                 scores[p] += float(np.dot(g, vec))
-    out = InfluenceTable()
     for inst_id, s in zip(table.ids.tolist(), scores):
         if not np.isfinite(s):
             raise DataError(f"non-finite influence score for instance {inst_id}")
-        out.rows.append((inst_id, s, ihvp.method))
-    return out
+    return scores

@@ -52,7 +52,7 @@ def adam_step(value, grad, m, v, t, cfg: TrainConfig):
     return value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def train(params: ParamSet, data, cfg: TrainConfig, history: list | None = None) -> ParamSet:
+def train(params: ParamSet, data, cfg: TrainConfig) -> ParamSet:
     """Adam for cfg.steps over shuffled batches of ``data`` (a TokenTable or
     a list of token sequences); returns new parameters."""
     data = as_table(data)
@@ -81,8 +81,6 @@ def train(params: ParamSet, data, cfg: TrainConfig, history: list | None = None)
                 f"loss {batch_loss:.4g} exceeded {DIVERGENCE_FACTOR}x initial "
                 f"{initial_loss:.4g} at step {step}"
             )
-        if history is not None:
-            history.append((step, batch_loss))
         for name, arr in named.items():
             arr[...] = adam_step(arr, gnamed[name] / cfg.batch_size,
                                  m_state[name], v_state[name], step, cfg)

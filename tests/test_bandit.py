@@ -14,12 +14,7 @@ def _cluster_model(sizes):
         [np.full(n, i, dtype=np.uint32) for i, n in enumerate(sizes)]
     )
     k = len(sizes)
-    return ClusterModel(
-        k=k,
-        centroids=np.zeros((k, 1)),
-        assignment=assignment,
-        sizes=np.asarray(sizes, dtype=np.int64),
-    )
+    return ClusterModel(k=k, centroids=np.zeros((k, 1)), assignment=assignment)
 
 
 def _state(rewards, pulls, alpha=0.002):
@@ -31,8 +26,8 @@ def _state(rewards, pulls, alpha=0.002):
 
 def test_cluster_score_alpha_zero_is_mean():
     st = _state([0.9, 0.4], [3, 2], alpha=0.0)
-    assert B.cluster_score(st, 0) == pytest.approx(0.3, rel=1e-12)
-    assert B.cluster_score(st, 1) == pytest.approx(0.2, rel=1e-12)
+    assert B.cluster_scores(st)[0] == pytest.approx(0.3, rel=1e-12)
+    assert B.cluster_scores(st)[1] == pytest.approx(0.2, rel=1e-12)
 
 
 def test_cluster_score_frozen_scalar():
@@ -40,19 +35,19 @@ def test_cluster_score_frozen_scalar():
     st = _state([0.003 * 4, 0.0], [4, 96], alpha=0.002)
     want = 0.003 + 0.002 * math.sqrt(2.0 * math.log(100.0) / 4.0)
     assert want == pytest.approx(0.0060350, abs=5e-7)
-    assert B.cluster_score(st, 0) == pytest.approx(want, rel=1e-12)
+    assert B.cluster_scores(st)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_cluster_score_prefers_less_visited_on_equal_means():
     st = _state([0.5 * 2, 0.5 * 6], [2, 6], alpha=0.1)
-    assert B.cluster_score(st, 0) > B.cluster_score(st, 1)
+    assert B.cluster_scores(st)[0] > B.cluster_scores(st)[1]
 
 
 def test_cluster_score_unpulled_is_infinite():
     st = _state([0.0, 1.0], [0, 1])
-    assert B.cluster_score(st, 0) == math.inf
+    assert B.cluster_scores(st)[0] == math.inf
     st.retired[0] = True
-    assert B.cluster_score(st, 0) == -math.inf
+    assert B.cluster_scores(st)[0] == -math.inf
 
 
 def test_pull_constant_scorer_updates_reward_and_count():

@@ -118,10 +118,10 @@ def test_score_batch_rows_keep_input_order(chunk_tokens):
     ihvp = I.reference_ihvp(ref_grad, inverses)
     ids = list(range(100, 100 + len(seqs)))[::-1]
     instances = TokenTable.from_sequences(seqs, ids=ids)
-    table = I.score_batch(instances, ihvp, params, registry=registry)
-    assert [r[0] for r in table.rows] == ids
-    for r, row in enumerate(table.rows):
-        assert row[1] == I.score_batch(instances.take([r]), ihvp, params, registry).rows[0][1]
+    scores = I.score_batch(instances, ihvp, params, registry=registry)
+    assert len(scores) == len(ids)
+    for r, score in enumerate(scores):
+        assert score == I.score_batch(instances.take([r]), ihvp, params, registry)[0]
 
 
 def test_collect_factors_reference_gradient_in_the_same_pass():
@@ -177,8 +177,7 @@ def test_bandit_scores_once_per_iteration_with_an_unchanged_ledger(tmp_path, mon
     sizes = [30, 12, 25, 8, 40, 17]
     assignment = np.concatenate([np.full(n, i, dtype=np.uint32) for i, n in enumerate(sizes)])
     model = ClusterModel(k=len(sizes), centroids=np.zeros((len(sizes), 1)),
-                         assignment=np.random.default_rng(0).permutation(assignment),
-                         sizes=np.asarray(sizes, dtype=np.int64))
+                         assignment=np.random.default_rng(0).permutation(assignment))
     values = np.random.default_rng(1).normal(size=assignment.size)
     cfg = B.BanditConfig(alpha=0.5, tau=0.1, gamma=0.2, top_k=3, batch_size=5,
                          reward_mode="mean")

@@ -68,8 +68,8 @@ def test_orthogonal_gradient_scores_zero():
         gg = float(g @ g)
         v = v - g * (float(v @ g) / gg if gg > 0 else 0.0)
         vectors[name] = v
-    ihvp = I.IhvpVector(vectors=vectors, damping=0.0)
-    score = I.score_batch(TokenTable.from_sequences([[1, 2, 3, 4]]), ihvp, params, registry).rows[0][1]
+    ihvp = I.IhvpVector(vectors=vectors)
+    score = I.score_batch(TokenTable.from_sequences([[1, 2, 3, 4]]), ihvp, params, registry)[0]
     scale = sum(abs(float(g @ vectors[n])) for n, g in grads.items()) + 1.0
     assert abs(score) < 1e-9 * scale
 
@@ -80,7 +80,7 @@ def test_self_alignment_positive_norm_squared():
     seq = [1, 2, 3, 4, 5, 6]
     ref_grad = C.collect_factors(params, [seq], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    score = I.score_batch(TokenTable.from_sequences([seq]), ihvp, params, registry).rows[0][1]
+    score = I.score_batch(TokenTable.from_sequences([seq]), ihvp, params, registry)[0]
     want = sum(float(v @ v) for v in ref_grad.values())
     assert score == pytest.approx(want, rel=1e-12)
     assert score > 0.0
@@ -93,7 +93,7 @@ def test_additivity_over_layers():
     ref_grad = C.collect_factors(params, seqs, registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     inst = [2, 4, 6, 8]
-    total = I.score_batch(TokenTable.from_sequences([inst]), ihvp, params, registry).rows[0][1]
+    total = I.score_batch(TokenTable.from_sequences([inst]), ihvp, params, registry)[0]
     grads = M.grad_of_sequence(params, inst, registry)
     per_layer = [float(grads[tl.name] @ ihvp.vectors[tl.name]) for tl in registry]
     assert total == sum(per_layer)  # exact float equality: same reduction order
@@ -120,11 +120,10 @@ def test_score_batch_matches_sequential_and_preserves_order():
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     rng = np.random.default_rng(7)
     instances = TokenTable.from_sequences([rng.integers(0, 13, size=6) for _ in range(100)])
-    table = I.score_batch(instances, ihvp, params, registry=registry)
-    assert [r[0] for r in table.rows] == list(range(100))
-    for r, row in enumerate(table.rows):
-        assert row[1] == I.score_batch(instances.take([r]), ihvp, params, registry).rows[0][1]
-        assert row[2] == "factored"
+    scores = I.score_batch(instances, ihvp, params, registry=registry)
+    assert len(scores) == 100
+    for r, score in enumerate(scores):
+        assert score == I.score_batch(instances.take([r]), ihvp, params, registry)[0]
 
 
 def test_score_batch_empty_and_singleton():
@@ -133,33 +132,26 @@ def test_score_batch_empty_and_singleton():
     ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     empty = TokenTable.from_sequences([])
-    assert I.score_batch(empty, ihvp, params, registry=registry).rows == []
+    assert I.score_batch(empty, ihvp, params, registry=registry) == []
     one = TokenTable.from_sequences([[2, 3, 4]], ids=[9])
-    table = I.score_batch(one, ihvp, params, registry=registry)
-    assert table.rows[0][0] == 9
+    scores = I.score_batch(one, ihvp, params, registry=registry)
+    assert len(scores) == 1
     pair = TokenTable.from_sequences([[5, 6, 7], [2, 3, 4]], ids=[4, 9])  # same chunk
-    assert table.rows[0][1] == I.score_batch(pair, ihvp, params, registry).rows[1][1]
+    assert scores[0] == I.score_batch(pair, ihvp, params, registry)[1]
+
+
+def test_score_batch_non_finite_score_names_the_instance():
+    params = M.init_params(CFG, seed=6)
+    registry = M.tracked_layers(CFG)
+    ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
+    ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
+    ihvp.vectors[registry[0].name] = ihvp.vectors[registry[0].name] * np.nan
+    pair = TokenTable.from_sequences([[5, 6, 7], [2, 3, 4]], ids=[4, 9])
+    with pytest.raises(DataError, match="non-finite influence score for instance 4"):
+        I.score_batch(pair, ihvp, params, registry=registry)
 
 
 # ------------------------------------------------------------- sketching
-
-
-def test_identity_sketch_hook_is_exact():
-    params = M.init_params(CFG, seed=8)
-    registry = M.tracked_layers(CFG)
-    seqs = [[1, 2, 3, 4]]
-    ref_grad = C.collect_factors(params, seqs, registry)[1]
-    ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    inst = [5, 6, 7, 8]
-    exact = I.score_batch(TokenTable.from_sequences([inst]), ihvp, params, registry).rows[0][1]
-    # the hook only supports a single uniform length, so check per layer
-    total = 0.0
-    for tl in registry:
-        proj = I.SketchProjector(target_dim=tl.flat_dim, seed=0, identity=True)
-        g = M.grad_of_sequence(params, inst, registry)[tl.name]
-        total += float(I.sketch_vector(proj, tl.name, g)
-                       @ I.sketch_vector(proj, tl.name, ihvp.vectors[tl.name]))
-    assert total == pytest.approx(exact, rel=1e-12)
 
 
 def test_sketch_determinism_bitwise():
@@ -193,10 +185,11 @@ def test_sketched_batch_method_label_and_determinism():
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     proj = I.SketchProjector(target_dim=64, seed=3)
     insts = TokenTable.from_sequences([[1, 2, 3, i % 11] for i in range(5)])
-    t1 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
+    folded = I.pullback_ihvp(proj, ihvp)
+    assert (ihvp.method, folded.method) == ("factored", "factored+sketch")
+    t1 = I.score_batch(insts, folded, params, registry=registry)
     t2 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
-    assert t1.rows == t2.rows
-    assert all(r[2] == "factored+sketch" for r in t1.rows)
+    assert t1 == t2
 
 
 def _jl_scores(proj, params, registry, ihvp, seqs):
@@ -220,13 +213,11 @@ def test_folded_sketch_matches_jl_sketched_score_on_ragged_batch():
     seqs = [rng.integers(0, 13, size=n).tolist() for n in (2, 7, 16, 3, 11, 7, 5, 14)]
     proj = I.SketchProjector(target_dim=48, seed=21)
     insts = TokenTable.from_sequences(seqs)
-    table = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
-    got = np.asarray(table.scores())
+    got = np.asarray(I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry))
     want = _jl_scores(proj, params, registry, ihvp, seqs)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    assert [r[0] for r in table.rows] == list(range(len(seqs)))
     # the sketch changes the scores: this is not the unsketched path
-    plain = np.asarray(I.score_batch(insts, ihvp, params, registry=registry).scores())
+    plain = np.asarray(I.score_batch(insts, ihvp, params, registry=registry))
     assert np.max(np.abs(got - plain)) > 1e-6 * np.max(np.abs(plain))
 
 
@@ -235,9 +226,8 @@ def test_pullback_covers_the_multi_block_stream():
     n = 2 * I.SKETCH_BLOCK + 123
     v = rng.normal(size=n)
     proj = I.SketchProjector(target_dim=16, seed=4)
-    folded = I.pullback_ihvp(proj, I.IhvpVector(vectors={"layer0.mlp-1": v}, damping=0.0))
+    folded = I.pullback_ihvp(proj, I.IhvpVector(vectors={"layer0.mlp-1": v}))
     assert folded.method == "factored+sketch"
-    assert folded.damping == 0.0
     sv = I.sketch_vector(proj, "layer0.mlp-1", v)
     for _ in range(3):
         g = rng.normal(size=n)
@@ -246,32 +236,11 @@ def test_pullback_covers_the_multi_block_stream():
         assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_identity_pullback_is_the_plain_score():
-    params = M.init_params(CFG, seed=8)
-    registry = M.tracked_layers(CFG, kinds=("attn-out",))
-    ref_grad = C.collect_factors(params, [[1, 2, 3, 4]], registry)[1]
-    ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    proj = I.SketchProjector(target_dim=registry[0].flat_dim, seed=0, identity=True)
-    folded = I.pullback_ihvp(proj, ihvp)
-    np.testing.assert_array_equal(folded.vectors[registry[0].name],
-                                  ihvp.vectors[registry[0].name])
-    insts = TokenTable.from_sequences([[5, 6, 7, i % 13] for i in range(4)])
-    got = I.score_batch(insts, folded, params, registry=registry)
-    want = I.score_batch(insts, ihvp, params, registry=registry)
-    assert got.scores() == want.scores()
-    assert got.scores() == pytest.approx(
-        list(_jl_scores(proj, params, registry, ihvp, list(insts))), rel=1e-12)
-    wrong = I.SketchProjector(target_dim=7, seed=0, identity=True)
-    with pytest.raises(DataError, match="identity sketch"):
-        I.pullback_ihvp(wrong, ihvp)
-
-
 def test_influence_csv_round_trip(tmp_path):
-    table = I.InfluenceTable(rows=[(0, 1.2345678901234567e-3, "factored"),
-                                   (7, -2.5, "factored+sketch")])
+    rows = [(0, 1.2345678901234567e-3, "factored"), (7, -2.5, "factored+sketch")]
     path = tmp_path / "scores.csv"
-    write_csv(path, "abc123", "instance_id,score,method", table.rows)
+    write_csv(path, "abc123", "instance_id,score,method", rows)
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# config_fingerprint=abc123", "instance_id,score,method"]
     again = [line.split(",") for line in lines[2:]]
-    assert [(int(i), float(s), m) for i, s, m in again] == table.rows
+    assert [(int(i), float(s), m) for i, s, m in again] == rows

@@ -156,13 +156,6 @@ def test_package_and_cli_import_without_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_every_package_export_resolves():
-    import influence_select
-
-    missing = [name for name in influence_select.__all__ if not hasattr(influence_select, name)]
-    assert missing == []
-
-
 def test_rerun_is_byte_identical(workdir, tmp_path):
     root, cfg = workdir
     out = tmp_path / "det"
@@ -376,6 +369,8 @@ def test_binary_file_read_as_csv_embeddings_is_data_error(workdir, tmp_path, cap
     (["--ids", "-1"], 2, "no token record for instance id(s) [-1]"),
     (["--ids", "3,600"], 2, "no token record for instance id(s) [600]"),
     (["--ids", ","], 1, "--ids: no instance ids given"),
+    (["--ids", "1,2", "--ids-file", "/nonexistent/ids.txt"], 1,
+     "argument --ids-file: not allowed with argument --ids"),
 ])
 def test_score_bad_ids(workdir, tmp_path, capsys, no_factor_setup, argv, code, needle):
     root, cfg = workdir
@@ -472,6 +467,24 @@ def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path,
     assert "Traceback" not in err
 
 
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_TRACER = os.path.join(_REPO, "perfbench", "tracing.py")
+
+
+def _traced(tmp_path, *argv):
+    """Run one command under ``perfbench/tracing.py``, require exit 0 and return
+    the command's per-layer metrics."""
+    spans_path = tmp_path / f"spans-{argv[0]}.json"
+    done = subprocess.run([sys.executable, _TRACER, str(spans_path), *argv],
+                          env=dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src")),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.command_metrics(json.loads(spans_path.read_text()), 0.0)
+
+
 def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_path):
     """``perfbench/tracing.py`` runs ``select`` and reads ``model.tokens`` from the
     ``tokens`` argument of every ``model.forward`` call: the reference set once,
@@ -479,24 +492,27 @@ def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_p
     from influence_select.corpus import load_tokens
 
     root, cfg = workdir
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    tracer = os.path.join(repo, "perfbench", "tracing.py")
     out = tmp_path / "out"
     shutil.copytree(selected_out, out)
-    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    spans_path = tmp_path / "spans.json"
-    done = subprocess.run([sys.executable, tracer, str(spans_path), "select", "--config", str(cfg),
-                           "--set", f"paths.output_dir={out}"], env=env, capture_output=True,
-                          text=True)
-    assert done.returncode == 0, done.stderr
-
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracer)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    metrics = tracing.command_metrics(json.loads(spans_path.read_text()), 0.0)
+    metrics = _traced(tmp_path, "select", "--config", str(cfg), "--set", f"paths.output_dir={out}")
     tokens = load_tokens(root / "tokens.tsv")
     length = dict(zip(tokens.ids.tolist(), tokens.lengths.tolist()))
     sampled = {i for line in (out / "ledger.jsonl").read_text().splitlines()
                for pull in json.loads(line).get("pulls", []) for i in pull["sampled_ids"]}
     want = int(load_tokens(root / "reference.tsv").lengths.sum()) + sum(length[i] for i in sampled)
     assert metrics["model.tokens"] == want
+
+
+def test_traced_cluster_score_report_read_their_attributes(selected_out, workdir, tmp_path):
+    """The tracer reads ``kmeans(...).n_iters`` in ``cluster`` and ``train``'s ``cfg``
+    in ``report``, which trains three baselines; ``score`` runs traced too."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    args = ["--config", str(cfg), "--set", f"paths.output_dir={out}"]
+    cluster = _traced(tmp_path, "cluster", *args)
+    meta = json.loads((out / "clusters.bin.meta.json").read_text())
+    assert cluster["clustering.iters"] == meta["iterations"]
+    _traced(tmp_path, "score", *args, "--ids", "0,5,10")
+    report = _traced(tmp_path, "report", *args)
+    assert report["trainer.steps"] == 3 * 8  # trainer.steps = 8 in the fixture's config

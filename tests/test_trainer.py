@@ -35,10 +35,9 @@ def test_overfits_memorizable_set():
     params = M.init_params(CFG, seed=2)
     pool = [rng.integers(0, 12, size=8).tolist() for _ in range(6)]
     data = [pool[i % len(pool)] for i in range(50)]
-    history = []
     cfg = T.TrainConfig(learning_rate=2e-3, batch_size=16, steps=200, seed=0)
-    out = T.train(params, data, cfg, history=history)
-    initial = history[0][1]
+    initial = T.eval_loss(params, data)
+    out = T.train(params, data, cfg)
     final = T.eval_loss(out, data)
     assert final < 0.5 * initial
 
