@@ -108,6 +108,7 @@ class SelectionLedger:
     selected: list[int] = field(default_factory=list)  # selection order
     truncated: bool = False
     final_state: BanditState | None = None
+    reward_mode: str = "sum"  # how the pulls' batch rewards were credited
     _mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool),
                               init=False, repr=False, compare=False)
     _marked: int = field(default=0, init=False, repr=False, compare=False)
@@ -276,7 +277,7 @@ def run(
     """
     check_run(cfg, model, budget)
     state = BanditState(n_clusters=model.k, alpha=cfg.alpha)
-    ledger = SelectionLedger()
+    ledger = SelectionLedger(reward_mode=cfg.reward_mode)
     cached = scorer if isinstance(scorer, CachedScorer) else CachedScorer(scorer)
     iteration = 0
     while len(ledger.selected) < budget:
@@ -310,9 +311,11 @@ def _derive_seed(seed: int, iteration: int, stream: int) -> int:
 
 
 def write_ledger_jsonl(path, ledger: SelectionLedger, fingerprint: str) -> None:
-    """A fingerprint record, one JSON record per iteration, then a summary record."""
+    """A header record (fingerprint and reward mode), one JSON record per
+    iteration, then a summary record."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps({"config_fingerprint": fingerprint}, sort_keys=True) + "\n")
+        fh.write(json.dumps({"config_fingerprint": fingerprint,
+                             "reward_mode": ledger.reward_mode}, sort_keys=True) + "\n")
         for rec in ledger.iterations:
             fh.write(
                 json.dumps(
@@ -374,8 +377,9 @@ def read_selection(path, count: int | None = None) -> list[int]:
     return out
 
 
-def replay_ledger(path, model: ClusterModel, reward_mode: str):
-    """Replay the pulls of a ledger written by ``write_ledger_jsonl``.
+def replay_ledger(path, model: ClusterModel):
+    """Replay the pulls of a ledger written by ``write_ledger_jsonl``, crediting
+    them under the reward mode its header record names.
 
     Returns ``(state, trajectory)``: the arms' reward and pull counts as
     ``run`` left them (alpha and retirements are not recorded, so alpha is 0
@@ -388,7 +392,15 @@ def replay_ledger(path, model: ClusterModel, reward_mode: str):
     trajectory = []
     last = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            head = json.loads(fh.readline())
+        except ValueError:
+            head = None
+        reward_mode = head.get("reward_mode") if isinstance(head, dict) else None
+        if reward_mode not in REWARD_MODES:
+            raise DataError(f"{path}:1: header record has reward_mode {reward_mode!r}, "
+                            f"expected one of {REWARD_MODES}")
+        for lineno, line in enumerate(fh, start=2):
             where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)

@@ -216,7 +216,7 @@ def cmd_report(cfg: RunConfig) -> int:
     sel_path = _require(os.path.join(cfg.paths.output_dir, "selection.txt"), "select")
     led_path = _require(os.path.join(cfg.paths.output_dir, "ledger.jsonl"), "select")
     selected = bandit_mod.read_selection(sel_path, count=emb.count)
-    state, trajectory = bandit_mod.replay_ledger(led_path, cmodel, cfg.bandit.reward_mode)
+    state, trajectory = bandit_mod.replay_ledger(led_path, cmodel)
 
     # selection composition per cluster
     comp = np.bincount(cmodel.assignment[np.asarray(selected, dtype=np.int64)],
@@ -276,15 +276,18 @@ def _parse_ids(args) -> list[int]:
         source = "--ids"
     else:
         raise UsageError("score needs --ids or --ids-file")
-    ids = []
+    ids: dict[int, None] = {}  # an ordered set of the ids read so far
     for tok in tokens:
         try:
-            ids.append(int(tok))
+            i = int(tok)
         except ValueError:
             raise UsageError(f"{source}: {tok.strip()!r} is not an instance id") from None
+        if i in ids:
+            raise UsageError(f"{source}: instance id {i} is repeated")
+        ids[i] = None
     if not ids:
         raise UsageError(f"{source}: no instance ids given")
-    return ids
+    return list(ids)
 
 
 def build_parser() -> argparse.ArgumentParser:

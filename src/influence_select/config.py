@@ -26,6 +26,11 @@ class PathsConfig:
     reference: str = "reference.tsv"
     output_dir: str = "out"
 
+    def __post_init__(self):
+        if self.embedding_format not in ("binary", "csv"):
+            raise UsageError("paths.embedding_format must be one of ('binary', 'csv'), "
+                             f"got {self.embedding_format!r}")
+
 
 @dataclass
 class ClusteringConfig:
@@ -109,29 +114,12 @@ class OracleConfig:
     candidates: int = 40
     damping: float = 1e-3
     seed: int = 0
-    # tiny dims so the dense cap holds
-    vocab_size: int = 13
-    hidden_dim: int = 12
-    n_layers: int = 1
-    n_heads: int = 2
-    seq_len: int = 8
 
     def __post_init__(self):
         if self.candidates < 30:
             raise UsageError(f"oracle.candidates must be >= 30, got {self.candidates}")
         if not self.damping >= 0.0:
             raise UsageError(f"oracle.damping must be >= 0, got {self.damping!r}")
-        if self.seq_len < 2:
-            raise UsageError(f"oracle.seq_len must be >= 2, got {self.seq_len}")
-        self.model_config()
-
-    def model_config(self) -> ModelConfig:
-        """The tiny model of the gradient check; bad sizes name ``oracle.<key>``."""
-        return ModelConfig(
-            vocab_size=self.vocab_size, hidden_dim=self.hidden_dim, n_layers=self.n_layers,
-            n_heads=self.n_heads, max_context=4 * self.seq_len, mlp_ratio=8.0 / 3.0,
-            section="oracle",
-        )
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensorio
 from .errors import DataError, SingularFactorError
-from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads, tracked_layers
+from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads
 
 EIG_FLOOR_REL = 1e-12
 
@@ -81,13 +81,12 @@ def accumulate(factor: KroneckerFactor, tap: LayerTap) -> KroneckerFactor:
     )
 
 
-def collect_factors(params: ParamSet, sequences, registry=None):
+def collect_factors(params: ParamSet, sequences, registry: list[TrackedLayer]):
     """Estimate factors over a sequence set from the model engine's taps.
 
     Returns ``(factors, grad)``: the same pass also gives ``grad``, the mean
     per-sequence tracked-layer gradient, flattened row-major per layer.
     """
-    registry = registry if registry is not None else tracked_layers(params.config)
     if not sequences:
         raise DataError("collect_factors needs a non-empty sequence set")
     factors = {tl.name: zero_factor(tl) for tl in registry}

@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import TokenTable
 from .curvature import DampedFactorInverse, kron_ihvp
 from .errors import DataError
-from .model import ParamSet, chunk_taps, sequence_grads, tracked_layers
+from .model import ParamSet, TrackedLayer, chunk_taps, sequence_grads
 
 SKETCH_BLOCK = 1 << 14  # input dims consumed per RNG draw; part of the stream layout
 
@@ -103,7 +103,7 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
 
 
 def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet,
-                registry=None) -> list[float]:
+                registry: list[TrackedLayer]) -> list[float]:
     """The influence score of every record of ``table``, in table order,
     computed in engine chunks.
 
@@ -112,7 +112,6 @@ def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet,
     terms are summed in registry order. Every score is checked to be finite;
     the error names the record's instance id.
     """
-    registry = registry if registry is not None else tracked_layers(params.config)
     scores = [0.0] * len(table)
     for pos, taps in chunk_taps(params, table, registry):
         for tl, tap in zip(registry, taps):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,8 +34,7 @@ TAP_KINDS = ("qkv-joint", "attn-out", "mlp-1", "mlp-2")
 @dataclass(frozen=True)
 class ModelConfig:
     """The model's shape, checked on construction; errors name the config key
-    ``<section>.<field>``. ``section`` is not a field, so the hash (the RoPE and
-    mask cache key) and equality ignore it."""
+    ``model.<field>``."""
 
     vocab_size: int = 256
     hidden_dim: int = 64
@@ -44,26 +43,25 @@ class ModelConfig:
     max_context: int = 64
     mlp_ratio: float = 8.0 / 3.0
     rope_base: float = 10000.0
-    section: InitVar[str] = "model"
 
-    def __post_init__(self, section):
+    def __post_init__(self):
         for key in ("vocab_size", "hidden_dim", "n_layers", "n_heads"):
             if getattr(self, key) < 1:
-                raise UsageError(f"{section}.{key} must be >= 1, got {getattr(self, key)}")
+                raise UsageError(f"model.{key} must be >= 1, got {getattr(self, key)}")
         if self.hidden_dim % self.n_heads != 0:
-            raise UsageError(f"{section}.n_heads must divide {section}.hidden_dim, got "
+            raise UsageError("model.n_heads must divide model.hidden_dim, got "
                              f"{self.n_heads} and {self.hidden_dim}")
         if self.head_dim % 2 != 0:
-            raise UsageError(f"{section}.hidden_dim / {section}.n_heads must be even for rotary "
+            raise UsageError("model.hidden_dim / model.n_heads must be even for rotary "
                              f"embeddings, got {self.hidden_dim} / {self.n_heads}")
         if self.max_context < 2:
-            raise UsageError(f"{section}.max_context must be >= 2, got {self.max_context}")
+            raise UsageError(f"model.max_context must be >= 2, got {self.max_context}")
         width = self.mlp_ratio * self.hidden_dim
         if not (math.isfinite(width) and round(width) >= 1):
-            raise UsageError(f"{section}.mlp_ratio must give an MLP width >= 1, "
+            raise UsageError("model.mlp_ratio must give an MLP width >= 1, "
                              f"got {self.mlp_ratio!r}")
         if not self.rope_base > 0.0:
-            raise UsageError(f"{section}.rope_base must be > 0, got {self.rope_base!r}")
+            raise UsageError(f"model.rope_base must be > 0, got {self.rope_base!r}")
 
     @property
     def head_dim(self) -> int:
@@ -376,18 +374,13 @@ def ce_dlogits(cache: ForwardCache) -> np.ndarray:
 
 
 def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
-    """Exact gradients of the cached loss plus per-layer taps.
+    """Exact gradients of the cached loss plus per-layer taps, backpropagated
+    from the cross-entropy logit gradient ``ce_dlogits(cache)``.
 
     Returns (grads, taps): grads is ParamSet-shaped and summed over a chunk's
     sequences (None when ``param_grads`` is false); taps hold the per-token
     (x, delta) rows of every tracked layer, sequence-major for a chunk.
     """
-    return backward_from_dlogits(params, cache, ce_dlogits(cache), param_grads)
-
-
-def backward_from_dlogits(params: ParamSet, cache: ForwardCache, dlogits: np.ndarray,
-                          param_grads: bool = True):
-    """Backpropagate an arbitrary logit gradient through the cached forward."""
     if cache.params is not params:
         raise DataError("stale cache: it was produced by a different ParamSet")
     cfg = params.config
@@ -400,6 +393,7 @@ def backward_from_dlogits(params: ParamSet, cache: ForwardCache, dlogits: np.nda
         taps.append(LayerTap(li, kind, x=x.reshape(-1, x.shape[-1]),
                              delta=delta.reshape(-1, delta.shape[-1])))
 
+    dlogits = ce_dlogits(cache)
     dhn = dlogits @ params.head
     dh = _rmsnorm_backward(cache.h_final, dhn)
 
@@ -453,13 +447,12 @@ def sequence_grads(tap: LayerTap, n_seq: int) -> np.ndarray:
     return delta.swapaxes(1, 2) @ tap.x.reshape(n_seq, -1, tap.x.shape[1])
 
 
-def chunk_taps(params: ParamSet, sequences, registry=None):
+def chunk_taps(params: ParamSet, sequences, registry: list[TrackedLayer]):
     """Forward and backward over ``sequences`` in engine chunks, keeping taps.
 
     Yields ``(positions, taps)`` per chunk (see ``chunks``), with one tap per
     registry entry, in registry order. No parameter gradient is formed.
     """
-    registry = registry if registry is not None else tracked_layers(params.config)
     keys = [(tl.layer, tl.kind) for tl in registry]
     for pos, tokens in chunks(sequences):
         _, cache = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
@@ -485,18 +478,13 @@ def layer_grad_matrix(grads: ParamSet, tl: TrackedLayer) -> np.ndarray:
     raise DataError(f"unknown tap kind {tl.kind!r}")
 
 
-def flat_layer_grads(grads: ParamSet, registry: list[TrackedLayer]) -> dict[str, np.ndarray]:
-    """Row-major flattened gradients per tracked layer."""
-    return {tl.name: layer_grad_matrix(grads, tl).ravel() for tl in registry}
-
-
-def grad_of_sequence(params: ParamSet, tokens, registry=None) -> dict[str, np.ndarray]:
-    """One sequence's flattened tracked-layer gradients, from the parameter
-    gradient of a one-sequence chunk (the per-sequence oracle)."""
-    registry = registry if registry is not None else tracked_layers(params.config)
+def grad_of_sequence(params: ParamSet, tokens,
+                     registry: list[TrackedLayer]) -> dict[str, np.ndarray]:
+    """One sequence's row-major flattened tracked-layer gradients, from the
+    parameter gradient of a one-sequence chunk (the per-sequence oracle)."""
     _, cache = forward(params, tokens, seq_len=len(tokens))
     grads, _ = backward(params, cache)
-    return flat_layer_grads(grads, registry)
+    return {tl.name: layer_grad_matrix(grads, tl).ravel() for tl in registry}
 
 
 def concat_layer_vectors(vectors: dict[str, np.ndarray], registry: list[TrackedLayer]) -> np.ndarray:

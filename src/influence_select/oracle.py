@@ -28,16 +28,14 @@ from .curvature import (
 from .errors import DataError, NumericError
 from .model import (
     LayerTap,
+    ModelConfig,
     ParamSet,
     TrackedLayer,
     backward,
-    backward_from_dlogits,
     concat_layer_vectors,
-    flat_layer_grads,
     forward,
     grad_of_sequence,
     init_params,
-    tracked_layers,
 )
 
 PARAM_CAP = 3000
@@ -45,52 +43,31 @@ SOLVE_RESIDUAL_RTOL = 1e-9
 
 METHODS = ("no-hessian", "independent-qkv", "joint-qkv")
 
+# the gradient check's model and sequence length; no config key sets them
+GRADCHECK_MODEL = ModelConfig(vocab_size=13, hidden_dim=12, n_layers=1, n_heads=2,
+                              max_context=32, mlp_ratio=8.0 / 3.0)
+GRADCHECK_SEQ_LEN = 8
+
 
 def dense_curvature(
     params: ParamSet,
     dataset,
-    definition: str = "empirical-gradient-outer-product",
-    registry=None,
+    registry: list[TrackedLayer],
     param_cap: int = PARAM_CAP,
 ) -> np.ndarray:
-    """Exact (P, P) curvature over the flattened tracked parameters.
-
-    "empirical-gradient-outer-product" is the mean of per-sequence flattened
-    gradient outer products (the quantity the Kronecker factorization
-    targets); "gauss-newton" is the model's predictive-distribution Fisher,
-    computed by enumerating labels per position. Each sequence goes through
-    the engine as a chunk of one.
+    """Exact (P, P) curvature over the flattened tracked parameters: the mean
+    of per-sequence flattened gradient outer products, the quantity the
+    Kronecker factorization targets. Each sequence goes through the engine as
+    a chunk of one.
     """
-    registry = registry if registry is not None else tracked_layers(params.config)
     P = sum(tl.flat_dim for tl in registry)
     if P > param_cap:
         raise DataError(f"tracked parameter count {P} exceeds dense cap {param_cap}")
     H = np.zeros((P, P))
-    if definition == "empirical-gradient-outer-product":
-        for seq in dataset:
-            g = concat_layer_vectors(grad_of_sequence(params, seq, registry), registry)
-            H += np.outer(g, g)
-        H /= len(dataset)
-    elif definition == "gauss-newton":
-        for seq in dataset:
-            _, cache = forward(params, seq, seq_len=len(seq))
-            n_pred = len(seq) - 1
-            for t in range(n_pred):
-                p_t = cache.probs[0, t]
-                for y in range(params.config.vocab_size):
-                    w = p_t[y]
-                    if w < 1e-14:
-                        continue
-                    dlogits = np.zeros_like(cache.logits)
-                    dlogits[0, t] = p_t
-                    dlogits[0, t, y] -= 1.0
-                    dlogits /= n_pred
-                    grads, _ = backward_from_dlogits(params, cache, dlogits)
-                    g = concat_layer_vectors(flat_layer_grads(grads, registry), registry)
-                    H += w * np.outer(g, g)
-        H /= len(dataset)
-    else:
-        raise DataError(f"unknown curvature definition {definition!r}")
+    for seq in dataset:
+        g = concat_layer_vectors(grad_of_sequence(params, seq, registry), registry)
+        H += np.outer(g, g)
+    H /= len(dataset)
     return H
 
 
@@ -201,8 +178,8 @@ def compare_methods(
     params: ParamSet,
     ref_set,
     damping: float,
+    registry: list[TrackedLayer],
     curvature_set=None,
-    registry=None,
 ) -> list[MethodReport]:
     """Correlate the three approximations against exact dense influence.
 
@@ -212,7 +189,6 @@ def compare_methods(
     """
     if len(candidates) < 2:
         raise DataError("need at least two candidates for a correlation")
-    registry = registry if registry is not None else tracked_layers(params.config)
     curvature_set = curvature_set if curvature_set is not None else ref_set
 
     ref_layer = collect_factors(params, ref_set, registry)[1]
@@ -222,7 +198,7 @@ def compare_methods(
         g = collect_factors(params, [seq], registry)[1]
         cand_grads.append((g, concat_layer_vectors(g, registry)))
 
-    H = dense_curvature(params, curvature_set, registry=registry)
+    H = dense_curvature(params, curvature_set, registry)
     exact = np.array([exact_influence(flat, ref_flat, H, damping) for _, flat in cand_grads])
 
     factors = collect_factors(params, curvature_set, registry)[0]
@@ -356,9 +332,7 @@ def run_qkv_study(data: QkvStudyData, damping: float) -> tuple[list[MethodReport
         "joint-qkv": grads @ joint_vec,
     }
     reports = method_correlations(exact, approx)
-    detail = {"exact": exact, **approx,
-              "joint_ihvp": joint_vec, "independent_ihvp": indep_vec}
-    return reports, detail
+    return reports, {"exact": exact, **approx}
 
 
 # ------------------------------------------------------------ oracle-check
@@ -366,10 +340,11 @@ def run_qkv_study(data: QkvStudyData, damping: float) -> tuple[list[MethodReport
 
 def run_oracle_check(oc, write) -> str:
     """The ``oracle-check`` command for config section ``oc``: the Kronecker
-    identity suite, central differences at 200 random entries of a tiny model,
-    and the method ordering on the joint-QKV study. Each table goes to
-    ``write(file name, header, rows)`` before its tolerance is applied; a
-    breach raises NumericError. Returns a one-line summary."""
+    identity suite, central differences at 200 random entries of the fixed
+    ``GRADCHECK_MODEL`` over three random sequences, and the method ordering
+    on the joint-QKV study. Each table goes to ``write(file name, header,
+    rows)`` before its tolerance is applied; a breach raises NumericError.
+    Returns a one-line summary."""
     rng = np.random.default_rng(oc.seed)
     rows = kronecker_identity_suite(rng)
     write("oracle_kronecker.csv", "case,d_out,d_in,damping,rel_err", rows)
@@ -377,8 +352,9 @@ def run_oracle_check(oc, write) -> str:
     if kron_worst > 1e-10:
         raise NumericError(f"kronecker identity breach: rel err {kron_worst:.3e} > 1e-10")
 
-    params = init_params(oc.model_config(), seed=oc.seed)
-    seqs = [rng.integers(0, oc.vocab_size, size=oc.seq_len).tolist() for _ in range(3)]
+    params = init_params(GRADCHECK_MODEL, seed=oc.seed)
+    seqs = [rng.integers(0, GRADCHECK_MODEL.vocab_size, size=GRADCHECK_SEQ_LEN).tolist()
+            for _ in range(3)]
     arrays = dict(params.iter_named())
     names = list(arrays)
     picks = []

@@ -294,7 +294,7 @@ def test_ledger_jsonl_round_trip(tmp_path):
     path = tmp_path / "ledger.jsonl"
     B.write_ledger_jsonl(path, ledger, fingerprint="fp")
     lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert lines[0] == {"config_fingerprint": "fp"}
+    assert lines[0] == {"config_fingerprint": "fp", "reward_mode": "sum"}
     assert lines[-1]["selected_total"] == len(ledger.selected)
     running = [l["selected_total"] for l in lines[1:-1]]
     assert running == [rec.selected_total for rec in ledger.iterations]
@@ -313,7 +313,7 @@ def test_replay_ledger_reproduces_final_state_bitwise(tmp_path, reward_mode):
     ledger = B.run(cfg, model, lambda ids: [float(values[i]) for i in ids], budget=80, seed=2)
     path = tmp_path / "ledger.jsonl"
     B.write_ledger_jsonl(path, ledger, fingerprint="fp")
-    state, trajectory = B.replay_ledger(path, model, reward_mode)
+    state, trajectory = B.replay_ledger(path, model)
     np.testing.assert_array_equal(state.reward, ledger.final_state.reward)
     np.testing.assert_array_equal(state.pulls, ledger.final_state.pulls)
     pulls = [(rec.iteration, p.cluster) for rec in ledger.iterations for p in rec.pulls]

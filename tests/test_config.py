@@ -137,6 +137,7 @@ def test_bad_influence_value_exits_1_without_traceback(override, tmp_path, capsy
     ("trainer.eps=0", "trainer.eps"),
     ("bandit.top_k=0", "bandit.top_k"),
     ("bandit.batch_size=0", "bandit.batch_size"),
+    ("paths.embedding_format=xml", "paths.embedding_format"),
 ])
 def test_remaining_sections_validated_at_load(override, key):
     with pytest.raises(UsageError, match=key.replace(".", r"\.")):
@@ -162,6 +163,7 @@ def test_section_boundary_values_accepted():
     ("select", "selection.budget=-1"),
     ("report", "trainer.steps=-1"),
     ("report", "trainer.eps=0"),
+    ("cluster", "paths.embedding_format=xml"),
 ])
 def test_bad_section_value_exits_1_without_traceback(command, override, tmp_path, capsys):
     from influence_select import cli
@@ -186,12 +188,12 @@ def test_bad_section_value_exits_1_without_traceback(command, override, tmp_path
     ("oracle.candidates=29", "oracle.candidates"),
     ("oracle.damping=-1", "oracle.damping"),
     ("oracle.damping=nan", "oracle.damping"),
+    # the gradient check's model is fixed: these keys are unknown at any value
     ("oracle.vocab_size=0", "oracle.vocab_size"),
     ("oracle.hidden_dim=0", "oracle.hidden_dim"),
     ("oracle.n_layers=0", "oracle.n_layers"),
     ("oracle.n_heads=0", "oracle.n_heads"),
     ("oracle.n_heads=5", "oracle.n_heads"),
-    ("oracle.n_heads=12", "oracle.hidden_dim / oracle.n_heads"),
     ("oracle.seq_len=1", "oracle.seq_len"),
 ])
 def test_sim_and_oracle_sections_validated_at_load(override, key):
@@ -202,19 +204,16 @@ def test_sim_and_oracle_sections_validated_at_load(override, key):
 def test_sim_and_oracle_boundary_values_accepted():
     cfg = load_config(None, overrides=[
         "sim.arms=1", "sim.steps=1", "sim.trials=1", "sim.members_per_arm=1", "sim.sigma=0",
-        "oracle.candidates=30", "oracle.damping=0", "oracle.vocab_size=1", "oracle.hidden_dim=2",
-        "oracle.n_layers=1", "oracle.n_heads=1", "oracle.seq_len=2",
+        "oracle.candidates=30", "oracle.damping=0",
     ])
     assert cfg.sim.arms == 1
-    assert cfg.oracle.seq_len == 2
+    assert cfg.oracle.candidates == 30
 
 
 @pytest.mark.parametrize("command, override", [
     ("simulate-bandit", "sim.steps=-1"),
     ("simulate-bandit", "sim.arms=0"),
     ("simulate-bandit", "sim.trials=0"),
-    ("oracle-check", "oracle.n_heads=0"),
-    ("oracle-check", "oracle.seq_len=1"),
     ("oracle-check", "oracle.candidates=5"),
 ])
 def test_bad_sim_or_oracle_value_exits_1_without_traceback(command, override, tmp_path, capsys):
@@ -225,6 +224,22 @@ def test_bad_sim_or_oracle_value_exits_1_without_traceback(command, override, tm
     assert code == 1
     assert err.startswith(f"usage error: {override.split('=')[0]} ")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("override", [
+    "oracle.vocab_size=13", "oracle.hidden_dim=12", "oracle.n_layers=1", "oracle.n_heads=2",
+    "oracle.seq_len=8",
+])
+def test_removed_oracle_shape_keys_exit_1(override, tmp_path, capsys):
+    """The gradient check's model is a constant; its former keys are unknown
+    even at their former default values."""
+    from influence_select import cli
+
+    code = cli.main(["oracle-check", "--set", override, "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"usage error: unknown config key {override.split('=')[0]}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -155,7 +155,7 @@ def test_head_gradient_rows_sum_to_zero_with_uniform_logits():
 
 
 def _grad_of_set(params, seqs):
-    return C.collect_factors(params, seqs)[1]
+    return C.collect_factors(params, seqs, M.tracked_layers(params.config))[1]
 
 
 def test_grad_of_set_duplicate_equals_single():
@@ -238,5 +238,5 @@ def test_config_validation():
         M.ModelConfig(hidden_dim=10, n_heads=4)
     with pytest.raises(UsageError, match="even"):
         M.ModelConfig(hidden_dim=12, n_heads=4)  # head_dim 3
-    with pytest.raises(UsageError, match=r"^oracle\.n_layers must be >= 1"):
-        M.ModelConfig(n_layers=0, section="oracle")
+    with pytest.raises(UsageError, match=r"^model\.n_layers must be >= 1"):
+        M.ModelConfig(n_layers=0)

@@ -371,6 +371,7 @@ def test_binary_file_read_as_csv_embeddings_is_data_error(workdir, tmp_path, cap
     (["--ids", ","], 1, "--ids: no instance ids given"),
     (["--ids", "1,2", "--ids-file", "/nonexistent/ids.txt"], 1,
      "argument --ids-file: not allowed with argument --ids"),
+    (["--ids", "0,5,10,599,5"], 1, "--ids: instance id 5 is repeated"),
 ])
 def test_score_bad_ids(workdir, tmp_path, capsys, no_factor_setup, argv, code, needle):
     root, cfg = workdir
@@ -443,6 +444,10 @@ def _set(line, key, value, pull=True):
      "is not a member of cluster 0"),
     ("ledger.jsonl", 2, lambda lines: _set(lines[1], "sampled_ids", [True]),
      "sampled id True is not a member of cluster 0"),
+    ("ledger.jsonl", 1, lambda lines: '{"config_fingerprint": "0"}\n',
+     "header record has reward_mode None"),
+    ("ledger.jsonl", 1, lambda lines: _set(lines[0], "reward_mode", "median", pull=False),
+     "header record has reward_mode 'median'"),
 ])
 def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path, capsys,
                                                 monkeypatch, name, lineno, edit, needle):
@@ -465,6 +470,22 @@ def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path,
     assert code == 2
     assert f"{path}:{lineno}: " in err and needle in err
     assert "Traceback" not in err
+
+
+def test_report_replays_under_the_recorded_reward_mode(workdir, tmp_path):
+    """``report`` credits the ledger's pulls as ``select`` did, whatever
+    ``bandit.reward_mode`` the report itself is given."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    args = ["--config", str(cfg), "--set", f"paths.output_dir={out}"]
+    assert _run("cluster", *args) == 0
+    assert _run("select", *args, "--set", "bandit.reward_mode=sum") == 0
+    rows = {}
+    for mode in ("sum", "mean"):
+        assert _run("report", *args, "--set", f"bandit.reward_mode={mode}") == 0
+        rows[mode] = (out / "report_trajectories.csv").read_text().splitlines()[1:]
+    assert len(rows["sum"]) > 1
+    assert rows["mean"] == rows["sum"]
 
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
