@@ -384,9 +384,11 @@ def replay_ledger(path, model: ClusterModel):
     Returns ``(state, trajectory)``: the arms' reward and pull counts as
     ``run`` left them (alpha and retirements are not recorded, so alpha is 0
     and no arm is retired), and one ``(iteration, cluster, mean reward)`` row
-    per pull, in file order. Iterations are non-decreasing non-negative ints;
-    a pull names a cluster of ``model``, a non-empty list of its members as
-    ``sampled_ids`` and a finite ``batch_sum``. Errors name the file and line.
+    per pull, in file order. Every record between the header and the last
+    (summary) one has an iteration; iterations are non-decreasing
+    non-negative ints; a pull names a cluster of ``model``, a non-empty list
+    of its members as ``sampled_ids`` and a finite ``batch_sum``. Errors name
+    the file and line.
     """
     state = BanditState(n_clusters=model.k, alpha=0.0)
     trajectory = []
@@ -400,7 +402,8 @@ def replay_ledger(path, model: ClusterModel):
         if reward_mode not in REWARD_MODES:
             raise DataError(f"{path}:1: header record has reward_mode {reward_mode!r}, "
                             f"expected one of {REWARD_MODES}")
-        for lineno, line in enumerate(fh, start=2):
+        body = fh.readlines()
+        for lineno, line in enumerate(body, start=2):
             where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
@@ -409,7 +412,10 @@ def replay_ledger(path, model: ClusterModel):
             if not isinstance(rec, dict):
                 raise DataError(f"{where}: not a JSON object")
             if "iteration" not in rec:
-                continue
+                if lineno == len(body) + 1:
+                    continue
+                raise DataError(f"{where}: record has no iteration "
+                                "(only the last, summary record may lack one)")
             it = rec["iteration"]
             if type(it) is not int or it < last:
                 raise DataError(f"{where}: iteration {it!r}: expected an int >= {last} "

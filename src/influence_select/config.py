@@ -189,6 +189,8 @@ def _parse_assignment(key: str, value: str) -> tuple[str, str, object]:
     parsed = _parse_value(value, _FIELD_TYPES[(section, name)])
     if isinstance(parsed, float) and not math.isfinite(parsed):
         raise UsageError(f"{section}.{name} must be finite, got {parsed!r}")
+    if name.endswith("seed") and parsed < 0:
+        raise UsageError(f"{section}.{name} must be >= 0, got {parsed}")
     return section, name, parsed
 
 

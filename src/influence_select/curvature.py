@@ -179,26 +179,21 @@ def kron_ihvp(inv: DampedFactorInverse, v: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def qkv_block_inverses(factor: KroneckerFactor, damping: float) -> list[DampedFactorInverse]:
-    """Per-projection inverses that ignore the Q/K/V cross-blocks of Delta."""
+def qkv_independent_ihvp(factor: KroneckerFactor, damping: float, v: np.ndarray) -> np.ndarray:
+    """The iHVP of the stacked qkv vector ``v`` with each projection's own
+    diagonal block of Delta, ignoring the Q/K/V cross-blocks."""
     if factor.kind != "qkv-joint":
-        raise DataError("block inverses only apply to qkv-joint factors")
+        raise DataError("independent qkv inverses only apply to qkv-joint factors")
     d = factor.d_out // 3
-    out = []
-    for idx, nm in enumerate("qkv"):
-        block = factor.Delta[idx * d : (idx + 1) * d, idx * d : (idx + 1) * d]
-        out.append(factor_inverse(block, factor.X, damping,
-                                  layer=f"{factor.layer}[{nm}]", kind="qkv-block"))
-    return out
-
-
-def qkv_blockwise_ihvp(invs: list[DampedFactorInverse], v: np.ndarray) -> np.ndarray:
-    """Apply per-projection inverses to the stacked qkv gradient vector."""
-    d_in = invs[0].d_in
-    per = invs[0].d_out * d_in
+    per = d * factor.d_in
     if v.shape != (3 * per,):
         raise DataError("stacked qkv vector has the wrong length")
-    parts = [kron_ihvp(inv, v[i * per : (i + 1) * per]) for i, inv in enumerate(invs)]
+    parts = []
+    for idx, nm in enumerate("qkv"):
+        block = factor.Delta[idx * d : (idx + 1) * d, idx * d : (idx + 1) * d]
+        inv = factor_inverse(block, factor.X, damping, layer=f"{factor.layer}[{nm}]",
+                             kind="qkv-block")
+        parts.append(kron_ihvp(inv, v[idx * per : (idx + 1) * per]))
     return np.concatenate(parts)
 
 

@@ -1,10 +1,12 @@
 """Brute-force ground truth at tiny scale.
 
 Everything here materializes what the fast path only approximates: dense
-curvature over the full tracked-parameter vector, dense damped solves, and
-exact influence scores. The comparison harness scores the same candidates
-with the no-Hessian / independent-QKV / joint-QKV approximations and reports
-their correlation against the exact scores.
+curvature over the full tracked-parameter vector and dense damped solves.
+``method_ihvps`` defines the no-Hessian / independent-QKV / joint-QKV
+approximations once. The comparison harness scores the same candidates with
+each of them and with the exact iHVP (on a model, through
+``influence.score_batch``) and reports the approximations' correlation
+against the exact scores.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import TokenTable
 from .curvature import (
     KroneckerFactor,
     accumulate,
@@ -21,11 +24,11 @@ from .curvature import (
     factor_inverse,
     inverse_of_factor,
     kron_ihvp,
-    qkv_block_inverses,
-    qkv_blockwise_ihvp,
+    qkv_independent_ihvp,
     zero_factor,
 )
 from .errors import DataError, NumericError
+from .influence import IhvpVector, reference_ihvp, score_batch
 from .model import (
     LayerTap,
     ModelConfig,
@@ -82,12 +85,6 @@ def dense_ihvp(H: np.ndarray, v: np.ndarray, damping: float) -> np.ndarray:
             f"dense solve residual {resid:.3e} exceeds {SOLVE_RESIDUAL_RTOL:.0e} * ||v||"
         )
     return x
-
-
-def exact_influence(grad_z: np.ndarray, ref_grad: np.ndarray, H: np.ndarray,
-                    damping: float) -> float:
-    """<grad(z), (H + lambda I)^-1 grad(ref)>, same orientation as the fast path."""
-    return float(np.dot(grad_z, dense_ihvp(H, ref_grad, damping)))
 
 
 def kronecker_identity_suite(rng: np.random.Generator, cases: int = 40) -> list[tuple]:
@@ -173,6 +170,22 @@ def method_correlations(exact_scores, approx_by_method: dict[str, np.ndarray]) -
     return out
 
 
+def method_ihvps(factors: dict[str, KroneckerFactor], ref_grad: dict[str, np.ndarray],
+                 damping: float) -> dict[str, IhvpVector]:
+    """Each approximation's per-layer iHVP of ``ref_grad``, keyed by METHODS.
+
+    no-hessian keeps the gradient; joint-qkv is the fast path's
+    ``reference_ihvp``; independent-qkv differs from joint-qkv only on
+    qkv-joint layers, where each projection gets its own block of Delta.
+    """
+    inverses = {name: inverse_of_factor(fac, damping) for name, fac in factors.items()}
+    joint = reference_ihvp(ref_grad, inverses)
+    indep = {name: qkv_independent_ihvp(factors[name], damping, ref_grad[name])
+             if factors[name].kind == "qkv-joint" else vec
+             for name, vec in joint.vectors.items()}
+    return dict(zip(METHODS, (IhvpVector(dict(ref_grad)), IhvpVector(indep), joint)))
+
+
 def compare_methods(
     candidates,
     params: ParamSet,
@@ -186,43 +199,26 @@ def compare_methods(
     candidates are token sequences; the dense curvature and the Kronecker
     factors are both estimated from ``curvature_set`` (default: the
     reference set) so the comparison isolates the structural approximation.
+    The exact iHVP is the dense solve split back into layers in registry
+    order; every method scores the candidates through ``score_batch``.
     """
     if len(candidates) < 2:
         raise DataError("need at least two candidates for a correlation")
-    curvature_set = curvature_set if curvature_set is not None else ref_set
-
-    ref_layer = collect_factors(params, ref_set, registry)[1]
-    ref_flat = concat_layer_vectors(ref_layer, registry)
-    cand_grads = []
-    for seq in candidates:
-        g = collect_factors(params, [seq], registry)[1]
-        cand_grads.append((g, concat_layer_vectors(g, registry)))
+    factors, ref_grad = collect_factors(params, ref_set, registry)
+    if curvature_set is None:
+        curvature_set = ref_set
+    else:
+        factors = collect_factors(params, curvature_set, registry)[0]
+    ihvps = method_ihvps(factors, ref_grad, damping)
 
     H = dense_curvature(params, curvature_set, registry)
-    exact = np.array([exact_influence(flat, ref_flat, H, damping) for _, flat in cand_grads])
+    exact = dense_ihvp(H, concat_layer_vectors(ref_grad, registry), damping)
+    bounds = np.cumsum([tl.flat_dim for tl in registry])[:-1]
+    ihvps["exact"] = IhvpVector(dict(zip([tl.name for tl in registry], np.split(exact, bounds))))
 
-    factors = collect_factors(params, curvature_set, registry)[0]
-    approx = {
-        "no-hessian": np.array([float(np.dot(flat, ref_flat)) for _, flat in cand_grads]),
-        "independent-qkv": _factored_scores(cand_grads, ref_layer, factors, damping, joint=False),
-        "joint-qkv": _factored_scores(cand_grads, ref_layer, factors, damping, joint=True),
-    }
-    return method_correlations(exact, approx)
-
-
-def _factored_scores(cand_grads, ref_layer, factors: dict[str, KroneckerFactor],
-                     damping: float, joint: bool) -> np.ndarray:
-    ihvp = {}
-    for name, vec in ref_layer.items():
-        fac = factors[name]
-        if fac.kind == "qkv-joint" and not joint:
-            ihvp[name] = qkv_blockwise_ihvp(qkv_block_inverses(fac, damping), vec)
-        else:
-            ihvp[name] = kron_ihvp(inverse_of_factor(fac, damping), vec)
-    scores = []
-    for g, _ in cand_grads:
-        scores.append(sum(float(np.dot(g[n], ihvp[n])) for n in g))
-    return np.array(scores)
+    table = TokenTable.from_sequences(candidates)
+    scores = {m: np.array(score_batch(table, ihvp, params, registry)) for m, ihvp in ihvps.items()}
+    return method_correlations(scores.pop("exact"), scores)
 
 
 # ----------------------------------------------- constructed qkv study data
@@ -324,13 +320,8 @@ def run_qkv_study(data: QkvStudyData, damping: float) -> tuple[list[MethodReport
     exact = grads @ exact_vec
 
     fac = qkv_factor_from_samples(data.curv_x, data.curv_delta)
-    joint_vec = kron_ihvp(inverse_of_factor(fac, damping), data.ref_grad)
-    indep_vec = qkv_blockwise_ihvp(qkv_block_inverses(fac, damping), data.ref_grad)
-    approx = {
-        "no-hessian": grads @ data.ref_grad,
-        "independent-qkv": grads @ indep_vec,
-        "joint-qkv": grads @ joint_vec,
-    }
+    ihvps = method_ihvps({fac.layer: fac}, {fac.layer: data.ref_grad}, damping)
+    approx = {m: grads @ ihvp.vectors[fac.layer] for m, ihvp in ihvps.items()}
     reports = method_correlations(exact, approx)
     return reports, {"exact": exact, **approx}
 

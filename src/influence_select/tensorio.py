@@ -1,7 +1,6 @@
 """Named-tensor container: a minimal deterministic binary format.
 
-Used for model checkpoints and curvature-factor checkpoints. Layout
-(all integers little-endian):
+Used for curvature-factor checkpoints. Layout (all integers little-endian):
 
     magic   4 bytes  b"NTC1"
     count   uint64   number of tensors

@@ -286,3 +286,18 @@ def test_every_float_key_must_be_finite(key, value, tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"usage error: {key} must be finite")
     assert list(tmp_path.iterdir()) == []
+
+
+_SEED_KEYS = sorted(f"{sec}.{name}" for sec, name in _FIELD_TYPES if name.endswith("seed"))
+
+
+@pytest.mark.parametrize("key", _SEED_KEYS)
+def test_every_seed_key_must_be_non_negative(key, tmp_path, capsys):
+    from influence_select import cli
+
+    assert len(_SEED_KEYS) == 8
+    code = cli.main(["cluster", "--set", f"{key}=-1", "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"usage error: {key} must be >= 0, got -1")
+    assert list(tmp_path.iterdir()) == []

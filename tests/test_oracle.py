@@ -58,17 +58,19 @@ def test_param_cap_enforced():
 
 
 def test_exact_influence_pure_alignment():
+    # zero curvature at damping 1: the exact iHVP is the gradient itself
     rng = np.random.default_rng(3)
     g, ref = rng.normal(size=20), rng.normal(size=20)
     H = np.zeros((20, 20))
-    assert O.exact_influence(g, ref, H, damping=1.0) == pytest.approx(float(g @ ref), rel=1e-12)
+    assert float(g @ O.dense_ihvp(H, ref, damping=1.0)) == pytest.approx(float(g @ ref), rel=1e-12)
 
 
 def test_exact_influence_zero_gradient():
     rng = np.random.default_rng(4)
     ref = rng.normal(size=10)
     H = np.eye(10)
-    assert O.exact_influence(np.zeros(10), ref, H, damping=0.5) == 0.0
+    assert float(np.zeros(10) @ O.dense_ihvp(H, ref, damping=0.5)) == 0.0
+    np.testing.assert_array_equal(O.dense_ihvp(H, np.zeros(10), damping=0.5), np.zeros(10))
 
 
 def test_dense_solve_residual_validated():
@@ -156,6 +158,38 @@ def test_compare_methods_on_model_reports_all_methods():
     for r in reports:
         assert -1.0 <= r.pearson <= 1.0
         assert r.n == 12
+
+
+def test_compare_methods_splits_exact_ihvp_in_registry_order(monkeypatch):
+    """What compare_methods hands to method_correlations, per candidate: the
+    exact score is the flat gradient against the dense solve, and no-hessian
+    the flat dot product, though both were scored layer by layer."""
+    cfg = M.ModelConfig(vocab_size=13, hidden_dim=8, n_layers=2, n_heads=2,
+                        max_context=16, mlp_ratio=1.0)
+    params = M.init_params(cfg, seed=12)
+    registry = M.tracked_layers(cfg)
+    rng = np.random.default_rng(13)
+    ref = [rng.integers(0, 13, size=6).tolist() for _ in range(5)]
+    cands = [rng.integers(0, 13, size=int(n)).tolist() for n in rng.integers(4, 9, size=8)]
+    seen = {}
+
+    def capture(exact, approx):
+        seen.update(exact=exact, approx=approx)
+        return []
+
+    monkeypatch.setattr(O, "method_correlations", capture)
+    O.compare_methods(cands, params, ref, damping=1e-3, registry=registry)
+
+    def flat(seq):
+        return M.concat_layer_vectors(M.grad_of_sequence(params, seq, registry), registry)
+
+    ref_flat = np.mean([flat(seq) for seq in ref], axis=0)
+    exact_ihvp = O.dense_ihvp(O.dense_curvature(params, ref, registry), ref_flat, 1e-3)
+    assert list(seen["approx"]) == list(O.METHODS)
+    for i, seq in enumerate(cands):
+        g = flat(seq)
+        assert seen["exact"][i] == pytest.approx(float(g @ exact_ihvp), rel=1e-10)
+        assert seen["approx"]["no-hessian"][i] == pytest.approx(float(g @ ref_flat), rel=1e-10)
 
 
 def test_factored_ranking_tracks_exact_oracle():

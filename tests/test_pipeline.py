@@ -433,6 +433,10 @@ def _set(line, key, value, pull=True):
      "iteration -1: expected an int >= 0"),
     ("ledger.jsonl", 4, lambda lines: _set(lines[3], "iteration", 0, pull=False),
      "iteration 0: expected an int >= 1"),
+    ("ledger.jsonl", 3,  # line 3 without its iteration key
+     lambda lines: json.dumps({k: v for k, v in json.loads(lines[2]).items()
+                               if k != "iteration"}) + "\n",
+     "record has no iteration"),
     ("ledger.jsonl", 2, lambda lines: _set(lines[1], "batch_sum", float("nan")),
      "batch_sum nan of cluster 0 is not a finite number"),
     ("ledger.jsonl", 2, lambda lines: _set(lines[1], "batch_sum", "1.5"),
@@ -504,6 +508,15 @@ def _traced(tmp_path, *argv):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing.command_metrics(json.loads(spans_path.read_text()), 0.0)
+
+
+def test_tracer_installs_on_the_program(tmp_path):
+    """``perfbench/tracing.py`` wraps every module and hook it looks up before
+    the CLI parses its arguments, so ``--help`` fails if one is gone."""
+    done = subprocess.run([sys.executable, _TRACER, str(tmp_path / "spans.json"), "--help"],
+                          env=dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src")),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_path):
