@@ -23,7 +23,6 @@ import numpy as np
 from .clustering import ClusterModel
 from .errors import DataError, UsageError
 
-TAU_MODES = ("cluster", "instance")
 REWARD_MODES = ("sum", "mean")
 
 
@@ -34,15 +33,12 @@ class BanditConfig:
     gamma: float = 0.05
     top_k: int = 4
     batch_size: int = 32  # m: instances sampled per pulled cluster
-    tau_mode: str = "cluster"
     reward_mode: str = "sum"
     max_rounds: int = 100000
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise UsageError(f"bandit.gamma must be in (0, 1], got {self.gamma!r}")
-        if self.tau_mode not in TAU_MODES:
-            raise UsageError(f"bandit.tau_mode must be one of {TAU_MODES}, got {self.tau_mode!r}")
         if self.reward_mode not in REWARD_MODES:
             raise UsageError(f"bandit.reward_mode must be one of {REWARD_MODES}, "
                              f"got {self.reward_mode!r}")
@@ -211,40 +207,21 @@ def select_step(
     gamma: float,
     tau: float,
     seed: int,
-    scorer=None,
-    tau_mode: str = "cluster",
 ) -> list[tuple[int, list[int]]]:
-    """Add a gamma-fraction of remaining members from qualifying clusters.
-
-    cluster mode (default): a cluster qualifies when its mean reward
-    strictly exceeds tau. instance mode: the gamma-sample is drawn from
-    every estimated cluster and filtered to instances whose own influence
-    strictly exceeds tau (requires a scorer).
-    """
-    if tau_mode not in TAU_MODES:
-        raise UsageError(f"tau_mode must be one of {TAU_MODES}")
-    if tau_mode == "instance" and scorer is None:
-        raise UsageError("instance tau_mode needs a scorer to filter by instance score")
+    """Add a gamma-fraction of remaining members from every cluster whose
+    mean reward strictly exceeds tau."""
     if not (state.pulls > 0).any():
         raise DataError("select_step requires at least one pulled cluster")
     rng = np.random.default_rng(seed)
     out: list[tuple[int, list[int]]] = []
     for ci in range(state.n_clusters):
-        if state.pulls[ci] == 0:
-            continue
-        mean = state.reward[ci] / state.pulls[ci]
-        if tau_mode == "cluster" and not (mean > tau):
+        if state.pulls[ci] == 0 or not state.reward[ci] / state.pulls[ci] > tau:
             continue
         avail = _unselected(model.members(ci), ledger.selected_mask(model.count))
         if avail.size == 0:
             continue
         take = min(avail.size, max(1, int(math.floor(gamma * avail.size))))
         ids = [int(x) for x in rng.choice(avail, size=take, replace=False)]
-        if tau_mode == "instance":
-            scores = scorer(ids)
-            ids = [i for i, s in zip(ids, scores) if s > tau]
-            if not ids:
-                continue
         ledger.selected.extend(ids)
         out.append((ci, ids))
     return out
@@ -295,10 +272,7 @@ def run(
             ledger, iteration=iteration, reward_mode=cfg.reward_mode,
         )
         if (state.pulls > 0).any():
-            rec.selections = select_step(
-                state, model, ledger, cfg.gamma, cfg.tau, select_seed,
-                scorer=cached, tau_mode=cfg.tau_mode,
-            )
+            rec.selections = select_step(state, model, ledger, cfg.gamma, cfg.tau, select_seed)
         rec.selected_total = len(ledger.selected)
         ledger.iterations.append(rec)
         iteration += 1

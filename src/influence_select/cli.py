@@ -87,7 +87,7 @@ def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable, factor_path: str | No
     """Model init, factor estimation over the reference set, reference iHVP
     (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
-    registry = model_mod.tracked_layers(params.config, cfg.influence.kinds())
+    registry = model_mod.tracked_layers(params.config)
     factors, ref_grad = curvature.collect_factors(params, ref, registry)
     if factor_path is not None:
         curvature.save_factors(factor_path, factors)
@@ -185,11 +185,8 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
 def cmd_simulate_bandit(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     sc = cfg.sim
-    results = bandit_mod.simulate_policies(
-        n_arms=sc.arms, steps=sc.steps, trials=sc.trials,
-        alpha=sc.alpha, sigma=sc.sigma, members_per_arm=sc.members_per_arm,
-        seed=sc.seed, best_mean=sc.best_mean, spread=sc.spread,
-    )
+    results = bandit_mod.simulate_policies(n_arms=sc.arms, steps=sc.steps, trials=sc.trials,
+                                           seed=sc.seed)
     path = _out(cfg, "regret.csv")
     write_csv(path, fp, "policy,trial,step,regret,cum_regret", _regret_rows(results))
     ucb = [r for r in results if r.policy == "ucb"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .bandit import BanditConfig
 from .errors import UsageError
-from .model import TAP_KINDS, ModelConfig
+from .model import ModelConfig, tracked_layers
 from .trainer import TrainConfig
 
 
@@ -55,20 +55,12 @@ class InfluenceConfig:
     sketch_dim: int = 256
     sketch_seed: int = 0
     use_sketch: bool = False
-    layers: str = "qkv-joint,attn-out,mlp-1,mlp-2"  # tracked-layer kinds
 
     def __post_init__(self):
-        kinds = self.kinds()
-        if not kinds or not set(kinds) <= set(TAP_KINDS):
-            raise UsageError(f"influence.layers must name one or more of {TAP_KINDS}, "
-                             f"got {self.layers!r}")
         if not self.damping >= 0.0:
             raise UsageError(f"influence.damping must be >= 0, got {self.damping!r}")
         if self.sketch_dim < 1:
             raise UsageError(f"influence.sketch_dim must be >= 1, got {self.sketch_dim}")
-
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(s.strip() for s in self.layers.split(",") if s.strip())
 
 
 @dataclass
@@ -94,32 +86,22 @@ class SimConfig:
     arms: int = 20
     steps: int = 1000
     trials: int = 20
-    alpha: float = 1.0
-    sigma: float = 1.0
-    members_per_arm: int = 400
-    best_mean: float = 2.5
-    spread: float = 1.8
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("arms", "steps", "trials", "members_per_arm"):
+        for key in ("arms", "steps", "trials"):
             if getattr(self, key) < 1:
                 raise UsageError(f"sim.{key} must be >= 1, got {getattr(self, key)}")
-        if not self.sigma >= 0.0:
-            raise UsageError(f"sim.sigma must be >= 0, got {self.sigma!r}")
 
 
 @dataclass
 class OracleConfig:
     candidates: int = 40
-    damping: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         if self.candidates < 30:
             raise UsageError(f"oracle.candidates must be >= 30, got {self.candidates}")
-        if not self.damping >= 0.0:
-            raise UsageError(f"oracle.damping must be >= 0, got {self.damping!r}")
 
 
 @dataclass
@@ -139,6 +121,14 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     oracle: OracleConfig = field(default_factory=OracleConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
+
+    def __post_init__(self):
+        # a sketch wider than a tracked layer's vector buys nothing
+        if self.influence.use_sketch:
+            bound = min(tl.flat_dim for tl in tracked_layers(self.model))
+            if self.influence.sketch_dim > bound:
+                raise UsageError(f"influence.sketch_dim must be <= {bound}, the smallest "
+                                 f"tracked layer's size, got {self.influence.sketch_dim}")
 
 
 _SECTIONS = {

@@ -27,6 +27,7 @@ from .corpus import as_table
 from .errors import DataError, UsageError
 
 RMS_EPS = 1e-6
+ROPE_BASE = 10000.0
 
 TAP_KINDS = ("qkv-joint", "attn-out", "mlp-1", "mlp-2")
 
@@ -42,7 +43,6 @@ class ModelConfig:
     n_heads: int = 4
     max_context: int = 64
     mlp_ratio: float = 8.0 / 3.0
-    rope_base: float = 10000.0
 
     def __post_init__(self):
         for key in ("vocab_size", "hidden_dim", "n_layers", "n_heads"):
@@ -60,8 +60,6 @@ class ModelConfig:
         if not (math.isfinite(width) and round(width) >= 1):
             raise UsageError("model.mlp_ratio must give an MLP width >= 1, "
                              f"got {self.mlp_ratio!r}")
-        if not self.rope_base > 0.0:
-            raise UsageError(f"model.rope_base must be > 0, got {self.rope_base!r}")
 
     @property
     def head_dim(self) -> int:
@@ -128,21 +126,15 @@ class TrackedLayer:
         return self.d_out * self.d_in
 
 
-def tracked_layers(cfg: ModelConfig, kinds=TAP_KINDS) -> list[TrackedLayer]:
+def tracked_layers(cfg: ModelConfig) -> list[TrackedLayer]:
     """Registry of influence-tracked layers, in a fixed flattening order.
 
     Embedding and output head are deliberately excluded from influence.
     """
     d, f = cfg.hidden_dim, cfg.mlp_hidden
     dims = {"qkv-joint": (3 * d, d), "attn-out": (d, d), "mlp-1": (f, d), "mlp-2": (d, f)}
-    out = []
-    for layer in range(cfg.n_layers):
-        for kind in TAP_KINDS:
-            if kind not in kinds:
-                continue
-            d_out, d_in = dims[kind]
-            out.append(TrackedLayer(f"layer{layer}.{kind}", layer, kind, d_out, d_in))
-    return out
+    return [TrackedLayer(f"layer{layer}.{kind}", layer, kind, *dims[kind])
+            for layer in range(cfg.n_layers) for kind in TAP_KINDS]
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
@@ -205,7 +197,7 @@ def _silu_grad(u):
 def rope_tables(cfg: ModelConfig, n_positions: int):
     """cos/sin tables of shape (n_positions, head_dim/2), built once per length."""
     half = cfg.head_dim // 2
-    inv_freq = cfg.rope_base ** (-2.0 * np.arange(half) / cfg.head_dim)
+    inv_freq = ROPE_BASE ** (-2.0 * np.arange(half) / cfg.head_dim)
     ang = np.arange(n_positions)[:, None] * inv_freq[None, :]
     cos, sin = np.cos(ang), np.sin(ang)
     cos.flags.writeable = sin.flags.writeable = False
@@ -341,7 +333,7 @@ def forward(params: ParamSet, tokens, seq_len: int):
         attn_in = _merge_heads(attn @ v)
         h = h + attn_in @ blk.w_o.T
         save.update(x_attn=x_attn, w_qkv=w_qkv, qr=qr, kr=kr, vh=v, attn=attn,
-                    attn_in=attn_in, scores=scores, h_mid=h)
+                    attn_in=attn_in, h_mid=h)
         x_mlp = _rmsnorm(h)
         u = x_mlp @ blk.w_up.T
         act = _silu(u)

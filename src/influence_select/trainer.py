@@ -1,8 +1,8 @@
 """Minimal Adam loop for fine-tuning the toy model on a selected subset.
 
 Deterministic under the config seed (fixed shuffling, fixed reduction
-order). A divergence guard aborts if the batch loss exceeds 10x the first
-batch's loss.
+order). A divergence guard aborts if a batch loss is not finite or exceeds
+10x the first batch's loss, and ``eval_loss`` aborts on a non-finite loss.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .corpus import as_table
 from .model import ParamSet, backward, chunks, forward
 
 DIVERGENCE_FACTOR = 10.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.95, 1e-8
 
 
 @dataclass
@@ -24,9 +25,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 16
     steps: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -36,20 +34,15 @@ class TrainConfig:
             raise UsageError(f"trainer.batch_size must be >= 1, got {self.batch_size}")
         if self.steps < 0:
             raise UsageError(f"trainer.steps must be >= 0, got {self.steps}")
-        for key in ("beta1", "beta2"):
-            if not 0.0 < getattr(self, key) < 1.0:
-                raise UsageError(f"trainer.{key} must lie in (0, 1), got {getattr(self, key)!r}")
-        if not self.eps > 0.0:
-            raise UsageError(f"trainer.eps must be > 0, got {self.eps!r}")
 
 
 def adam_step(value, grad, m, v, t, cfg: TrainConfig):
     """One Adam update; mutates m and v, returns the new value."""
-    m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-    v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** t)
-    v_hat = v / (1.0 - cfg.beta2 ** t)
-    return value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(params: ParamSet, data, cfg: TrainConfig) -> ParamSet:
@@ -76,6 +69,8 @@ def train(params: ParamSet, data, cfg: TrainConfig) -> ParamSet:
         batch_loss = math.fsum(losses) / cfg.batch_size
         if initial_loss is None:
             initial_loss = batch_loss
+        if not math.isfinite(batch_loss):
+            raise TrainingDivergedError(f"non-finite loss {batch_loss!r} at step {step}")
         if batch_loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
             raise TrainingDivergedError(
                 f"loss {batch_loss:.4g} exceeded {DIVERGENCE_FACTOR}x initial "
@@ -104,10 +99,15 @@ def _batch_gradient(params: ParamSet, batch):
 
 def eval_loss(params: ParamSet, sequences) -> float:
     """Mean per-sequence next-token loss over ``sequences`` (a TokenTable or a
-    list of token sequences); exact (order-invariant) summation."""
+    list of token sequences); exact (order-invariant) summation. A
+    non-finite mean raises TrainingDivergedError."""
     if not len(sequences):
         raise DataError("evaluation set is empty")
     losses = np.empty(len(sequences))
     for pos, tokens in chunks(sequences):
         losses[pos], _ = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
-    return math.fsum(losses) / len(losses)
+    loss = math.fsum(losses) / len(losses)
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(f"non-finite loss {loss!r} on the evaluation set "
+                                    f"of {len(losses)} sequences")
+    return loss

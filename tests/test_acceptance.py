@@ -48,7 +48,7 @@ def test_acceptance_1_kronecker_ihvp_correctness():
 def test_acceptance_2_gradient_exactness():
     start = time.time()
     cfg = M.ModelConfig(vocab_size=13, hidden_dim=12, n_layers=2, n_heads=3,
-                        max_context=16, mlp_ratio=8.0 / 3.0, rope_base=1000.0)
+                        max_context=16, mlp_ratio=8.0 / 3.0)
     params = M.init_params(cfg, seed=11)
     every_entry = [(name, idx) for name, arr in params.iter_named() for idx in np.ndindex(arr.shape)]
     n_params = len(every_entry)

@@ -6,7 +6,7 @@ import pytest
 
 from influence_select import bandit as B
 from influence_select.clustering import ClusterModel
-from influence_select.errors import DataError, UsageError
+from influence_select.errors import DataError
 
 
 def _cluster_model(sizes):
@@ -129,24 +129,6 @@ def test_select_step_minimum_one_when_nonempty():
     ledger = B.SelectionLedger()
     out = B.select_step(st, model, ledger, gamma=0.01, tau=0.0, seed=0)
     assert len(out[0][1]) == 1
-
-
-def test_select_step_instance_mode_filters_by_score():
-    model = _cluster_model([40])
-    st = _state([100.0], [1])
-    ledger = B.SelectionLedger()
-    scorer = B.CachedScorer(lambda ids: [1.0 if i % 2 == 0 else -1.0 for i in ids])
-    out = B.select_step(st, model, ledger, gamma=0.5, tau=0.0, seed=3,
-                        scorer=scorer, tau_mode="instance")
-    picked = [i for _, ids in out for i in ids]
-    assert picked and all(i % 2 == 0 for i in picked)
-
-
-def test_select_step_instance_mode_needs_scorer():
-    model = _cluster_model([4])
-    st = _state([1.0], [1])
-    with pytest.raises(UsageError, match="scorer"):
-        B.select_step(st, model, B.SelectionLedger(), 0.5, 0.0, 0, tau_mode="instance")
 
 
 def test_run_budget_zero():

@@ -1,7 +1,17 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from influence_select.config import _FIELD_TYPES, canonical_text, fingerprint, load_config
 from influence_select.errors import UsageError
+
+# keys whose one value in use became a constant; each is now unknown
+_REMOVED_KEYS = {
+    "bandit.tau_mode", "influence.layers", "model.rope_base", "trainer.beta1",
+    "trainer.beta2", "trainer.eps", "sim.alpha", "sim.sigma", "sim.members_per_arm",
+    "sim.best_mean", "sim.spread", "oracle.damping",
+}
 
 
 def test_default_hyperparameters():
@@ -9,9 +19,6 @@ def test_default_hyperparameters():
     assert cfg.bandit.alpha == 0.002
     assert cfg.bandit.tau == 0.0025
     assert cfg.bandit.gamma == 0.05
-    assert cfg.trainer.beta1 == 0.9
-    assert cfg.trainer.beta2 == 0.95
-    assert cfg.trainer.eps == 1e-8
     assert cfg.influence.sketch_dim == 256
     assert cfg.clustering.k == 64
 
@@ -71,6 +78,27 @@ def test_fingerprint_stable_and_sensitive(tmp_path):
     assert "bandit.tau = 0.9" in canonical_text(c)
 
 
+def _readme_config_keys() -> set[str]:
+    """Keys named in the README's Configuration list: a bullet names a key
+    as `section.key`, then the same section's further keys as `.key`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    body = readme.split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    bullets = re.search(r"^- .*?(?=\n\n)", body, re.S | re.M).group(0)
+    keys, section = set(), None
+    for prefix, name in re.findall(r"`([a-z_]*)\.([a-z_0-9]+)`", bullets):
+        if prefix:
+            if prefix not in {sec for sec, _ in _FIELD_TYPES}:
+                continue  # a default file name such as `tokens.tsv`
+            section = prefix
+        keys.add(f"{section}.{name}")
+    return keys
+
+
+def test_readme_lists_exactly_the_config_keys():
+    text = canonical_text(load_config(None))
+    assert _readme_config_keys() == {line.split(" = ")[0] for line in text.splitlines()}
+
+
 def test_canonical_text_includes_all_sections():
     text = canonical_text(load_config(None))
     for key in ("paths.embeddings", "clustering.k", "bandit.alpha", "model.hidden_dim",
@@ -79,23 +107,18 @@ def test_canonical_text_includes_all_sections():
 
 
 @pytest.mark.parametrize("override, key", [
-    ("influence.layers=foo", "influence.layers"),
-    ("influence.layers=qkv-joint,mlp-3", "influence.layers"),
-    ("influence.layers= , ", "influence.layers"),
     ("influence.damping=-1", "influence.damping"),
     ("influence.damping=nan", "influence.damping"),
     ("influence.sketch_dim=0", "influence.sketch_dim"),
     ("influence.sketch_dim=-3", "influence.sketch_dim"),
+    # all four layer kinds are always tracked: the key is unknown at any value
+    ("influence.layers=foo", "influence.layers"),
+    ("influence.layers=qkv-joint,mlp-3", "influence.layers"),
+    ("influence.layers= , ", "influence.layers"),
 ])
 def test_influence_section_validated_at_load(override, key):
     with pytest.raises(UsageError, match=key):
         load_config(None, overrides=[override])
-
-
-def test_influence_subset_of_layers_accepted():
-    cfg = load_config(None, overrides=["influence.layers=mlp-2, qkv-joint",
-                                       "influence.damping=0", "influence.sketch_dim=1"])
-    assert cfg.influence.kinds() == ("mlp-2", "qkv-joint")
 
 
 @pytest.mark.parametrize("override", ["influence.layers=foo", "influence.sketch_dim=0",
@@ -122,7 +145,6 @@ def test_bad_influence_value_exits_1_without_traceback(override, tmp_path, capsy
     ("model.vocab_size=0", "model.vocab_size"),
     ("model.mlp_ratio=0", "model.mlp_ratio"),
     ("model.mlp_ratio=nan", "model.mlp_ratio"),
-    ("model.rope_base=0", "model.rope_base"),
     ("clustering.k=0", "clustering.k"),
     ("clustering.max_iters=0", "clustering.max_iters"),
     ("clustering.tol=-1e-9", "clustering.tol"),
@@ -132,16 +154,38 @@ def test_bad_influence_value_exits_1_without_traceback(override, tmp_path, capsy
     ("trainer.learning_rate=nan", "trainer.learning_rate"),
     ("trainer.batch_size=0", "trainer.batch_size"),
     ("trainer.steps=-1", "trainer.steps"),
-    ("trainer.beta1=1", "trainer.beta1"),
-    ("trainer.beta2=0", "trainer.beta2"),
-    ("trainer.eps=0", "trainer.eps"),
     ("bandit.top_k=0", "bandit.top_k"),
     ("bandit.batch_size=0", "bandit.batch_size"),
     ("paths.embedding_format=xml", "paths.embedding_format"),
+    # constants now: these keys are unknown at any value
+    ("model.rope_base=0", "model.rope_base"),
+    ("trainer.beta1=1", "trainer.beta1"),
+    ("trainer.beta2=0", "trainer.beta2"),
+    ("trainer.eps=0", "trainer.eps"),
 ])
 def test_remaining_sections_validated_at_load(override, key):
     with pytest.raises(UsageError, match=key.replace(".", r"\.")):
         load_config(None, overrides=[override])
+
+
+def test_sketch_dim_bounded_by_smallest_tracked_layer(tmp_path, capsys):
+    """With the sketch on, ``sketch_dim`` may not exceed the smallest tracked
+    layer's size, ``hidden_dim * min(hidden_dim, mlp_hidden)``: here 8 * 4."""
+    from influence_select import cli
+
+    small = ["model.hidden_dim=8", "model.n_heads=2", "model.mlp_ratio=0.5"]
+    sketch = [*small, "influence.use_sketch=true"]
+    load_config(None, overrides=[*sketch, "influence.sketch_dim=32"])
+    load_config(None, overrides=[*small, "influence.sketch_dim=33"])  # unsketched: no bound
+    argv = ["score", "--ids", "0", "--set", "influence.sketch_dim=33",
+            "--set", f"paths.output_dir={tmp_path}"]
+    for item in sketch:
+        argv += ["--set", item]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error: influence.sketch_dim must be <= 32")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_section_boundary_values_accepted():
@@ -149,7 +193,7 @@ def test_section_boundary_values_accepted():
         "model.n_layers=1", "model.hidden_dim=2", "model.n_heads=1", "model.max_context=2",
         "model.vocab_size=1", "clustering.k=1", "clustering.max_iters=1", "clustering.tol=0",
         "selection.budget=0", "trainer.learning_rate=0", "trainer.steps=0",
-        "trainer.batch_size=1",
+        "trainer.batch_size=1", "influence.damping=0", "influence.sketch_dim=1",
     ])
     assert cfg.model.head_dim == 2
     assert cfg.selection.budget == 0
@@ -162,16 +206,21 @@ def test_section_boundary_values_accepted():
     ("cluster", "clustering.max_iters=0"),
     ("select", "selection.budget=-1"),
     ("report", "trainer.steps=-1"),
-    ("report", "trainer.eps=0"),
     ("cluster", "paths.embedding_format=xml"),
+    # trainer.eps is the constant trainer.ADAM_EPS: the key is unknown
+    ("report", "trainer.eps=0"),
 ])
 def test_bad_section_value_exits_1_without_traceback(command, override, tmp_path, capsys):
     from influence_select import cli
 
+    key = override.split("=")[0]
     code = cli.main([command, "--set", override, "--set", f"paths.output_dir={tmp_path}"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"usage error: {override.split('=')[0]} ")
+    if key in _REMOVED_KEYS:
+        assert err == f"usage error: unknown config key {key}\n"
+    else:
+        assert err.startswith(f"usage error: {key} ")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -181,14 +230,15 @@ def test_bad_section_value_exits_1_without_traceback(command, override, tmp_path
     ("sim.steps=-1", "sim.steps"),
     ("sim.steps=0", "sim.steps"),
     ("sim.trials=0", "sim.trials"),
+    ("oracle.candidates=0", "oracle.candidates"),
+    ("oracle.candidates=29", "oracle.candidates"),
+    # the simulation's arm shape, the QKV study's damping and the gradient
+    # check's model are fixed: these keys are unknown at any value
     ("sim.members_per_arm=0", "sim.members_per_arm"),
     ("sim.sigma=-1", "sim.sigma"),
     ("sim.sigma=nan", "sim.sigma"),
-    ("oracle.candidates=0", "oracle.candidates"),
-    ("oracle.candidates=29", "oracle.candidates"),
     ("oracle.damping=-1", "oracle.damping"),
     ("oracle.damping=nan", "oracle.damping"),
-    # the gradient check's model is fixed: these keys are unknown at any value
     ("oracle.vocab_size=0", "oracle.vocab_size"),
     ("oracle.hidden_dim=0", "oracle.hidden_dim"),
     ("oracle.n_layers=0", "oracle.n_layers"),
@@ -203,8 +253,7 @@ def test_sim_and_oracle_sections_validated_at_load(override, key):
 
 def test_sim_and_oracle_boundary_values_accepted():
     cfg = load_config(None, overrides=[
-        "sim.arms=1", "sim.steps=1", "sim.trials=1", "sim.members_per_arm=1", "sim.sigma=0",
-        "oracle.candidates=30", "oracle.damping=0",
+        "sim.arms=1", "sim.steps=1", "sim.trials=1", "oracle.candidates=30",
     ])
     assert cfg.sim.arms == 1
     assert cfg.oracle.candidates == 30
@@ -243,6 +292,34 @@ def test_removed_oracle_shape_keys_exit_1(override, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, override", [
+    ("select", "bandit.tau_mode=cluster"),
+    ("select", "influence.layers=qkv-joint,attn-out,mlp-1,mlp-2"),
+    ("select", "model.rope_base=10000"),
+    ("report", "trainer.beta1=0.9"),
+    ("report", "trainer.beta2=0.95"),
+    ("report", "trainer.eps=1e-8"),
+    ("simulate-bandit", "sim.alpha=1"),
+    ("simulate-bandit", "sim.sigma=1"),
+    ("simulate-bandit", "sim.members_per_arm=400"),
+    ("simulate-bandit", "sim.best_mean=2.5"),
+    ("simulate-bandit", "sim.spread=1.8"),
+    ("oracle-check", "oracle.damping=1e-3"),
+])
+def test_removed_key_exits_1(command, override, tmp_path, capsys):
+    """Keys whose one value in use became a constant are unknown, even at
+    that value."""
+    from influence_select import cli
+
+    key = override.split("=")[0]
+    assert key in _REMOVED_KEYS and tuple(key.split(".")) not in _FIELD_TYPES
+    code = cli.main([command, "--set", override, "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"usage error: unknown config key {key}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("override, key", [
     ("bandit.alpha=nan", "bandit.alpha"),
     ("bandit.alpha=inf", "bandit.alpha"),
@@ -274,17 +351,27 @@ def test_bad_bandit_value_exits_1_without_traceback(override, tmp_path, capsys):
 
 
 _FLOAT_KEYS = sorted(f"{sec}.{name}" for (sec, name), typ in _FIELD_TYPES.items() if typ is float)
+# float keys whose value is now a constant: any value of theirs, finite or
+# not, is rejected as an unknown key
+_FORMER_FLOAT_KEYS = [
+    "model.rope_base", "oracle.damping", "sim.alpha", "sim.best_mean", "sim.sigma",
+    "sim.spread", "trainer.beta1", "trainer.beta2", "trainer.eps",
+]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", _FLOAT_KEYS)
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS + _FORMER_FLOAT_KEYS))
 def test_every_float_key_must_be_finite(key, value, tmp_path, capsys):
     from influence_select import cli
 
     code = cli.main(["cluster", "--set", f"{key}={value}", "--set", f"paths.output_dir={tmp_path}"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"usage error: {key} must be finite")
+    if key in _FORMER_FLOAT_KEYS:
+        assert key in _REMOVED_KEYS
+        assert err == f"usage error: unknown config key {key}\n"
+    else:
+        assert err.startswith(f"usage error: {key} must be finite")
     assert list(tmp_path.iterdir()) == []
 
 

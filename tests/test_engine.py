@@ -13,7 +13,7 @@ from influence_select.clustering import ClusterModel
 from influence_select.corpus import TokenTable
 
 CFG = M.ModelConfig(vocab_size=11, hidden_dim=8, n_layers=2, n_heads=2,
-                    max_context=16, mlp_ratio=2.0, rope_base=100.0)
+                    max_context=16, mlp_ratio=2.0)
 
 
 @pytest.fixture(params=[None, 48], ids=["default-chunk", "48-token-chunk"])

@@ -9,7 +9,7 @@ from influence_select import oracle as O
 from influence_select.errors import DataError, UsageError
 
 TINY = M.ModelConfig(vocab_size=11, hidden_dim=8, n_layers=2, n_heads=2,
-                     max_context=16, mlp_ratio=2.0, rope_base=100.0)
+                     max_context=16, mlp_ratio=2.0)
 
 
 def _forward(params, seq):
@@ -66,7 +66,7 @@ def _hand_forward_single_layer(params, tokens):
         half = d // 2
         out = [0.0] * d
         for j in range(half):
-            ang = pos * cfg.rope_base ** (-2.0 * j / d)
+            ang = pos * M.ROPE_BASE ** (-2.0 * j / d)
             c, s = math.cos(ang), math.sin(ang)
             out[2 * j] = vec[2 * j] * c - vec[2 * j + 1] * s
             out[2 * j + 1] = vec[2 * j] * s + vec[2 * j + 1] * c
@@ -105,7 +105,7 @@ def _hand_forward_single_layer(params, tokens):
 
 def test_forward_matches_hand_rolled_oracle():
     cfg = M.ModelConfig(vocab_size=7, hidden_dim=4, n_layers=1, n_heads=1,
-                        max_context=8, mlp_ratio=2.0, rope_base=50.0)
+                        max_context=8, mlp_ratio=2.0)
     params = M.init_params(cfg, seed=5)
     tokens = [2, 6, 1, 0, 4]
     loss, _ = _forward(params, tokens)
@@ -206,7 +206,8 @@ def test_causality():
 def test_rope_scores_depend_on_relative_offset_only():
     params = M.init_params(TINY, seed=7)
     _, cache = _forward(params, [4] * 9)
-    scores = cache.layer_saves[0]["scores"][0]  # (H, T, T) with -inf above diagonal
+    save = cache.layer_saves[0]
+    scores = save["qr"][0] @ save["kr"][0].swapaxes(-1, -2)  # (H, T, T) before the mask
     for h in range(TINY.n_heads):
         for i in range(2, 8):
             for j in range(1, i):

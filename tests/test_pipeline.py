@@ -476,6 +476,22 @@ def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path,
     assert "Traceback" not in err
 
 
+def test_report_non_finite_loss_exits_3(selected_out, workdir, tmp_path, capsys):
+    """A learning rate that drives the loss to nan stops ``report`` with a
+    numeric failure instead of a ``nan`` row in ``report_loss.csv``."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    with np.errstate(all="ignore"):
+        code = _run("report", "--config", str(cfg), "--set", f"paths.output_dir={out}",
+                    "--set", "trainer.learning_rate=1e300")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numeric failure: non-finite loss")
+    loss = out / "report_loss.csv"
+    assert not loss.exists() or "nan" not in loss.read_text()
+
+
 def test_report_replays_under_the_recorded_reward_mode(workdir, tmp_path):
     """``report`` credits the ledger's pulls as ``select`` did, whatever
     ``bandit.reward_mode`` the report itself is given."""

@@ -45,8 +45,7 @@ def test_overfits_memorizable_set():
 def test_adam_step_matches_hand_computation():
     # scalar quadratic f(x) = x^2 at x=3: grad 6; hand recurrence in float64
     b1, b2, lr, eps = 0.9, 0.95, 0.1, 1e-8
-    cfg = T.TrainConfig(learning_rate=lr, batch_size=1, steps=1,
-                        beta1=b1, beta2=b2, eps=eps, seed=0)
+    cfg = T.TrainConfig(learning_rate=lr, batch_size=1, steps=1, seed=0)
     x = np.array(3.0)
     m = np.array(0.0)
     v = np.array(0.0)
@@ -103,3 +102,21 @@ def test_divergence_guard():
     data = [rng.integers(0, 12, size=6).tolist() for _ in range(16)]
     with pytest.raises(TrainingDivergedError):
         T.train(params, data, cfg)
+
+
+def test_non_finite_training_loss_names_the_step():
+    params = M.init_params(CFG, seed=7)
+    cfg = T.TrainConfig(learning_rate=1e300, batch_size=4, steps=20, seed=0)
+    rng = np.random.default_rng(3)
+    data = [rng.integers(0, 12, size=6).tolist() for _ in range(16)]
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError,
+                                                  match=r"non-finite loss .* at step \d+"):
+        T.train(params, data, cfg)
+
+
+def test_non_finite_eval_loss_names_the_evaluation_set():
+    params = M.init_params(CFG, seed=0)
+    params.head[0, 0] = np.nan
+    with pytest.raises(TrainingDivergedError,
+                       match="non-finite loss nan on the evaluation set of 2 sequences"):
+        T.eval_loss(params, [[1, 2, 3], [4, 5]])
