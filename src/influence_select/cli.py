@@ -218,12 +218,6 @@ def cmd_report(cfg: RunConfig) -> int:
     # selection composition per cluster
     comp = np.bincount(cmodel.assignment[np.asarray(selected, dtype=np.int64)],
                        minlength=cmodel.k)
-    write_csv(_out(cfg, "report_composition.csv"), fp, "cluster,selected_count",
-              enumerate(comp.tolist()))
-
-    # mean-reward trajectories from the ledger
-    write_csv(_out(cfg, "report_trajectories.csv"), fp, "iteration,cluster,mean_reward",
-              trajectory)
 
     # end-to-end loss table: selection vs random vs top-clusters baselines
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
@@ -239,6 +233,13 @@ def cmd_report(cfg: RunConfig) -> int:
         for name, ids in baselines:
             data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
             rows.append((name, trainer.eval_loss(trainer.train(params, data, cfg.trainer), ref)))
+
+    # written only once every table is computed, so a failed report leaves
+    # the directory's earlier tables as they were
+    write_csv(_out(cfg, "report_composition.csv"), fp, "cluster,selected_count",
+              enumerate(comp.tolist()))
+    write_csv(_out(cfg, "report_trajectories.csv"), fp, "iteration,cluster,mean_reward",
+              trajectory)
     write_csv(_out(cfg, "report_loss.csv"), fp, "method,reference_loss", rows)
     print("report written:", ", ".join(name for name, _ in rows))
     return 0
@@ -312,20 +313,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = load_config(args.config, args.set)
-        if args.command == "cluster":
-            return cmd_cluster(cfg)
-        if args.command == "score":
-            return cmd_score(cfg, _parse_ids(args))
-        if args.command == "select":
-            return cmd_select(cfg)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(cfg)
-        if args.command == "simulate-bandit":
-            return cmd_simulate_bandit(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        # no numpy warnings: explicit finiteness checks turn every non-finite
+        # result into one `numeric failure:` line and exit 3
+        with np.errstate(all="ignore"):
+            cfg = load_config(args.config, args.set)
+            if args.command == "cluster":
+                return cmd_cluster(cfg)
+            if args.command == "score":
+                return cmd_score(cfg, _parse_ids(args))
+            if args.command == "select":
+                return cmd_select(cfg)
+            if args.command == "oracle-check":
+                return cmd_oracle_check(cfg)
+            if args.command == "simulate-bandit":
+                return cmd_simulate_bandit(cfg)
+            if args.command == "report":
+                return cmd_report(cfg)
+            raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

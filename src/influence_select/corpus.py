@@ -21,6 +21,8 @@ Instance ids index 1:1 into the embedding matrix (id == row).
 from __future__ import annotations
 
 import itertools
+import os
+import stat
 import struct
 from dataclasses import InitVar, dataclass
 
@@ -42,9 +44,8 @@ class EmbeddingCorpus:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise DataError(f"embedding matrix must be 2-D, got shape {self.vectors.shape}")
-        bad = ~np.isfinite(self.vectors)
-        if bad.any():
-            row = int(np.argwhere(bad.any(axis=1))[0, 0])
+        if not np.isfinite(self.vectors).all():
+            row = int(np.argmax(~np.isfinite(self.vectors).all(axis=1)))
             where = f"{source}: " if source is not None else ""
             raise DataError(f"{where}non-finite embedding value at row {row}")
 
@@ -133,19 +134,21 @@ def load_embeddings(path, format: str = "binary") -> EmbeddingCorpus:
 
 def _load_embeddings_binary(path) -> EmbeddingCorpus:
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a pipe has no size to check the header against
+            raise DataError(f"{path}: not a regular file")
         head = fh.read(HEADER.size)
         if len(head) < HEADER.size:
             raise DataError(f"{path}: malformed header (got {len(head)} bytes, need {HEADER.size})")
         count, dim = HEADER.unpack(head)
         if dim == 0:
             raise DataError(f"{path}: malformed header (dim must be positive)")
-        payload = fh.read()
-    want = count * dim * 4
-    if len(payload) != want:
-        raise DataError(
-            f"{path}: truncated payload ({len(payload)} bytes, expected {want} for {count}x{dim})"
-        )
-    raw = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+        got, want = st.st_size - HEADER.size, count * dim * 4
+        if got != want:
+            raise DataError(
+                f"{path}: truncated payload ({got} bytes, expected {want} for {count}x{dim})"
+            )
+        raw = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
     return EmbeddingCorpus(vectors=raw.astype(np.float64), source=path)
 
 
@@ -195,7 +198,7 @@ def load_tokens(path) -> TokenTable:
     above 0x7f or a CR, the one TAB, the id, a repeated id, an empty token
     list, a malformed token, a negative token.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh:  # not np.fromfile, which cannot read a pipe
         b = np.frombuffer(fh.read(), dtype=np.uint8)
     if b.size and b[-1] != _LF:
         b = np.append(b, np.uint8(_LF))
@@ -207,7 +210,8 @@ def load_tokens(path) -> TokenTable:
     while first < line_end.size and (not blocks or blocks[-1].error is None):
         lo = line_end[first - 1] + 1 if first else 0
         last = min(int(np.searchsorted(line_end, lo + _BLOCK_BYTES)), line_end.size - 1)
-        blocks.append(_parse_block(b[lo:line_end[last] + 1], path, first))
+        blocks.append(_parse_block(b[lo:line_end[last] + 1], path, first,
+                                   line_end[first:last + 1] - lo))
         first = last + 1
     ids = np.concatenate([blk.ids for blk in blocks])
     lines = np.concatenate([blk.lines for blk in blocks])
@@ -234,15 +238,15 @@ class _Block:
     error: tuple | None  # (line, check order, message) of the first bad line
 
 
-def _parse_block(b, path, line0: int) -> _Block:
+def _parse_block(b, path, line0: int, line_end) -> _Block:
     """Parse whole lines ``b`` (ending in LF) that start at file line ``line0 + 1``.
 
     A word is a run of bytes other than space, TAB and LF, and a number is
     a word of ASCII digits after an optional '-'. Values are built by Horner
-    steps over the digit columns; ``searchsorted`` over the LF positions
-    places words, TABs and stray bytes on their lines.
+    steps over the digit columns, one word width at a time; ``searchsorted``
+    over the LF positions ``line_end`` (offsets into ``b``) places words, TABs
+    and stray bytes on their lines.
     """
-    line_end = np.flatnonzero(b == _LF)
     line_start = np.zeros_like(line_end)
     line_start[1:] = line_end[:-1] + 1
     lines = np.flatnonzero(line_end > line_start)  # blank lines are skipped
@@ -265,10 +269,13 @@ def _parse_block(b, path, line0: int) -> _Block:
     bad = (width < 1) | (width > _MAX_DIGITS)
     bad[np.searchsorted(w_start, odd, side="right") - 1] = True
     value = digit[d_start].astype(np.uint64)
-    live = np.flatnonzero(width > 1)
-    for j in range(1, _MAX_DIGITS):
-        value[live] = value[live] * np.uint64(10) + digit[d_start[live] + j]
-        live = live[width[live] > j + 1]
+    for w in np.flatnonzero(np.bincount(np.clip(width, 0, _MAX_DIGITS))[2:]) + 2:
+        rows = np.flatnonzero(width == w)  # one gather per digit column of these words
+        col = d_start[rows]
+        acc = value[rows]
+        for j in range(1, w):
+            acc = acc * np.uint64(10) + digit[col + j]
+        value[rows] = acc
     bad |= value > np.uint64(np.iinfo(np.int64).max)
     value = value.view(np.int64)
     value[neg] *= -1
@@ -277,13 +284,13 @@ def _parse_block(b, path, line0: int) -> _Block:
     tabs = np.flatnonzero(b == _TAB)
     first_tab = np.searchsorted(tabs, start)
     n_tabs = np.searchsorted(tabs, end) - first_tab
-    tab = np.append(tabs, b.size)[first_tab]
+    tab = _take(tabs, first_tab, b.size)
     first_word = np.searchsorted(w_start, start)
     n_words = np.searchsorted(w_start, end) - first_word
-    ids = np.append(value, 0)[first_word]
-    id_ok = (n_words > 0) & (np.append(w_start, -1)[first_word] == start)
-    id_ok &= np.append(w_end, -1)[first_word] == tab
-    id_ok &= ~np.append(bad, True)[first_word]
+    ids = _take(value, first_word, 0)
+    id_ok = (n_words > 0) & (_take(w_start, first_word, -1) == start)
+    id_ok &= _take(w_end, first_word, -1) == tab
+    id_ok &= ~_take(bad, first_word, True)
     stray = np.flatnonzero((b > 0x7F) | (b == _CR))
     negative = np.flatnonzero(neg & ~bad & (value != 0))
     firsts = {  # first row failing each check, keyed by check order
@@ -318,6 +325,14 @@ def _parse_block(b, path, line0: int) -> _Block:
     is_token[first_word[n_words > 0]] = False
     return _Block(ids=ids, lines=line0 + lines + 1, lengths=n_words - 1,
                   tokens=value[is_token], error=error)
+
+
+def _take(a, rows, fill) -> np.ndarray:
+    """``a[rows]`` for ``rows`` in ``[0, a.size]``, reading ``fill`` at
+    ``a.size`` (one past the end), without a copy of ``a``."""
+    if not a.size:
+        return np.full(rows.shape, fill, dtype=a.dtype)
+    return np.where(rows < a.size, np.take(a, rows, mode="clip"), fill)
 
 
 def _first_row(end, positions, skip=None) -> int | None:

@@ -171,26 +171,44 @@ def zeros_like_params(params: ParamSet) -> ParamSet:
 
 
 def _rmsnorm(x):
-    r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
-    return x * r
-
-
-def _rmsnorm_backward(x, dy):
-    d = x.shape[-1]
+    """``x`` scaled to unit root mean square, and its mean square plus
+    RMS_EPS, which backward reuses."""
     ms = np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS
+    return x * (1.0 / np.sqrt(ms)), ms
+
+
+def _rmsnorm_backward(x, ms, dy):
+    d = x.shape[-1]
     r = ms ** -0.5
     dot = np.sum(dy * x, axis=-1, keepdims=True)
     return r * dy - x * (r ** 3) * dot / d
 
 
 def _silu(u):
+    """SiLU of ``u``, and the sigmoid that backward reuses."""
     s = 1.0 / (1.0 + np.exp(-u))
-    return u * s
+    return u * s, s
 
 
-def _silu_grad(u):
-    s = 1.0 / (1.0 + np.exp(-u))
+def _silu_grad(u, s):
     return s * (1.0 + u * (1.0 - s))
+
+
+def _softmax(s, mask=None):
+    """Softmax over the last axis of ``s``, computed in place and returned.
+
+    Entries where the boolean ``mask`` (broadcast against ``s``) is false are
+    never exponentiated and come out exactly 0.0. The result is bitwise
+    ``e / e.sum(-1)`` with ``e = exp(m - m.max(-1))`` and
+    ``m = np.where(mask, s, -inf)``: the same elementwise ops in the same order.
+    """
+    keep = True if mask is None else mask
+    s -= s.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    np.exp(s, out=s, where=keep)
+    if mask is not None:
+        np.copyto(s, 0.0, where=~mask)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,12 +238,11 @@ def rope_apply(x, cos, sin):
     return out
 
 
-def _rope_backward(dout, cos, sin):
+def _rope_backward(dout, cos, sin, out):
+    """Gradient through ``rope_apply``, written into ``out``."""
     d1, d2 = dout[..., 0::2], dout[..., 1::2]
-    dx = np.empty_like(dout)
-    dx[..., 0::2] = d1 * cos + d2 * sin
-    dx[..., 1::2] = -d1 * sin + d2 * cos
-    return dx
+    out[..., 0::2] = d1 * cos + d2 * sin
+    out[..., 1::2] = -d1 * sin + d2 * cos
 
 
 def _split_heads(x, n_heads):
@@ -288,6 +305,7 @@ class ForwardCache:
     tokens: np.ndarray  # (B, T)
     layer_saves: list[dict] = field(default_factory=list)
     h_final: np.ndarray = None
+    ms_final: np.ndarray = None  # mean square of h_final, from _rmsnorm
     hn: np.ndarray = None
     logits: np.ndarray = None
     probs: np.ndarray = None
@@ -319,34 +337,30 @@ def forward(params: ParamSet, tokens, seq_len: int):
     cache = ForwardCache(params=params, tokens=tokens)
     h = params.embed[tokens]
     for blk in params.layers:
-        save: dict = {"h_in": h}
-        x_attn = _rmsnorm(h)
+        x_attn, ms_in = _rmsnorm(h)
+        save: dict = {"h_in": h, "ms_in": ms_in}
         w_qkv = _qkv_weight(blk)
-        q, k, v = np.split(_split_heads(x_attn @ w_qkv.T, 3 * H), 3, axis=-3)
-        qr = rope_apply(q, cos, sin)
-        kr = rope_apply(k, cos, sin)
-        scores = (qr @ kr.swapaxes(-1, -2)) / np.sqrt(dh)
-        scores = np.where(mask, scores, -np.inf)
-        smax = scores.max(axis=-1, keepdims=True)
-        ex = np.exp(scores - smax)
-        attn = ex / ex.sum(axis=-1, keepdims=True)
+        qkv = _split_heads(x_attn @ w_qkv.T, 3 * H)
+        qk = rope_apply(qkv[:, : 2 * H], cos, sin)  # Q and K rotated together
+        qr, kr, v = qk[:, :H], qk[:, H:], qkv[:, 2 * H :]
+        scores = qr @ kr.swapaxes(-1, -2)
+        scores /= np.sqrt(dh)
+        attn = _softmax(scores, mask)
         attn_in = _merge_heads(attn @ v)
         h = h + attn_in @ blk.w_o.T
         save.update(x_attn=x_attn, w_qkv=w_qkv, qr=qr, kr=kr, vh=v, attn=attn,
                     attn_in=attn_in, h_mid=h)
-        x_mlp = _rmsnorm(h)
+        x_mlp, ms_mid = _rmsnorm(h)
         u = x_mlp @ blk.w_up.T
-        act = _silu(u)
+        act, sig = _silu(u)
         h = h + act @ blk.w_down.T
-        save.update(x_mlp=x_mlp, u=u, act=act)
+        save.update(ms_mid=ms_mid, x_mlp=x_mlp, u=u, sig=sig, act=act)
         cache.layer_saves.append(save)
 
     cache.h_final = h
-    cache.hn = _rmsnorm(h)
+    cache.hn, cache.ms_final = _rmsnorm(h)
     cache.logits = cache.hn @ params.head.T
-    lmax = cache.logits.max(axis=-1, keepdims=True)
-    lex = np.exp(cache.logits - lmax)
-    cache.probs = lex / lex.sum(axis=-1, keepdims=True)
+    cache.probs = _softmax(cache.logits.copy())
     n_pred = T - 1
     p_target = np.take_along_axis(cache.probs[..., :n_pred, :], tokens[..., 1:, None], axis=-1)
     cache.loss = -np.log(p_target[..., 0]).sum(axis=-1) / n_pred
@@ -376,7 +390,9 @@ def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
     if cache.params is not params:
         raise DataError("stale cache: it was produced by a different ParamSet")
     cfg = params.config
-    cos, sin = rope_tables(cfg, cache.tokens.shape[-1])
+    B, T = cache.tokens.shape
+    H, hd = cfg.n_heads, cfg.head_dim
+    cos, sin = rope_tables(cfg, T)
 
     grads = zeros_like_params(params) if param_grads else None
     taps: list[LayerTap] = []
@@ -387,7 +403,7 @@ def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
 
     dlogits = ce_dlogits(cache)
     dhn = dlogits @ params.head
-    dh = _rmsnorm_backward(cache.h_final, dhn)
+    dh = _rmsnorm_backward(cache.h_final, cache.ms_final, dhn)
 
     for li in range(cfg.n_layers - 1, -1, -1):
         blk = params.layers[li]
@@ -395,26 +411,29 @@ def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
 
         # MLP block
         delta_m2 = dh  # grad wrt w_down output
-        delta_m1 = (delta_m2 @ blk.w_down) * _silu_grad(save["u"])
-        dh = dh + _rmsnorm_backward(save["h_mid"], delta_m1 @ blk.w_up)
+        delta_m1 = (delta_m2 @ blk.w_down) * _silu_grad(save["u"], save["sig"])
+        dh = dh + _rmsnorm_backward(save["h_mid"], save["ms_mid"], delta_m1 @ blk.w_up)
         tap(li, "mlp-2", save["act"], delta_m2)
         tap(li, "mlp-1", save["x_mlp"], delta_m1)
 
         # attention block
         delta_o = dh  # grad wrt w_o output
-        dctx = _split_heads(delta_o @ blk.w_o, cfg.n_heads)
+        dctx = _split_heads(delta_o @ blk.w_o, H)
         attn, vh, qr, kr = save["attn"], save["vh"], save["qr"], save["kr"]
-        dattn = dctx @ vh.swapaxes(-1, -2)
-        dvh = attn.swapaxes(-1, -2) @ dctx
-        # softmax rows: masked-out entries have attn == 0 so contribute nothing
-        dscores = attn * (dattn - np.sum(dattn * attn, axis=-1, keepdims=True))
-        dscores = dscores / np.sqrt(cfg.head_dim)
-        dqh = _rope_backward(dscores @ kr, cos, sin)
-        dkh = _rope_backward(dscores.swapaxes(-1, -2) @ qr, cos, sin)
-        delta_qkv = np.concatenate([_merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)],
-                                   axis=-1)
+        dheads = np.empty((B, 3 * H, T, hd))  # q, k, v head gradients
+        np.matmul(attn.swapaxes(-1, -2), dctx, out=dheads[:, 2 * H :])
+        dscores = dctx @ vh.swapaxes(-1, -2)  # d attn, made d scores in place
+        rowdot = np.sum(dscores * attn, axis=-1, keepdims=True)
+        dscores -= rowdot
+        dscores *= attn  # masked-out entries have attn == 0 so contribute nothing
+        dscores /= np.sqrt(hd)
+        drot = np.empty((B, 2 * H, T, hd))  # rotated q, k gradients
+        np.matmul(dscores, kr, out=drot[:, :H])
+        np.matmul(dscores.swapaxes(-1, -2), qr, out=drot[:, H:])
+        _rope_backward(drot, cos, sin, out=dheads[:, : 2 * H])
+        delta_qkv = _merge_heads(dheads)
         if li or param_grads:  # below layer 0, dh feeds only the embedding gradient
-            dh = dh + _rmsnorm_backward(save["h_in"], delta_qkv @ save["w_qkv"])
+            dh = dh + _rmsnorm_backward(save["h_in"], save["ms_in"], delta_qkv @ save["w_qkv"])
         tap(li, "attn-out", save["attn_in"], delta_o)
         tap(li, "qkv-joint", save["x_attn"], delta_qkv)
 

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -61,6 +62,20 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(struct.pack("<QQ", 4, 8) + b"\x00" * 10)
     with pytest.raises(DataError, match="truncated payload"):
         load_embeddings(path)
+
+
+def test_overlong_payload(tmp_path):
+    """A payload longer than count * dim * 4 bytes is rejected too, with both
+    sizes named, before any of it is read."""
+    path = tmp_path / "long.bin"
+    path.write_bytes(struct.pack("<QQ", 4, 8) + b"\x00" * (4 * 8 * 4 + 4))
+    with pytest.raises(DataError, match=r"truncated payload \(132 bytes, expected 128 for 4x8\)"):
+        load_embeddings(path)
+
+
+def test_binary_embeddings_must_be_a_regular_file():
+    with pytest.raises(DataError, match="not a regular file"):
+        load_embeddings(os.devnull)
 
 
 def test_nonfinite_rejected_with_row_index(tmp_path):

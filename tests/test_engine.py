@@ -109,6 +109,35 @@ def test_taps_equal_with_and_without_parameter_gradients():
             np.testing.assert_array_equal(g.delta, w.delta)
 
 
+def _plain_softmax(s, mask):
+    m = np.where(mask, s, -np.inf)
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["rows", "causal"])
+def test_softmax_helper_is_bitwise_the_plain_expression(masked):
+    rng = np.random.default_rng(7)
+    T = 37  # odd, so rows straddle SIMD widths
+    s = rng.normal(size=(3, 2, T, T)) * np.exp(rng.uniform(-8, 8, size=(3, 2, T, 1)))
+    mask = M._causal_mask(T) if masked else np.ones((T, T), dtype=bool)
+    want = _plain_softmax(s, mask)
+    got = M._softmax(s.copy(), mask if masked else None)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_masked_attention_entries_are_exactly_zero():
+    params = M.init_params(CFG, seed=8)
+    T = CFG.max_context
+    tokens = np.random.default_rng(8).integers(0, CFG.vocab_size, size=3 * T)
+    _, cache = M.forward(params, tokens, seq_len=T)
+    above = ~M._causal_mask(T)
+    for save in cache.layer_saves:
+        attn = save["attn"]
+        assert (attn[..., above] == 0.0).all() and not np.signbit(attn[..., above]).any()
+        assert (attn[..., ~above] > 0.0).all()
+
+
 def test_score_batch_rows_keep_input_order(chunk_tokens):
     params = M.init_params(CFG, seed=5)
     registry = M.tracked_layers(CFG)

@@ -478,18 +478,36 @@ def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path,
 
 def test_report_non_finite_loss_exits_3(selected_out, workdir, tmp_path, capsys):
     """A learning rate that drives the loss to nan stops ``report`` with a
-    numeric failure instead of a ``nan`` row in ``report_loss.csv``."""
+    numeric failure, and leaves an earlier report's three tables as they were."""
     root, cfg = workdir
     out = tmp_path / "out"
     shutil.copytree(selected_out, out)
-    with np.errstate(all="ignore"):
-        code = _run("report", "--config", str(cfg), "--set", f"paths.output_dir={out}",
-                    "--set", "trainer.learning_rate=1e300")
+    args = ["--config", str(cfg), "--set", f"paths.output_dir={out}"]
+    assert _run("report", *args) == 0
+    tables = ("report_composition.csv", "report_trajectories.csv", "report_loss.csv")
+    before = {name: (out / name).read_bytes() for name in tables}
+    capsys.readouterr()
+    code = _run("report", *args, "--set", "trainer.learning_rate=1e300")
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numeric failure: non-finite loss")
-    loss = out / "report_loss.csv"
-    assert not loss.exists() or "nan" not in loss.read_text()
+    assert {name: (out / name).read_bytes() for name in tables} == before
+
+
+def test_numeric_failure_prints_one_stderr_line(selected_out, workdir, tmp_path):
+    """In a fresh process, with numpy's default error state, a diverging
+    ``report`` prints its one ``numeric failure:`` line and no warnings."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    done = subprocess.run(
+        [sys.executable, "-m", "influence_select", "report", "--config", str(cfg),
+         "--set", f"paths.output_dir={out}", "--set", "trainer.learning_rate=1e300"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src")),
+        capture_output=True, text=True)
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:"), done.stderr
 
 
 def test_report_replays_under_the_recorded_reward_mode(workdir, tmp_path):
