@@ -1,8 +1,9 @@
 """Command-line pipeline: cluster, score, select, oracle-check,
 simulate-bandit, report.
 
-Exit codes: 0 success, 1 usage error (an unreadable config file included),
-2 data error (any OS error on a data path included), 3 numeric failure.
+Exit codes: 0 success, 1 usage error (an unreadable config file, and a
+config value that sizes an array beyond memory, included), 2 data error (any
+OS error on a data path included), 3 numeric failure.
 Every output file carries the resolved-config fingerprint (CSV/JSONL inline,
 every CSV through ``write_csv``; binary artifacts get a ``.meta.json``
 sidecar), and commands are idempotent: identical config implies
@@ -54,10 +55,6 @@ def write_csv(path: str, fp: str, header: str, rows) -> None:
             fh.write("\n")
 
 
-def _load_corpus(cfg: RunConfig) -> corpus.EmbeddingCorpus:
-    return corpus.load_embeddings(cfg.paths.embeddings, format=cfg.paths.embedding_format)
-
-
 def _load_inputs(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
     """Token table, id -> row index and reference table, checked against the
     corpus and the model (see ``corpus.load_inputs``)."""
@@ -83,15 +80,12 @@ def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clusteri
     return cmodel
 
 
-def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable, factor_path: str | None = None):
+def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable):
     """Model init, factor estimation over the reference set, reference iHVP
     (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
     registry = model_mod.tracked_layers(params.config)
     factors, ref_grad = curvature.collect_factors(params, ref, registry)
-    if factor_path is not None:
-        curvature.save_factors(factor_path, factors)
-        _write_meta(factor_path, fingerprint(cfg))
     inverses = {
         name: curvature.inverse_of_factor(fac, cfg.influence.damping)
         for name, fac in factors.items()
@@ -102,26 +96,21 @@ def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable, factor_path: str | No
             target_dim=cfg.influence.sketch_dim, seed=cfg.influence.sketch_seed
         )
         ihvp = influence.pullback_ihvp(projector, ihvp)
-    return params, registry, ihvp
+    return params, registry, ihvp, factors
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
-    emb = _load_corpus(cfg)
+    emb = corpus.load_embeddings(cfg.paths.embeddings)
     model = clustering.kmeans(
-        emb,
-        k=cfg.clustering.k,
-        seed=cfg.clustering.seed,
-        max_iters=cfg.clustering.max_iters,
-        tol=cfg.clustering.tol,
-        normalize=cfg.clustering.normalize,
+        emb, k=cfg.clustering.k, seed=cfg.clustering.seed, max_iters=cfg.clustering.max_iters
     )
     path = _out(cfg, "clusters.bin")
     clustering.save_cluster_model(path, model)
     _write_meta(path, fp, {
         "k": model.k,
         "count": model.count,
-        "objective": f"{clustering.objective(model, emb, cfg.clustering.normalize):.17g}",
+        "objective": f"{clustering.objective(model, emb):.17g}",
         "iterations": model.n_iters,
         "converged": model.converged,
     })
@@ -132,12 +121,12 @@ def cmd_cluster(cfg: RunConfig) -> int:
 
 def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     fp = fingerprint(cfg)
-    emb = _load_corpus(cfg)
+    emb = corpus.load_embeddings(cfg.paths.embeddings)
     table, row_of, ref = _load_inputs(cfg, emb)
     missing = [i for i in ids if not 0 <= i < emb.count or row_of[i] < 0]
     if missing:
         raise DataError(f"no token record for instance id(s) {missing[:5]}")
-    params, registry, ihvp = _scoring_setup(cfg, ref)
+    params, registry, ihvp, _ = _scoring_setup(cfg, ref)
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params, registry=registry)
     path = _out(cfg, "scores.csv")
@@ -149,11 +138,11 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
 
 def cmd_select(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
-    emb = _load_corpus(cfg)
+    emb = corpus.load_embeddings(cfg.paths.embeddings)
     table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
     cmodel = _load_cluster_model(cfg, emb)
     bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
-    params, registry, ihvp = _scoring_setup(cfg, ref, _out(cfg, "factors.ntc"))
+    params, registry, ihvp, factors = _scoring_setup(cfg, ref)
 
     def scorer(ids):
         rows = row_of[np.asarray(ids, dtype=np.int64)]
@@ -166,6 +155,10 @@ def cmd_select(cfg: RunConfig) -> int:
     led_path = _out(cfg, "ledger.jsonl")
     bandit_mod.write_selection(sel_path, ledger, fingerprint=fp)
     bandit_mod.write_ledger_jsonl(led_path, ledger, fingerprint=fp)
+    # last, so a select that fails leaves the directory's earlier factors with their run
+    fac_path = _out(cfg, "factors.ntc")
+    curvature.save_factors(fac_path, factors)
+    _write_meta(fac_path, fp)
     print(
         f"selected {len(ledger.selected)} / budget {cfg.selection.budget} "
         f"in {len(ledger.iterations)} iterations"
@@ -207,7 +200,7 @@ def _regret_rows(results):
 
 def cmd_report(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
-    emb = _load_corpus(cfg)
+    emb = corpus.load_embeddings(cfg.paths.embeddings)
     table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
     cmodel = _load_cluster_model(cfg, emb)
     sel_path = _require(os.path.join(cfg.paths.output_dir, "selection.txt"), "select")
@@ -343,6 +336,9 @@ def main(argv=None) -> int:
         where = f"{exc.filename!r}: " if exc.filename is not None else ""
         print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a config value sizing an array beyond the address space
+        print(f"usage error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

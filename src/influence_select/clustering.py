@@ -21,8 +21,6 @@ CLUSTER_MAGIC = b"KMC1"
 # 122 ms in blocks of 256 or 512 rows, 128 ms in 1024, 138 ms in 2048, 185 ms
 # unblocked; at 10000 x 16, k=64, 512 rows were within 5% of the fastest.
 ASSIGN_BLOCK_ROWS = 512
-# A norm below this comes from a sum of squares that is subnormal or 0: it lost bits.
-_SAFE_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 @dataclass
@@ -158,20 +156,12 @@ def _lower_closest(x, c, rows, closest) -> None:
         closest[r] = np.minimum(closest[r], np.sum((x[r] - c) ** 2, axis=1))
 
 
-def kmeans(
-    corpus: EmbeddingCorpus,
-    k: int,
-    seed: int = 0,
-    max_iters: int = 100,
-    tol: float = 0.0,
-    normalize: bool = False,
-) -> ClusterModel:
-    """Cluster the corpus into k groups.
+def kmeans(corpus: EmbeddingCorpus, k: int, seed: int = 0, max_iters: int = 100) -> ClusterModel:
+    """Cluster the corpus vectors, as given, into k groups.
 
-    Iterates assign/update until the assignment reaches a fixpoint, the max
-    centroid shift drops below ``tol``, or ``max_iters`` is hit. With
-    ``normalize`` rows are L2-normalized before clustering. The result is
-    that of full-matrix Lloyd passes, bit for bit, but after the first pass
+    Iterates assign/update until the assignment reaches a fixpoint, no
+    centroid moves, or ``max_iters`` is hit. The result is that of
+    full-matrix Lloyd passes, bit for bit, but after the first pass
     distances are computed only for rows whose bounds cannot prove their
     nearest centroid unchanged (_assign_pruned), and means only for clusters
     whose members changed. n_iters counts the assign passes run; converged
@@ -181,7 +171,7 @@ def kmeans(
         raise DataError("k must be positive")
     if k > corpus.count:
         raise DataError(f"k={k} exceeds corpus count {corpus.count}")
-    x = _points(corpus, normalize)
+    x = corpus.vectors
     with np.errstate(over="ignore"):
         x_sq = np.sum(x * x, axis=1)
         # seeding sums n squared distances, each at most 4 max(x_sq), with margin
@@ -213,7 +203,7 @@ def kmeans(
         shifts = np.linalg.norm(new_centroids - centroids, axis=1)
         _shift_bounds(shifts, x.shape[1], assignment, upper, lower)
         centroids = new_centroids
-        if float(np.max(shifts)) <= tol:
+        if float(np.max(shifts)) <= 0.0:
             break
 
     # each exit leaves every centroid at its members' mean (none is empty)
@@ -224,29 +214,6 @@ def kmeans(
         n_iters=it,
         converged=converged,
     )
-
-
-def _points(corpus: EmbeddingCorpus, normalize: bool) -> np.ndarray:
-    """The rows to cluster; with ``normalize`` each nonzero row is scaled to unit norm.
-
-    A row whose sum of squares underflows (norm below sqrt of the smallest
-    normal float64) or overflows is first divided by its largest absolute
-    entry, so it too lands on the unit sphere; every other row is divided by
-    its norm as is.
-    """
-    x = corpus.vectors
-    if normalize:
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-        x = x / np.where(norms == 0.0, 1.0, norms)
-        odd = np.flatnonzero((norms[:, 0] < _SAFE_NORM) | np.isinf(norms[:, 0]))
-        if odd.size:
-            y = corpus.vectors[odd]
-            top = np.max(np.abs(y), axis=1, keepdims=True)
-            y = y / np.where(top == 0.0, 1.0, top)
-            norms = np.linalg.norm(y, axis=1, keepdims=True)
-            x[odd] = y / np.where(norms == 0.0, 1.0, norms)
-    return x
 
 
 def _assign_pruned(x, x_sq, centroids, assignment, upper, lower) -> np.ndarray:
@@ -401,13 +368,13 @@ def _repair_empty(x, assignment, centroids, buf):
     return assignment, _cluster_means(x, assignment, centroids, np.ones(k, dtype=bool), buf)
 
 
-def objective(model: ClusterModel, corpus: EmbeddingCorpus, normalize: bool = False) -> float:
+def objective(model: ClusterModel, corpus: EmbeddingCorpus) -> float:
     """Within-cluster sum of squared Euclidean distances."""
     if model.dim != corpus.dim:
         raise DataError(f"dimension mismatch: model {model.dim}, corpus {corpus.dim}")
     if model.count != corpus.count:
         raise DataError(f"count mismatch: model {model.count}, corpus {corpus.count}")
-    x = _points(corpus, normalize)
+    x = corpus.vectors
     return float(np.sum(_squared_errors(x, model.centroids, model.assignment, np.empty_like(x))))
 
 

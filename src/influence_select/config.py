@@ -21,15 +21,9 @@ from .trainer import TrainConfig
 @dataclass
 class PathsConfig:
     embeddings: str = "embeddings.bin"
-    embedding_format: str = "binary"
     tokens: str = "tokens.tsv"
     reference: str = "reference.tsv"
     output_dir: str = "out"
-
-    def __post_init__(self):
-        if self.embedding_format not in ("binary", "csv"):
-            raise UsageError("paths.embedding_format must be one of ('binary', 'csv'), "
-                             f"got {self.embedding_format!r}")
 
 
 @dataclass
@@ -37,16 +31,12 @@ class ClusteringConfig:
     k: int = 64
     seed: int = 0
     max_iters: int = 100
-    tol: float = 0.0
-    normalize: bool = False
 
     def __post_init__(self):
         if self.k < 1:
             raise UsageError(f"clustering.k must be >= 1, got {self.k}")
         if self.max_iters < 1:
             raise UsageError(f"clustering.max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol >= 0.0:
-            raise UsageError(f"clustering.tol must be >= 0, got {self.tol!r}")
 
 
 @dataclass
@@ -131,18 +121,7 @@ class RunConfig:
                                  f"tracked layer's size, got {self.influence.sketch_dim}")
 
 
-_SECTIONS = {
-    "paths": PathsConfig,
-    "clustering": ClusteringConfig,
-    "bandit": BanditConfig,
-    "selection": SelectionConfig,
-    "influence": InfluenceConfig,
-    "model": ModelSection,
-    "trainer": TrainConfig,
-    "sim": SimConfig,
-    "oracle": OracleConfig,
-    "report": ReportConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _parse_value(text: str, typ):

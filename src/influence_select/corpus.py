@@ -123,16 +123,8 @@ def _first(*masks) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def load_embeddings(path, format: str = "binary") -> EmbeddingCorpus:
-    """Load an embedding corpus from ``path`` in ``binary`` or ``csv`` format."""
-    if format == "binary":
-        return _load_embeddings_binary(path)
-    if format == "csv":
-        return _load_embeddings_csv(path)
-    raise DataError(f"unknown embedding format {format!r}")
-
-
-def _load_embeddings_binary(path) -> EmbeddingCorpus:
+def load_embeddings(path) -> EmbeddingCorpus:
+    """Load an embedding corpus from the binary file at ``path``."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if not stat.S_ISREG(st.st_mode):  # a pipe has no size to check the header against
@@ -152,36 +144,11 @@ def _load_embeddings_binary(path) -> EmbeddingCorpus:
     return EmbeddingCorpus(vectors=raw.astype(np.float64), source=path)
 
 
-def _load_embeddings_csv(path) -> EmbeddingCorpus:
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:  # bad bytes fail float()
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable value") from exc
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise DataError(f"{path}:{lineno}: inconsistent dimension")
-    if not rows:
-        raise DataError(f"{path}: empty csv corpus (binary format supports count=0)")
-    return EmbeddingCorpus(vectors=np.asarray(rows, dtype=np.float64), source=path)
-
-
-def write_embeddings(path, corpus: EmbeddingCorpus, format: str = "binary") -> None:
-    """Companion writer; binary round-trips bitwise through float32."""
-    if format == "binary":
-        with open(path, "wb") as fh:
-            fh.write(HEADER.pack(corpus.count, corpus.dim))
-            fh.write(corpus.vectors.astype("<f4").tobytes())
-    elif format == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in corpus.vectors:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    else:
-        raise DataError(f"unknown embedding format {format!r}")
+def write_embeddings(path, corpus: EmbeddingCorpus) -> None:
+    """Companion writer; round-trips bitwise through float32."""
+    with open(path, "wb") as fh:
+        fh.write(HEADER.pack(corpus.count, corpus.dim))
+        fh.write(corpus.vectors.astype("<f4").tobytes())
 
 
 _LF, _TAB, _SPACE, _CR, _MINUS = 10, 9, 32, 13, 45

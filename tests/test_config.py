@@ -10,7 +10,8 @@ from influence_select.errors import UsageError
 _REMOVED_KEYS = {
     "bandit.tau_mode", "influence.layers", "model.rope_base", "trainer.beta1",
     "trainer.beta2", "trainer.eps", "sim.alpha", "sim.sigma", "sim.members_per_arm",
-    "sim.best_mean", "sim.spread", "oracle.damping",
+    "sim.best_mean", "sim.spread", "oracle.damping", "paths.embedding_format",
+    "clustering.normalize", "clustering.tol",
 }
 
 
@@ -191,7 +192,7 @@ def test_sketch_dim_bounded_by_smallest_tracked_layer(tmp_path, capsys):
 def test_section_boundary_values_accepted():
     cfg = load_config(None, overrides=[
         "model.n_layers=1", "model.hidden_dim=2", "model.n_heads=1", "model.max_context=2",
-        "model.vocab_size=1", "clustering.k=1", "clustering.max_iters=1", "clustering.tol=0",
+        "model.vocab_size=1", "clustering.k=1", "clustering.max_iters=1",
         "selection.budget=0", "trainer.learning_rate=0", "trainer.steps=0",
         "trainer.batch_size=1", "influence.damping=0", "influence.sketch_dim=1",
     ])
@@ -305,6 +306,9 @@ def test_removed_oracle_shape_keys_exit_1(override, tmp_path, capsys):
     ("simulate-bandit", "sim.best_mean=2.5"),
     ("simulate-bandit", "sim.spread=1.8"),
     ("oracle-check", "oracle.damping=1e-3"),
+    ("cluster", "paths.embedding_format=binary"),
+    ("cluster", "clustering.normalize=false"),
+    ("cluster", "clustering.tol=0"),
 ])
 def test_removed_key_exits_1(command, override, tmp_path, capsys):
     """Keys whose one value in use became a constant are unknown, even at
@@ -317,6 +321,19 @@ def test_removed_key_exits_1(command, override, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == f"usage error: unknown config key {key}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_array_beyond_memory_exits_1_with_one_line(tmp_path, capsys):
+    """numpy refuses an allocation this far beyond the address space before
+    it touches memory; the value is never one near the machine's RAM."""
+    from influence_select import cli
+
+    code = cli.main(["simulate-bandit", "--set", "sim.arms=100000000000000",
+                     "--set", f"paths.output_dir={tmp_path}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error: out of memory: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -354,8 +371,8 @@ _FLOAT_KEYS = sorted(f"{sec}.{name}" for (sec, name), typ in _FIELD_TYPES.items(
 # float keys whose value is now a constant: any value of theirs, finite or
 # not, is rejected as an unknown key
 _FORMER_FLOAT_KEYS = [
-    "model.rope_base", "oracle.damping", "sim.alpha", "sim.best_mean", "sim.sigma",
-    "sim.spread", "trainer.beta1", "trainer.beta2", "trainer.eps",
+    "clustering.tol", "model.rope_base", "oracle.damping", "sim.alpha", "sim.best_mean",
+    "sim.sigma", "sim.spread", "trainer.beta1", "trainer.beta2", "trainer.eps",
 ]
 
 

@@ -87,34 +87,14 @@ def test_nonfinite_rejected_with_row_index(tmp_path):
         load_embeddings(path)
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_nonfinite_file_value_names_file_and_row(tmp_path, fmt):
-    path = tmp_path / f"emb.{fmt}"
-    if fmt == "binary":
-        mat = np.ones((4, 3), dtype="<f4")
-        mat[2, 0] = np.inf
-        path.write_bytes(struct.pack("<QQ", 4, 3) + mat.tobytes())
-    else:
-        path.write_text("1,1,1\n1,1,1\ninf,1,1\n1,1,1\n")
+def test_nonfinite_file_value_names_file_and_row(tmp_path):
+    path = tmp_path / "emb.bin"
+    mat = np.ones((4, 3), dtype="<f4")
+    mat[2, 0] = np.inf
+    path.write_bytes(struct.pack("<QQ", 4, 3) + mat.tobytes())
     with pytest.raises(DataError) as exc:
-        load_embeddings(path, format=fmt)
+        load_embeddings(path)
     assert str(exc.value) == f"{path}: non-finite embedding value at row 2"
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    corpus = EmbeddingCorpus(vectors=rng.normal(size=(20, 5)))
-    path = tmp_path / "c.csv"
-    write_embeddings(path, corpus, format="csv")
-    again = load_embeddings(path, format="csv")
-    np.testing.assert_allclose(again.vectors, corpus.vectors, rtol=0, atol=0)
-
-
-def test_csv_inconsistent_dim(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(DataError, match="inconsistent dimension"):
-        load_embeddings(path, format="csv")
 
 
 @settings(max_examples=25, deadline=None)

@@ -273,6 +273,7 @@ def test_select_non_finite_score_is_typed_error(workdir, tmp_path, monkeypatch, 
     assert "non-finite influence score" in capsys.readouterr().err
     assert not (out / "ledger.jsonl").exists()
     assert not (out / "selection.txt").exists()
+    assert not (out / "factors.ntc").exists()
 
 
 @pytest.mark.parametrize("command", ["select", "report"])
@@ -350,17 +351,6 @@ def test_non_utf8_token_file_is_data_error(workdir, tmp_path, capsys):
     assert code == 2
     assert f"{bad}:601: byte 0xff is not allowed" in err
     assert "Traceback" not in err
-
-
-def test_binary_file_read_as_csv_embeddings_is_data_error(workdir, tmp_path, capsys):
-    root, cfg = workdir
-    code = _run("cluster", "--config", str(cfg), "--set", "paths.embedding_format=csv",
-                "--set", f"paths.output_dir={tmp_path}/out")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"{root}/embeddings.bin:" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, code, needle", [
