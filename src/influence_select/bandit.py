@@ -51,17 +51,14 @@ class BanditConfig:
 class BanditState:
     n_clusters: int
     alpha: float
-    reward: np.ndarray = None  # R: cumulative batch reward per cluster
-    pulls: np.ndarray = None  # T: pull count per cluster
-    retired: np.ndarray = None
+    reward: np.ndarray = field(init=False)  # R: cumulative batch reward per cluster
+    pulls: np.ndarray = field(init=False)  # T: pull count per cluster
+    retired: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.reward is None:
-            self.reward = np.zeros(self.n_clusters)
-        if self.pulls is None:
-            self.pulls = np.zeros(self.n_clusters, dtype=np.int64)
-        if self.retired is None:
-            self.retired = np.zeros(self.n_clusters, dtype=bool)
+        self.reward = np.zeros(self.n_clusters)
+        self.pulls = np.zeros(self.n_clusters, dtype=np.int64)
+        self.retired = np.zeros(self.n_clusters, dtype=bool)
 
 
 def cluster_scores(state: BanditState) -> np.ndarray:
@@ -105,23 +102,6 @@ class SelectionLedger:
     truncated: bool = False
     final_state: BanditState | None = None
     reward_mode: str = "sum"  # how the pulls' batch rewards were credited
-    _mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool),
-                              init=False, repr=False, compare=False)
-    _marked: int = field(default=0, init=False, repr=False, compare=False)
-
-    def selected_mask(self, count: int) -> np.ndarray:
-        """Boolean mask over a pool of ``count`` ids, true where selected.
-
-        Kept in step with ``selected``: each call marks only the ids appended
-        since the previous one.
-        """
-        if self._mask.size != count:
-            self._mask = np.zeros(count, dtype=bool)
-            self._marked = 0
-        if self._marked < len(self.selected):
-            self._mask[self.selected[self._marked :]] = True
-            self._marked = len(self.selected)
-        return self._mask
 
 
 class CachedScorer:
@@ -163,20 +143,19 @@ def pull_arms(
     arms: list[int],
     m: int,
     seed: int,
-    ledger: SelectionLedger,
+    selected: np.ndarray,
     iteration: int = 0,
     reward_mode: str = "sum",
 ) -> IterationRecord:
     """Pull each arm in ``arms``, in order.
 
-    Samples up to m not-yet-selected members from each arm (without
-    replacement within the batch), scores every batch in one scorer call,
-    and credits the rewards in pull order. Exhausted arms are retired and
-    logged as skipped pulls.
+    Samples up to m members from each arm that the boolean mask ``selected``
+    (over the pool's ids) leaves unmarked, without replacement within the
+    batch; scores every batch in one scorer call, and credits the rewards in
+    pull order. Exhausted arms are retired and logged as skipped pulls.
     """
     rng = np.random.default_rng(seed)
     rec = IterationRecord(iteration=iteration)
-    selected = ledger.selected_mask(model.count)
     batches: list[tuple[int, list[int]]] = []
     for ci in arms:
         if state.retired[ci]:
@@ -204,25 +183,26 @@ def select_step(
     state: BanditState,
     model: ClusterModel,
     ledger: SelectionLedger,
+    selected: np.ndarray,
     gamma: float,
     tau: float,
     seed: int,
 ) -> list[tuple[int, list[int]]]:
-    """Add a gamma-fraction of remaining members from every cluster whose
-    mean reward strictly exceeds tau."""
-    if not (state.pulls > 0).any():
-        raise DataError("select_step requires at least one pulled cluster")
+    """Add a gamma-fraction of remaining members from every pulled cluster
+    whose mean reward strictly exceeds tau to ``ledger.selected``, marking
+    them in the mask ``selected``."""
     rng = np.random.default_rng(seed)
     out: list[tuple[int, list[int]]] = []
     for ci in range(state.n_clusters):
         if state.pulls[ci] == 0 or not state.reward[ci] / state.pulls[ci] > tau:
             continue
-        avail = _unselected(model.members(ci), ledger.selected_mask(model.count))
+        avail = _unselected(model.members(ci), selected)
         if avail.size == 0:
             continue
         take = min(avail.size, max(1, int(math.floor(gamma * avail.size))))
         ids = [int(x) for x in rng.choice(avail, size=take, replace=False)]
         ledger.selected.extend(ids)
+        selected[ids] = True
         out.append((ci, ids))
     return out
 
@@ -255,13 +235,11 @@ def run(
     check_run(cfg, model, budget)
     state = BanditState(n_clusters=model.k, alpha=cfg.alpha)
     ledger = SelectionLedger(reward_mode=cfg.reward_mode)
+    selected = np.zeros(model.count, dtype=bool)
     cached = scorer if isinstance(scorer, CachedScorer) else CachedScorer(scorer)
     iteration = 0
     while len(ledger.selected) < budget:
-        if state.retired.all():
-            ledger.truncated = True
-            break
-        if iteration >= cfg.max_rounds:
+        if state.retired.all() or iteration >= cfg.max_rounds:
             ledger.truncated = True
             break
         pull_seed = _derive_seed(seed, iteration, 0)
@@ -269,10 +247,10 @@ def run(
         arms = _top_k_by_score(cluster_scores(state), cfg.top_k)
         rec = pull_arms(
             state, model, cached, arms, cfg.batch_size, pull_seed,
-            ledger, iteration=iteration, reward_mode=cfg.reward_mode,
+            selected, iteration=iteration, reward_mode=cfg.reward_mode,
         )
-        if (state.pulls > 0).any():
-            rec.selections = select_step(state, model, ledger, cfg.gamma, cfg.tau, select_seed)
+        rec.selections = select_step(state, model, ledger, selected, cfg.gamma, cfg.tau,
+                                     select_seed)
         rec.selected_total = len(ledger.selected)
         ledger.iterations.append(rec)
         iteration += 1
@@ -461,13 +439,14 @@ def simulate_policies(
         values = means[:, None] + sigma * trial_rng.normal(size=(n_arms, members_per_arm))
         assignment = np.repeat(np.arange(n_arms, dtype=np.uint32), members_per_arm)
         model = ClusterModel(k=n_arms, centroids=np.zeros((n_arms, 1)), assignment=assignment)
+        # no id is ever selected here, so no arm runs dry
+        none_selected = np.zeros(model.count, dtype=bool)
 
         def scorer(ids):
             return [float(values[i // members_per_arm, i % members_per_arm]) for i in ids]
 
         for policy in policies:
             state = BanditState(n_clusters=n_arms, alpha=alpha)
-            ledger = SelectionLedger()
             cached = CachedScorer(scorer)
             policy_rng = np.random.default_rng(
                 np.random.SeedSequence(
@@ -487,10 +466,9 @@ def simulate_policies(
                         arm = int(np.argmax(means_hat))
                 else:
                     arm = int(policy_rng.integers(n_arms))
-                # no id is ever selected here, so no arm runs dry
                 pull_arms(
                     state, model, cached, [arm], 1,
-                    _derive_seed(seed, trial * steps + step, 2), ledger, iteration=step,
+                    _derive_seed(seed, trial * steps + step, 2), none_selected, iteration=step,
                 )
                 regret[step] = means[best_arm] - means[arm]
             results.append(

@@ -84,8 +84,7 @@ def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable):
     """Model init, factor estimation over the reference set, reference iHVP
     (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
-    registry = model_mod.tracked_layers(params.config)
-    factors, ref_grad = curvature.collect_factors(params, ref, registry)
+    factors, ref_grad = curvature.collect_factors(params, ref)
     inverses = {
         name: curvature.inverse_of_factor(fac, cfg.influence.damping)
         for name, fac in factors.items()
@@ -96,7 +95,7 @@ def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable):
             target_dim=cfg.influence.sketch_dim, seed=cfg.influence.sketch_seed
         )
         ihvp = influence.pullback_ihvp(projector, ihvp)
-    return params, registry, ihvp, factors
+    return params, ihvp, factors
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
@@ -126,9 +125,9 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     missing = [i for i in ids if not 0 <= i < emb.count or row_of[i] < 0]
     if missing:
         raise DataError(f"no token record for instance id(s) {missing[:5]}")
-    params, registry, ihvp, _ = _scoring_setup(cfg, ref)
+    params, ihvp, _ = _scoring_setup(cfg, ref)
     rows = row_of[np.asarray(ids, dtype=np.int64)]
-    scores = influence.score_batch(table.take(rows), ihvp, params, registry=registry)
+    scores = influence.score_batch(table.take(rows), ihvp, params)
     path = _out(cfg, "scores.csv")
     write_csv(path, fp, "instance_id,score,method",
               ((i, s, ihvp.method) for i, s in zip(ids, scores)))
@@ -142,11 +141,11 @@ def cmd_select(cfg: RunConfig) -> int:
     table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
     cmodel = _load_cluster_model(cfg, emb)
     bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
-    params, registry, ihvp, factors = _scoring_setup(cfg, ref)
+    params, ihvp, factors = _scoring_setup(cfg, ref)
 
     def scorer(ids):
         rows = row_of[np.asarray(ids, dtype=np.int64)]
-        return influence.score_batch(table.take(rows), ihvp, params, registry=registry)
+        return influence.score_batch(table.take(rows), ihvp, params)
 
     ledger = bandit_mod.run(
         cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
@@ -281,13 +280,25 @@ def _parse_ids(args) -> list[int]:
     return list(ids)
 
 
+# name -> run(cfg, parsed arguments); each call looks its cmd_ function up by
+# name, so a wrapper bound over one (perfbench/tracing.py) is the one run
+COMMANDS = {
+    "cluster": lambda cfg, args: cmd_cluster(cfg),
+    "score": lambda cfg, args: cmd_score(cfg, _parse_ids(args)),
+    "select": lambda cfg, args: cmd_select(cfg),
+    "oracle-check": lambda cfg, args: cmd_oracle_check(cfg),
+    "simulate-bandit": lambda cfg, args: cmd_simulate_bandit(cfg),
+    "report": lambda cfg, args: cmd_report(cfg),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="influence-select",
         description="Quality-diversity data selection with influence-scored bandit sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("cluster", "score", "select", "oracle-check", "simulate-bandit", "report"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -309,20 +320,7 @@ def main(argv=None) -> int:
         # no numpy warnings: explicit finiteness checks turn every non-finite
         # result into one `numeric failure:` line and exit 3
         with np.errstate(all="ignore"):
-            cfg = load_config(args.config, args.set)
-            if args.command == "cluster":
-                return cmd_cluster(cfg)
-            if args.command == "score":
-                return cmd_score(cfg, _parse_ids(args))
-            if args.command == "select":
-                return cmd_select(cfg)
-            if args.command == "oracle-check":
-                return cmd_oracle_check(cfg)
-            if args.command == "simulate-bandit":
-                return cmd_simulate_bandit(cfg)
-            if args.command == "report":
-                return cmd_report(cfg)
-            raise UsageError(f"unknown command {args.command!r}")
+            return COMMANDS[args.command](load_config(args.config, args.set), args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -112,11 +112,6 @@ class TokenTable:
         return out
 
 
-def as_table(sequences) -> TokenTable:
-    """``sequences`` as a TokenTable: a table as is, a list of token lists copied."""
-    return sequences if isinstance(sequences, TokenTable) else TokenTable.from_sequences(sequences)
-
-
 def _first(*masks) -> int | None:
     """Index of the first row that any mask flags, or None."""
     bad = np.logical_or.reduce(masks)

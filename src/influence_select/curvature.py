@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
+from .corpus import TokenTable
 from .errors import DataError, SingularFactorError
-from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads
+from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads, tracked_layers
 
 EIG_FLOOR_REL = 1e-12
 
@@ -81,21 +82,22 @@ def accumulate(factor: KroneckerFactor, tap: LayerTap) -> KroneckerFactor:
     )
 
 
-def collect_factors(params: ParamSet, sequences, registry: list[TrackedLayer]):
-    """Estimate factors over a sequence set from the model engine's taps.
+def collect_factors(params: ParamSet, table: TokenTable):
+    """Estimate factors over a TokenTable's records from the model engine's taps.
 
     Returns ``(factors, grad)``: the same pass also gives ``grad``, the mean
     per-sequence tracked-layer gradient, flattened row-major per layer.
     """
-    if not sequences:
+    if not len(table):
         raise DataError("collect_factors needs a non-empty sequence set")
-    factors = {tl.name: zero_factor(tl) for tl in registry}
-    grad = {tl.name: np.zeros((tl.d_out, tl.d_in)) for tl in registry}
-    for pos, taps in chunk_taps(params, sequences, registry):
-        for tl, tap in zip(registry, taps):
+    layers = tracked_layers(params.config)
+    factors = {tl.name: zero_factor(tl) for tl in layers}
+    grad = {tl.name: np.zeros((tl.d_out, tl.d_in)) for tl in layers}
+    for pos, taps in chunk_taps(params, table):
+        for tl, tap in zip(layers, taps):
             factors[tl.name] = accumulate(factors[tl.name], tap)
             grad[tl.name] += sequence_grads(tap, pos.size).sum(axis=0)
-    n = float(len(sequences))
+    n = float(len(table))
     return factors, {name: (mat / n).ravel() for name, mat in grad.items()}
 
 

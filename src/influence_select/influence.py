@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import TokenTable
 from .curvature import DampedFactorInverse, kron_ihvp
 from .errors import DataError
-from .model import ParamSet, TrackedLayer, chunk_taps, sequence_grads
+from .model import ParamSet, chunk_taps, sequence_grads, tracked_layers
 
 SKETCH_BLOCK = 1 << 14  # input dims consumed per RNG draw; part of the stream layout
 
@@ -102,19 +102,19 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
     return IhvpVector(vectors=vectors, method="factored+sketch")
 
 
-def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet,
-                registry: list[TrackedLayer]) -> list[float]:
+def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet) -> list[float]:
     """The influence score of every record of ``table``, in table order,
     computed in engine chunks.
 
     Each tracked layer's per-sequence gradient delta^T x, straight from the
     engine's taps, is dotted with that layer's iHVP vector, and the layer
-    terms are summed in registry order. Every score is checked to be finite;
-    the error names the record's instance id.
+    terms are summed in ``tracked_layers`` order. Every score is checked to be
+    finite; the error names the record's instance id.
     """
+    layers = tracked_layers(params.config)
     scores = [0.0] * len(table)
-    for pos, taps in chunk_taps(params, table, registry):
-        for tl, tap in zip(registry, taps):
+    for pos, taps in chunk_taps(params, table):
+        for tl, tap in zip(layers, taps):
             vec = ihvp.vectors[tl.name]
             for p, g in zip(pos, sequence_grads(tap, pos.size).reshape(pos.size, -1)):
                 scores[p] += float(np.dot(g, vec))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import as_table
+from .corpus import TokenTable
 from .errors import DataError, UsageError
 
 RMS_EPS = 1e-6
@@ -277,17 +277,16 @@ def _token_sum(delta, x):
 CHUNK_TOKENS = 384  # tokens per engine call; measured in README "Model engine"
 
 
-def chunks(sequences):
-    """Bucket sequences by length and split each bucket into engine calls.
+def chunks(table: TokenTable):
+    """Bucket a TokenTable's records by length and split each bucket into
+    engine calls.
 
-    ``sequences`` is a TokenTable or a list of token sequences. Yields
-    ``(positions, tokens)``: ``tokens`` is an int64 (B, T) array of
-    sequences of one length T, sliced from the table, with B at most
-    ``CHUNK_TOKENS // T`` (and at least 1), and ``positions`` their indices
-    into ``sequences``. Buckets come in increasing length, each in input
-    order; callers scatter results back through ``positions``.
+    Yields ``(positions, tokens)``: ``tokens`` is an int64 (B, T) array of
+    records of one length T, sliced from the table, with B at most
+    ``CHUNK_TOKENS // T`` (and at least 1), and ``positions`` their rows in
+    ``table``. Buckets come in increasing length, each in table order;
+    callers scatter results back through ``positions``.
     """
-    table = as_table(sequences)
     lengths = table.lengths
     order = np.argsort(lengths, kind="stable")
     bounds = np.flatnonzero(np.diff(lengths[order])) + 1
@@ -385,7 +384,8 @@ def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
 
     Returns (grads, taps): grads is ParamSet-shaped and summed over a chunk's
     sequences (None when ``param_grads`` is false); taps hold the per-token
-    (x, delta) rows of every tracked layer, sequence-major for a chunk.
+    (x, delta) rows of every tracked layer, sequence-major for a chunk, in
+    ``tracked_layers`` order.
     """
     if cache.params is not params:
         raise DataError("stale cache: it was produced by a different ParamSet")
@@ -458,18 +458,16 @@ def sequence_grads(tap: LayerTap, n_seq: int) -> np.ndarray:
     return delta.swapaxes(1, 2) @ tap.x.reshape(n_seq, -1, tap.x.shape[1])
 
 
-def chunk_taps(params: ParamSet, sequences, registry: list[TrackedLayer]):
-    """Forward and backward over ``sequences`` in engine chunks, keeping taps.
+def chunk_taps(params: ParamSet, table: TokenTable):
+    """Forward and backward over ``table`` in engine chunks, keeping taps.
 
-    Yields ``(positions, taps)`` per chunk (see ``chunks``), with one tap per
-    registry entry, in registry order. No parameter gradient is formed.
+    Yields ``(positions, taps)`` per chunk (see ``chunks``), with ``backward``'s
+    taps, one per entry of ``tracked_layers(params.config)`` and in its order.
+    No parameter gradient is formed.
     """
-    keys = [(tl.layer, tl.kind) for tl in registry]
-    for pos, tokens in chunks(sequences):
+    for pos, tokens in chunks(table):
         _, cache = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
-        _, taps = backward(params, cache, param_grads=False)
-        by_key = {(t.layer, t.kind): t for t in taps}
-        yield pos, [by_key[key] for key in keys]
+        yield pos, backward(params, cache, param_grads=False)[1]
 
 
 # ----------------------------------------------------------- gradient views
@@ -489,14 +487,15 @@ def layer_grad_matrix(grads: ParamSet, tl: TrackedLayer) -> np.ndarray:
     raise DataError(f"unknown tap kind {tl.kind!r}")
 
 
-def grad_of_sequence(params: ParamSet, tokens,
-                     registry: list[TrackedLayer]) -> dict[str, np.ndarray]:
+def grad_of_sequence(params: ParamSet, tokens) -> dict[str, np.ndarray]:
     """One sequence's row-major flattened tracked-layer gradients, from the
     parameter gradient of a one-sequence chunk (the per-sequence oracle)."""
     _, cache = forward(params, tokens, seq_len=len(tokens))
     grads, _ = backward(params, cache)
-    return {tl.name: layer_grad_matrix(grads, tl).ravel() for tl in registry}
+    return {tl.name: layer_grad_matrix(grads, tl).ravel()
+            for tl in tracked_layers(params.config)}
 
 
-def concat_layer_vectors(vectors: dict[str, np.ndarray], registry: list[TrackedLayer]) -> np.ndarray:
-    return np.concatenate([vectors[tl.name] for tl in registry])
+def concat_layer_vectors(vectors: dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
+    """The per-layer vectors laid end to end in ``tracked_layers(cfg)`` order."""
+    return np.concatenate([vectors[tl.name] for tl in tracked_layers(cfg)])

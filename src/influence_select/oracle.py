@@ -39,6 +39,7 @@ from .model import (
     forward,
     grad_of_sequence,
     init_params,
+    tracked_layers,
 )
 
 PARAM_CAP = 3000
@@ -52,25 +53,20 @@ GRADCHECK_MODEL = ModelConfig(vocab_size=13, hidden_dim=12, n_layers=1, n_heads=
 GRADCHECK_SEQ_LEN = 8
 
 
-def dense_curvature(
-    params: ParamSet,
-    dataset,
-    registry: list[TrackedLayer],
-    param_cap: int = PARAM_CAP,
-) -> np.ndarray:
+def dense_curvature(params: ParamSet, table: TokenTable, param_cap: int = PARAM_CAP) -> np.ndarray:
     """Exact (P, P) curvature over the flattened tracked parameters: the mean
     of per-sequence flattened gradient outer products, the quantity the
-    Kronecker factorization targets. Each sequence goes through the engine as
-    a chunk of one.
+    Kronecker factorization targets. Each record of ``table`` goes through
+    the engine as a chunk of one.
     """
-    P = sum(tl.flat_dim for tl in registry)
+    P = sum(tl.flat_dim for tl in tracked_layers(params.config))
     if P > param_cap:
         raise DataError(f"tracked parameter count {P} exceeds dense cap {param_cap}")
     H = np.zeros((P, P))
-    for seq in dataset:
-        g = concat_layer_vectors(grad_of_sequence(params, seq, registry), registry)
+    for seq in table:
+        g = concat_layer_vectors(grad_of_sequence(params, seq), params.config)
         H += np.outer(g, g)
-    H /= len(dataset)
+    H /= len(table)
     return H
 
 
@@ -187,37 +183,36 @@ def method_ihvps(factors: dict[str, KroneckerFactor], ref_grad: dict[str, np.nda
 
 
 def compare_methods(
-    candidates,
+    candidates: TokenTable,
     params: ParamSet,
-    ref_set,
+    ref_set: TokenTable,
     damping: float,
-    registry: list[TrackedLayer],
-    curvature_set=None,
+    curvature_set: TokenTable | None = None,
 ) -> list[MethodReport]:
     """Correlate the three approximations against exact dense influence.
 
-    candidates are token sequences; the dense curvature and the Kronecker
-    factors are both estimated from ``curvature_set`` (default: the
-    reference set) so the comparison isolates the structural approximation.
-    The exact iHVP is the dense solve split back into layers in registry
-    order; every method scores the candidates through ``score_batch``.
+    The dense curvature and the Kronecker factors are both estimated from
+    ``curvature_set`` (default: the reference set) so the comparison
+    isolates the structural approximation. The exact iHVP is the dense solve
+    split back into layers in ``tracked_layers`` order; every method scores
+    the candidates through ``score_batch``.
     """
     if len(candidates) < 2:
         raise DataError("need at least two candidates for a correlation")
-    factors, ref_grad = collect_factors(params, ref_set, registry)
+    factors, ref_grad = collect_factors(params, ref_set)
     if curvature_set is None:
         curvature_set = ref_set
     else:
-        factors = collect_factors(params, curvature_set, registry)[0]
+        factors = collect_factors(params, curvature_set)[0]
     ihvps = method_ihvps(factors, ref_grad, damping)
 
-    H = dense_curvature(params, curvature_set, registry)
-    exact = dense_ihvp(H, concat_layer_vectors(ref_grad, registry), damping)
-    bounds = np.cumsum([tl.flat_dim for tl in registry])[:-1]
-    ihvps["exact"] = IhvpVector(dict(zip([tl.name for tl in registry], np.split(exact, bounds))))
+    H = dense_curvature(params, curvature_set)
+    exact = dense_ihvp(H, concat_layer_vectors(ref_grad, params.config), damping)
+    layers = tracked_layers(params.config)
+    bounds = np.cumsum([tl.flat_dim for tl in layers])[:-1]
+    ihvps["exact"] = IhvpVector(dict(zip([tl.name for tl in layers], np.split(exact, bounds))))
 
-    table = TokenTable.from_sequences(candidates)
-    scores = {m: np.array(score_batch(table, ihvp, params, registry)) for m, ihvp in ihvps.items()}
+    scores = {m: np.array(score_batch(candidates, ihvp, params)) for m, ihvp in ihvps.items()}
     return method_correlations(scores.pop("exact"), scores)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import TokenTable
 from .errors import DataError, TrainingDivergedError, UsageError
-from .corpus import as_table
 from .model import ParamSet, backward, chunks, forward
 
 DIVERGENCE_FACTOR = 10.0
@@ -45,10 +45,9 @@ def adam_step(value, grad, m, v, t, cfg: TrainConfig):
     return value - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def train(params: ParamSet, data, cfg: TrainConfig) -> ParamSet:
-    """Adam for cfg.steps over shuffled batches of ``data`` (a TokenTable or
-    a list of token sequences); returns new parameters."""
-    data = as_table(data)
+def train(params: ParamSet, data: TokenTable, cfg: TrainConfig) -> ParamSet:
+    """Adam for cfg.steps over shuffled batches of ``data``'s records;
+    returns new parameters."""
     if not len(data):
         raise DataError("training data is empty")
     params = params.copy()
@@ -82,7 +81,7 @@ def train(params: ParamSet, data, cfg: TrainConfig) -> ParamSet:
     return params
 
 
-def _batch_gradient(params: ParamSet, batch):
+def _batch_gradient(params: ParamSet, batch: TokenTable):
     """Per-sequence losses and the full ParamSet gradient summed over the batch."""
     losses = np.empty(len(batch))
     total = None
@@ -97,14 +96,14 @@ def _batch_gradient(params: ParamSet, batch):
     return losses, total
 
 
-def eval_loss(params: ParamSet, sequences) -> float:
-    """Mean per-sequence next-token loss over ``sequences`` (a TokenTable or a
-    list of token sequences); exact (order-invariant) summation. A
-    non-finite mean raises TrainingDivergedError."""
-    if not len(sequences):
+def eval_loss(params: ParamSet, table: TokenTable) -> float:
+    """Mean per-sequence next-token loss over ``table``'s records; exact
+    (order-invariant) summation. A non-finite mean raises
+    TrainingDivergedError."""
+    if not len(table):
         raise DataError("evaluation set is empty")
-    losses = np.empty(len(sequences))
-    for pos, tokens in chunks(sequences):
+    losses = np.empty(len(table))
+    for pos, tokens in chunks(table):
         losses[pos], _ = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
     loss = math.fsum(losses) / len(losses)
     if not math.isfinite(loss):

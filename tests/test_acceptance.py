@@ -249,14 +249,13 @@ def _end_to_end_once(master_seed: int):
     mcfg = M.ModelConfig(vocab_size=64, hidden_dim=32, n_layers=1, n_heads=2,
                          max_context=32, mlp_ratio=2.0)
     params = M.init_params(mcfg, seed=s_model)
-    registry = M.tracked_layers(mcfg)
-    factors, ref_grad = C.collect_factors(params, data.reference, registry)
+    factors, ref_grad = C.collect_factors(params, data.reference)
     inverses = {n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()}
     ihvp = I.reference_ihvp(ref_grad, inverses)
     tokens = data.instances  # record i is instance i
 
     def scorer(ids):
-        return I.score_batch(tokens.take(ids), ihvp, params, registry)
+        return I.score_batch(tokens.take(ids), ihvp, params)
 
     bcfg = B.BanditConfig(alpha=20.0, tau=150.0, gamma=0.05, top_k=8, batch_size=8,
                           reward_mode="mean", max_rounds=300)

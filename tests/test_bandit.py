@@ -53,9 +53,8 @@ def test_cluster_score_unpulled_is_infinite():
 def test_pull_constant_scorer_updates_reward_and_count():
     model = _cluster_model([10])
     st = B.BanditState(n_clusters=1, alpha=0.0)
-    ledger = B.SelectionLedger()
     rec = B.pull_arms(st, model, lambda ids: [0.25] * len(ids), arms=[0], m=3,
-                      seed=0, ledger=ledger)
+                      seed=0, selected=np.zeros(model.count, bool))
     assert st.pulls[0] == 1
     assert st.reward[0] == pytest.approx(0.75, rel=1e-12)
     assert len(rec.pulls) == 1
@@ -72,10 +71,10 @@ def test_fresh_tie_resolves_to_lower_index():
 def test_pull_batch_excludes_selected_and_retires_exhausted():
     model = _cluster_model([3, 6])
     st = B.BanditState(n_clusters=2, alpha=0.0)
-    ledger = B.SelectionLedger()
-    ledger.selected = [0, 1, 2]  # whole cluster 0 already selected
+    selected = np.zeros(model.count, bool)
+    selected[[0, 1, 2]] = True  # whole cluster 0 already selected
     rec = B.pull_arms(st, model, lambda ids: [1.0] * len(ids), arms=[0, 1], m=4,
-                      seed=1, ledger=ledger)
+                      seed=1, selected=selected)
     assert 0 in rec.newly_retired
     assert st.retired[0]
     assert st.pulls[0] == 0
@@ -89,9 +88,8 @@ def test_pull_batch_excludes_selected_and_retires_exhausted():
 def test_reward_mode_mean():
     model = _cluster_model([10])
     st = B.BanditState(n_clusters=1, alpha=0.0)
-    ledger = B.SelectionLedger()
     B.pull_arms(st, model, lambda ids: [0.3] * len(ids), arms=[0], m=4, seed=0,
-                ledger=ledger, reward_mode="mean")
+                selected=np.zeros(model.count, bool), reward_mode="mean")
     assert st.reward[0] == pytest.approx(0.3, rel=1e-12)
 
 
@@ -99,7 +97,8 @@ def test_select_step_nothing_above_tau():
     model = _cluster_model([4, 4])
     st = _state([0.1 * 1, 0.2 * 1], [1, 1])
     ledger = B.SelectionLedger()
-    out = B.select_step(st, model, ledger, gamma=0.5, tau=0.5, seed=0)
+    out = B.select_step(st, model, ledger, np.zeros(model.count, bool),
+                        gamma=0.5, tau=0.5, seed=0)
     assert out == []
     assert ledger.selected == []
 
@@ -108,7 +107,8 @@ def test_select_step_exact_gamma_fraction():
     model = _cluster_model([100])
     st = _state([1.0], [1])
     ledger = B.SelectionLedger()
-    out = B.select_step(st, model, ledger, gamma=0.05, tau=0.0025, seed=0)
+    out = B.select_step(st, model, ledger, np.zeros(model.count, bool),
+                        gamma=0.05, tau=0.0025, seed=0)
     assert len(out) == 1
     assert len(out[0][1]) == 5
     assert len(ledger.selected) == 5
@@ -119,7 +119,8 @@ def test_select_step_threshold_is_strict():
     tau = 0.0025
     st = _state([tau * 1, (tau + 1e-9) * 1], [1, 1])
     ledger = B.SelectionLedger()
-    out = B.select_step(st, model, ledger, gamma=0.5, tau=tau, seed=0)
+    out = B.select_step(st, model, ledger, np.zeros(model.count, bool),
+                        gamma=0.5, tau=tau, seed=0)
     assert [c for c, _ in out] == [1]  # exactly-tau cluster is NOT selected
 
 
@@ -127,7 +128,8 @@ def test_select_step_minimum_one_when_nonempty():
     model = _cluster_model([3])
     st = _state([1.0], [1])
     ledger = B.SelectionLedger()
-    out = B.select_step(st, model, ledger, gamma=0.01, tau=0.0, seed=0)
+    out = B.select_step(st, model, ledger, np.zeros(model.count, bool),
+                        gamma=0.01, tau=0.0, seed=0)
     assert len(out[0][1]) == 1
 
 

@@ -43,7 +43,7 @@ def test_chunks_cover_every_sequence_once_in_bucket_order(chunk_tokens):
     seqs = _ragged_sequences()
     seen = []
     full = partial = 0
-    for pos, tokens in M.chunks(seqs):
+    for pos, tokens in M.chunks(TokenTable.from_sequences(seqs)):
         per_call = max(1, chunk_tokens // tokens.shape[1])
         assert tokens.shape[0] == pos.size <= per_call
         full += pos.size == per_call
@@ -56,14 +56,14 @@ def test_chunks_cover_every_sequence_once_in_bucket_order(chunk_tokens):
     assert partial > 0
     if chunk_tokens == 48:
         assert full > 0  # the 14 length-7 sequences split 6 + 6 + 2
-    assert list(M.chunks([])) == []
+    assert list(M.chunks(TokenTable.from_sequences([]))) == []
 
 
 def test_chunked_engine_matches_single_sequence_calls(chunk_tokens):
     params = M.init_params(CFG, seed=3)
     seqs = _ragged_sequences()
     worst = 0.0
-    for pos, tokens in M.chunks(seqs):
+    for pos, tokens in M.chunks(TokenTable.from_sequences(seqs)):
         n_seq, T = tokens.shape
         losses, cache = M.forward(params, tokens.ravel(), seq_len=T)
         grads, taps = M.backward(params, cache)
@@ -87,18 +87,17 @@ def test_chunked_engine_matches_single_sequence_calls(chunk_tokens):
 def test_sequence_grads_equal_parameter_gradients(chunk_tokens):
     params = M.init_params(CFG, seed=4)
     seqs = _ragged_sequences(seed=1)
-    registry = M.tracked_layers(CFG)
-    for pos, taps in M.chunk_taps(params, seqs, registry):
-        for tl, tap in zip(registry, taps):
+    for pos, taps in M.chunk_taps(params, TokenTable.from_sequences(seqs)):
+        for tl, tap in zip(M.tracked_layers(CFG), taps):
             per_seq = M.sequence_grads(tap, pos.size)
             for b, p in enumerate(pos):
-                want = M.grad_of_sequence(params, seqs[p], registry)[tl.name]
+                want = M.grad_of_sequence(params, seqs[p])[tl.name]
                 np.testing.assert_array_equal(per_seq[b].ravel(), want)
 
 
 def test_taps_equal_with_and_without_parameter_gradients():
     params = M.init_params(CFG, seed=6)
-    for _, tokens in M.chunks(_ragged_sequences(seed=2)):
+    for _, tokens in M.chunks(TokenTable.from_sequences(_ragged_sequences(seed=2))):
         _, cache = M.forward(params, tokens.ravel(), seq_len=tokens.shape[1])
         grads, want = M.backward(params, cache, param_grads=True)
         none, got = M.backward(params, cache, param_grads=False)
@@ -107,6 +106,19 @@ def test_taps_equal_with_and_without_parameter_gradients():
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.x, w.x)
             np.testing.assert_array_equal(g.delta, w.delta)
+
+
+def test_backward_emits_taps_in_tracked_layer_order():
+    """chunk_taps, collect_factors and score_batch zip backward's taps with
+    tracked_layers: layer-major, then TAP_KINDS."""
+    params = M.init_params(CFG, seed=9)
+    want = [(tl.layer, tl.kind) for tl in M.tracked_layers(CFG)]
+    assert CFG.n_layers == 2
+    for _, tokens in M.chunks(TokenTable.from_sequences(_ragged_sequences(seed=4))):
+        _, cache = M.forward(params, tokens.ravel(), seq_len=tokens.shape[1])
+        for param_grads in (True, False):
+            _, taps = M.backward(params, cache, param_grads=param_grads)
+            assert [(t.layer, t.kind) for t in taps] == want
 
 
 def _plain_softmax(s, mask):
@@ -140,28 +152,27 @@ def test_masked_attention_entries_are_exactly_zero():
 
 def test_score_batch_rows_keep_input_order(chunk_tokens):
     params = M.init_params(CFG, seed=5)
-    registry = M.tracked_layers(CFG)
     seqs = _ragged_sequences(seed=2)
-    factors, ref_grad = C.collect_factors(params, seqs[:6], registry)
+    factors, ref_grad = C.collect_factors(params, TokenTable.from_sequences(seqs[:6]))
     inverses = {n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()}
     ihvp = I.reference_ihvp(ref_grad, inverses)
     ids = list(range(100, 100 + len(seqs)))[::-1]
     instances = TokenTable.from_sequences(seqs, ids=ids)
-    scores = I.score_batch(instances, ihvp, params, registry=registry)
+    scores = I.score_batch(instances, ihvp, params)
     assert len(scores) == len(ids)
     for r, score in enumerate(scores):
-        assert score == I.score_batch(instances.take([r]), ihvp, params, registry)[0]
+        assert score == I.score_batch(instances.take([r]), ihvp, params)[0]
 
 
 def test_collect_factors_reference_gradient_in_the_same_pass():
     params = M.init_params(CFG, seed=6)
     registry = M.tracked_layers(CFG)
     seqs = _ragged_sequences(seed=3)
-    factors, grad = C.collect_factors(params, seqs, registry)
+    factors, grad = C.collect_factors(params, TokenTable.from_sequences(seqs))
     for tl in registry:
         assert factors[tl.name].sample_count == sum(len(s) for s in seqs)
         # per-sequence parameter-gradient oracle for the reference gradient
-        want = sum(M.grad_of_sequence(params, s, registry)[tl.name] for s in seqs) / len(seqs)
+        want = sum(M.grad_of_sequence(params, s)[tl.name] for s in seqs) / len(seqs)
         assert _rel(grad[tl.name], want) <= 1e-12
     # per-sequence accumulation oracle for the factors themselves
     for tl in registry:
@@ -177,12 +188,12 @@ def test_collect_factors_reference_gradient_in_the_same_pass():
 # ------------------------------------------------------------------ bandit
 
 
-def _per_pull_arms(state, model, scorer, arms, m, seed, ledger, iteration=0,
+def _per_pull_arms(state, model, scorer, arms, m, seed, selected, iteration=0,
                    reward_mode="sum"):
     """Reference iteration that scores each pulled cluster with its own call."""
     rng = np.random.default_rng(seed)
     rec = B.IterationRecord(iteration=iteration)
-    selected = set(ledger.selected)
+    selected = set(np.flatnonzero(selected).tolist())
     for ci in arms:
         if state.retired[ci]:
             rec.skipped_pulls += 1

@@ -21,15 +21,14 @@ def _identity_inverses(registry, damping=0.0):
 
 
 def _real_inverses(params, seqs, damping):
-    registry = M.tracked_layers(params.config)
-    factors = C.collect_factors(params, seqs, registry)[0]
+    factors = C.collect_factors(params, TokenTable.from_sequences(seqs))[0]
     return {n: C.inverse_of_factor(f, damping) for n, f in factors.items()}
 
 
 def test_identity_factors_ihvp_is_ref_grad():
     params = M.init_params(CFG, seed=0)
     registry = M.tracked_layers(CFG)
-    ref_grad = C.collect_factors(params, [[1, 2, 3, 4], [5, 6, 7]], registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences([[1, 2, 3, 4], [5, 6, 7]]))[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     for name in ref_grad:
         np.testing.assert_array_equal(ihvp.vectors[name], ref_grad[name])
@@ -37,9 +36,8 @@ def test_identity_factors_ihvp_is_ref_grad():
 
 def test_large_damping_limit():
     params = M.init_params(CFG, seed=1)
-    registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3, 4, 5], [6, 7, 8]]
-    ref_grad = C.collect_factors(params, seqs, registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences(seqs))[1]
     lam = 1e6
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, lam))
     for name in ref_grad:
@@ -49,7 +47,7 @@ def test_large_damping_limit():
 def test_missing_factor_errors():
     params = M.init_params(CFG, seed=0)
     registry = M.tracked_layers(CFG)
-    ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences([[1, 2, 3]]))[1]
     inverses = _identity_inverses(registry)
     inverses.pop(registry[0].name)
     with pytest.raises(DataError, match="missing curvature factor"):
@@ -58,8 +56,7 @@ def test_missing_factor_errors():
 
 def test_orthogonal_gradient_scores_zero():
     params = M.init_params(CFG, seed=2)
-    registry = M.tracked_layers(CFG)
-    grads = M.grad_of_sequence(params, [1, 2, 3, 4], registry)
+    grads = M.grad_of_sequence(params, [1, 2, 3, 4])
     # constructed iHVP orthogonal to the instance gradient, layer by layer
     rng = np.random.default_rng(0)
     vectors = {}
@@ -69,7 +66,7 @@ def test_orthogonal_gradient_scores_zero():
         v = v - g * (float(v @ g) / gg if gg > 0 else 0.0)
         vectors[name] = v
     ihvp = I.IhvpVector(vectors=vectors)
-    score = I.score_batch(TokenTable.from_sequences([[1, 2, 3, 4]]), ihvp, params, registry)[0]
+    score = I.score_batch(TokenTable.from_sequences([[1, 2, 3, 4]]), ihvp, params)[0]
     scale = sum(abs(float(g @ vectors[n])) for n, g in grads.items()) + 1.0
     assert abs(score) < 1e-9 * scale
 
@@ -78,9 +75,9 @@ def test_self_alignment_positive_norm_squared():
     params = M.init_params(CFG, seed=3)
     registry = M.tracked_layers(CFG)
     seq = [1, 2, 3, 4, 5, 6]
-    ref_grad = C.collect_factors(params, [seq], registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences([seq]))[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
-    score = I.score_batch(TokenTable.from_sequences([seq]), ihvp, params, registry)[0]
+    score = I.score_batch(TokenTable.from_sequences([seq]), ihvp, params)[0]
     want = sum(float(v @ v) for v in ref_grad.values())
     assert score == pytest.approx(want, rel=1e-12)
     assert score > 0.0
@@ -90,20 +87,19 @@ def test_additivity_over_layers():
     params = M.init_params(CFG, seed=4)
     registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3, 4], [5, 6, 7, 8]]
-    ref_grad = C.collect_factors(params, seqs, registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences(seqs))[1]
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     inst = [2, 4, 6, 8]
-    total = I.score_batch(TokenTable.from_sequences([inst]), ihvp, params, registry)[0]
-    grads = M.grad_of_sequence(params, inst, registry)
+    total = I.score_batch(TokenTable.from_sequences([inst]), ihvp, params)[0]
+    grads = M.grad_of_sequence(params, inst)
     per_layer = [float(grads[tl.name] @ ihvp.vectors[tl.name]) for tl in registry]
     assert total == sum(per_layer)  # exact float equality: same reduction order
 
 
 def test_self_influence_non_increasing_in_damping():
     params = M.init_params(CFG, seed=5)
-    registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3, 4, 5], [6, 7, 8, 9]]
-    ref_grad = C.collect_factors(params, seqs, registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences(seqs))[1]
     scores = []
     for lam in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
         ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, lam))
@@ -114,41 +110,40 @@ def test_self_influence_non_increasing_in_damping():
 
 def test_score_batch_matches_sequential_and_preserves_order():
     params = M.init_params(CFG, seed=6)
-    registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3], [4, 5, 6]]
-    ref_grad = C.collect_factors(params, seqs, registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences(seqs))[1]
     ihvp = I.reference_ihvp(ref_grad, _real_inverses(params, seqs, 1e-3))
     rng = np.random.default_rng(7)
     instances = TokenTable.from_sequences([rng.integers(0, 13, size=6) for _ in range(100)])
-    scores = I.score_batch(instances, ihvp, params, registry=registry)
+    scores = I.score_batch(instances, ihvp, params)
     assert len(scores) == 100
     for r, score in enumerate(scores):
-        assert score == I.score_batch(instances.take([r]), ihvp, params, registry)[0]
+        assert score == I.score_batch(instances.take([r]), ihvp, params)[0]
 
 
 def test_score_batch_empty_and_singleton():
     params = M.init_params(CFG, seed=6)
     registry = M.tracked_layers(CFG)
-    ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences([[1, 2, 3]]))[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     empty = TokenTable.from_sequences([])
-    assert I.score_batch(empty, ihvp, params, registry=registry) == []
+    assert I.score_batch(empty, ihvp, params) == []
     one = TokenTable.from_sequences([[2, 3, 4]], ids=[9])
-    scores = I.score_batch(one, ihvp, params, registry=registry)
+    scores = I.score_batch(one, ihvp, params)
     assert len(scores) == 1
     pair = TokenTable.from_sequences([[5, 6, 7], [2, 3, 4]], ids=[4, 9])  # same chunk
-    assert scores[0] == I.score_batch(pair, ihvp, params, registry)[1]
+    assert scores[0] == I.score_batch(pair, ihvp, params)[1]
 
 
 def test_score_batch_non_finite_score_names_the_instance():
     params = M.init_params(CFG, seed=6)
     registry = M.tracked_layers(CFG)
-    ref_grad = C.collect_factors(params, [[1, 2, 3]], registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences([[1, 2, 3]]))[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     ihvp.vectors[registry[0].name] = ihvp.vectors[registry[0].name] * np.nan
     pair = TokenTable.from_sequences([[5, 6, 7], [2, 3, 4]], ids=[4, 9])
     with pytest.raises(DataError, match="non-finite influence score for instance 4"):
-        I.score_batch(pair, ihvp, params, registry=registry)
+        I.score_batch(pair, ihvp, params)
 
 
 # ------------------------------------------------------------- sketching
@@ -181,14 +176,14 @@ def test_sketch_unbiasedness_smoke():
 def test_sketched_batch_method_label_and_determinism():
     params = M.init_params(CFG, seed=8)
     registry = M.tracked_layers(CFG)
-    ref_grad = C.collect_factors(params, [[1, 2, 3, 4]], registry)[1]
+    ref_grad = C.collect_factors(params, TokenTable.from_sequences([[1, 2, 3, 4]]))[1]
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     proj = I.SketchProjector(target_dim=64, seed=3)
     insts = TokenTable.from_sequences([[1, 2, 3, i % 11] for i in range(5)])
     folded = I.pullback_ihvp(proj, ihvp)
     assert (ihvp.method, folded.method) == ("factored", "factored+sketch")
-    t1 = I.score_batch(insts, folded, params, registry=registry)
-    t2 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry)
+    t1 = I.score_batch(insts, folded, params)
+    t2 = I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params)
     assert t1 == t2
 
 
@@ -196,7 +191,7 @@ def _jl_scores(proj, params, registry, ihvp, seqs):
     """The sketched score as defined: sum over layers of <S g_l, S v_l>."""
     out = []
     for seq in seqs:
-        grads = M.grad_of_sequence(params, seq, registry)
+        grads = M.grad_of_sequence(params, seq)
         out.append(sum(float(I.sketch_vector(proj, tl.name, grads[tl.name])
                              @ I.sketch_vector(proj, tl.name, ihvp.vectors[tl.name]))
                        for tl in registry))
@@ -208,16 +203,16 @@ def test_folded_sketch_matches_jl_sketched_score_on_ragged_batch():
     registry = M.tracked_layers(CFG)
     rng = np.random.default_rng(12)
     ref = [rng.integers(0, 13, size=n).tolist() for n in (5, 9, 3)]
-    ihvp = I.reference_ihvp(C.collect_factors(params, ref, registry)[1],
+    ihvp = I.reference_ihvp(C.collect_factors(params, TokenTable.from_sequences(ref))[1],
                             _real_inverses(params, ref, 1e-3))
     seqs = [rng.integers(0, 13, size=n).tolist() for n in (2, 7, 16, 3, 11, 7, 5, 14)]
     proj = I.SketchProjector(target_dim=48, seed=21)
     insts = TokenTable.from_sequences(seqs)
-    got = np.asarray(I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params, registry=registry))
+    got = np.asarray(I.score_batch(insts, I.pullback_ihvp(proj, ihvp), params))
     want = _jl_scores(proj, params, registry, ihvp, seqs)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     # the sketch changes the scores: this is not the unsketched path
-    plain = np.asarray(I.score_batch(insts, ihvp, params, registry=registry))
+    plain = np.asarray(I.score_batch(insts, ihvp, params))
     assert np.max(np.abs(got - plain)) > 1e-6 * np.max(np.abs(plain))
 
 

@@ -6,6 +6,7 @@ import pytest
 from influence_select import curvature as C
 from influence_select import model as M
 from influence_select import oracle as O
+from influence_select.corpus import TokenTable
 from influence_select.errors import DataError, UsageError
 
 TINY = M.ModelConfig(vocab_size=11, hidden_dim=8, n_layers=2, n_heads=2,
@@ -155,7 +156,7 @@ def test_head_gradient_rows_sum_to_zero_with_uniform_logits():
 
 
 def _grad_of_set(params, seqs):
-    return C.collect_factors(params, seqs, M.tracked_layers(params.config))[1]
+    return C.collect_factors(params, TokenTable.from_sequences(seqs))[1]
 
 
 def test_grad_of_set_duplicate_equals_single():

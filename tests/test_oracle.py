@@ -6,6 +6,7 @@ from influence_select import model as M
 from influence_select import oracle as O
 from influence_select import synthetic as S
 from influence_select.cli import write_csv
+from influence_select.corpus import TokenTable
 from influence_select.errors import DataError, NumericError
 
 CFG = M.ModelConfig(vocab_size=13, hidden_dim=8, n_layers=1, n_heads=2,
@@ -14,20 +15,18 @@ CFG = M.ModelConfig(vocab_size=13, hidden_dim=8, n_layers=1, n_heads=2,
 
 def test_single_sample_rank_one():
     params = M.init_params(CFG, seed=0)
-    registry = M.tracked_layers(CFG)
     seq = [1, 2, 3, 4, 5]
-    H = O.dense_curvature(params, [seq], registry=registry)
-    g = M.concat_layer_vectors(M.grad_of_sequence(params, seq, registry), registry)
+    H = O.dense_curvature(params, TokenTable.from_sequences([seq]))
+    g = M.concat_layer_vectors(M.grad_of_sequence(params, seq), CFG)
     np.testing.assert_allclose(H, np.outer(g, g), rtol=1e-12)
     assert np.linalg.matrix_rank(H, tol=1e-10) == 1
 
 
 def test_duplicated_dataset_same_curvature():
     params = M.init_params(CFG, seed=1)
-    registry = M.tracked_layers(CFG)
     seqs = [[1, 2, 3], [4, 5, 6, 7]]
-    H1 = O.dense_curvature(params, seqs, registry=registry)
-    H2 = O.dense_curvature(params, seqs + seqs, registry=registry)
+    H1 = O.dense_curvature(params, TokenTable.from_sequences(seqs))
+    H2 = O.dense_curvature(params, TokenTable.from_sequences(seqs + seqs))
     np.testing.assert_allclose(H1, H2, rtol=1e-12)
 
 
@@ -36,7 +35,7 @@ def test_layer_block_matches_tap_outer_products():
     registry = M.tracked_layers(CFG)
     rng = np.random.default_rng(0)
     seqs = [rng.integers(0, 13, size=6).tolist() for _ in range(4)]
-    H = O.dense_curvature(params, seqs, registry=registry)
+    H = O.dense_curvature(params, TokenTable.from_sequences(seqs))
     tl = registry[0]  # qkv-joint, first in the flattening
     sl = slice(0, tl.flat_dim)
     # independent per-layer oracle: E[(delta (x) x)(delta (x) x)^T] from taps
@@ -54,7 +53,7 @@ def test_layer_block_matches_tap_outer_products():
 def test_param_cap_enforced():
     params = M.init_params(CFG, seed=0)
     with pytest.raises(DataError, match="exceeds dense cap"):
-        O.dense_curvature(params, [[1, 2, 3]], M.tracked_layers(CFG), param_cap=10)
+        O.dense_curvature(params, TokenTable.from_sequences([[1, 2, 3]]), param_cap=10)
 
 
 def test_exact_influence_pure_alignment():
@@ -152,8 +151,8 @@ def test_compare_methods_on_model_reports_all_methods():
     rng = np.random.default_rng(10)
     ref = [rng.integers(0, 13, size=6).tolist() for _ in range(6)]
     cands = [rng.integers(0, 13, size=6).tolist() for _ in range(12)]
-    reports = O.compare_methods(cands, params, ref, damping=1e-3,
-                                registry=M.tracked_layers(CFG))
+    reports = O.compare_methods(TokenTable.from_sequences(cands), params,
+                                TokenTable.from_sequences(ref), damping=1e-3)
     assert sorted(r.method for r in reports) == sorted(O.METHODS)
     for r in reports:
         assert -1.0 <= r.pearson <= 1.0
@@ -167,7 +166,6 @@ def test_compare_methods_splits_exact_ihvp_in_registry_order(monkeypatch):
     cfg = M.ModelConfig(vocab_size=13, hidden_dim=8, n_layers=2, n_heads=2,
                         max_context=16, mlp_ratio=1.0)
     params = M.init_params(cfg, seed=12)
-    registry = M.tracked_layers(cfg)
     rng = np.random.default_rng(13)
     ref = [rng.integers(0, 13, size=6).tolist() for _ in range(5)]
     cands = [rng.integers(0, 13, size=int(n)).tolist() for n in rng.integers(4, 9, size=8)]
@@ -178,13 +176,15 @@ def test_compare_methods_splits_exact_ihvp_in_registry_order(monkeypatch):
         return []
 
     monkeypatch.setattr(O, "method_correlations", capture)
-    O.compare_methods(cands, params, ref, damping=1e-3, registry=registry)
+    O.compare_methods(TokenTable.from_sequences(cands), params, TokenTable.from_sequences(ref),
+                      damping=1e-3)
 
     def flat(seq):
-        return M.concat_layer_vectors(M.grad_of_sequence(params, seq, registry), registry)
+        return M.concat_layer_vectors(M.grad_of_sequence(params, seq), cfg)
 
     ref_flat = np.mean([flat(seq) for seq in ref], axis=0)
-    exact_ihvp = O.dense_ihvp(O.dense_curvature(params, ref, registry), ref_flat, 1e-3)
+    exact_ihvp = O.dense_ihvp(O.dense_curvature(params, TokenTable.from_sequences(ref)),
+                             ref_flat, 1e-3)
     assert list(seen["approx"]) == list(O.METHODS)
     for i, seq in enumerate(cands):
         g = flat(seq)
@@ -210,8 +210,8 @@ def test_factored_ranking_tracks_exact_oracle():
             seq[t] = int(rng.integers(0, 32))
         cands.append(seq)
     curv = [data.instances[i] for i in range(200, 1200)]
-    reports = O.compare_methods(cands, params, data.reference, damping=1e-2,
-                                registry=M.tracked_layers(cfg), curvature_set=curv)
+    reports = O.compare_methods(TokenTable.from_sequences(cands), params, data.reference,
+                                damping=1e-2, curvature_set=TokenTable.from_sequences(curv))
     by = {r.method: r for r in reports}
     assert by["joint-qkv"].spearman >= 0.9
 

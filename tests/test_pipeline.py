@@ -500,6 +500,33 @@ def test_numeric_failure_prints_one_stderr_line(selected_out, workdir, tmp_path)
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), done.stderr
 
 
+def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """At the default model shape a two-thread BLAS sums the curvature
+    factors in another order; the program pins one thread, so ``score``
+    writes the same bytes whatever thread count the caller sets."""
+    data = generate(SyntheticSpec(
+        n_instances=16, embed_dim=8, n_components=8, n_aligned=2, vocab_size=64,
+        seq_len=24, n_reference=8, seed=5,
+    ))
+    write_embeddings(tmp_path / "embeddings.bin", data.embeddings)
+    write_tokens(tmp_path / "tokens.tsv", data.instances)
+    write_tokens(tmp_path / "reference.tsv", data.reference)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"paths.embeddings = {tmp_path}/embeddings.bin\n"
+                   f"paths.tokens = {tmp_path}/tokens.tsv\n"
+                   f"paths.reference = {tmp_path}/reference.tsv\n"
+                   f"paths.output_dir = {tmp_path}/out\n")
+    argv = [sys.executable, "-m", "influence_select", "score", "--config", str(cfg),
+            "--ids", "0,1,2,3,4,5,6,7"]
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(argv, env=env, capture_output=True, check=True)
+        written.append((tmp_path / "out" / "scores.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_report_replays_under_the_recorded_reward_mode(workdir, tmp_path):
     """``report`` credits the ledger's pulls as ``select`` did, whatever
     ``bandit.reward_mode`` the report itself is given."""

@@ -15,7 +15,7 @@ CFG = M.ModelConfig(vocab_size=12, hidden_dim=8, n_layers=1, n_heads=2,
 def test_zero_learning_rate_leaves_params_unchanged():
     params = M.init_params(CFG, seed=0)
     cfg = T.TrainConfig(learning_rate=0.0, batch_size=2, steps=5, seed=0)
-    out = T.train(params, [[1, 2, 3], [4, 5, 6]], cfg)
+    out = T.train(params, TokenTable.from_sequences([[1, 2, 3], [4, 5, 6]]), cfg)
     for (_, a), (_, b) in zip(params.iter_named(), out.iter_named()):
         np.testing.assert_array_equal(a, b)
 
@@ -24,8 +24,8 @@ def test_same_seed_bitwise_identical():
     params = M.init_params(CFG, seed=1)
     data = [[1, 2, 3, 4], [5, 6, 7], [8, 9, 10, 11]]
     cfg = T.TrainConfig(learning_rate=1e-3, batch_size=2, steps=20, seed=7)
-    a = T.train(params, data, cfg)
-    b = T.train(params, data, cfg)
+    a = T.train(params, TokenTable.from_sequences(data), cfg)
+    b = T.train(params, TokenTable.from_sequences(data), cfg)
     for (_, x), (_, y) in zip(a.iter_named(), b.iter_named()):
         np.testing.assert_array_equal(x, y)
 
@@ -36,9 +36,9 @@ def test_overfits_memorizable_set():
     pool = [rng.integers(0, 12, size=8).tolist() for _ in range(6)]
     data = [pool[i % len(pool)] for i in range(50)]
     cfg = T.TrainConfig(learning_rate=2e-3, batch_size=16, steps=200, seed=0)
-    initial = T.eval_loss(params, data)
-    out = T.train(params, data, cfg)
-    final = T.eval_loss(out, data)
+    initial = T.eval_loss(params, TokenTable.from_sequences(data))
+    out = T.train(params, TokenTable.from_sequences(data), cfg)
+    final = T.eval_loss(out, TokenTable.from_sequences(data))
     assert final < 0.5 * initial
 
 
@@ -74,7 +74,8 @@ def test_eval_loss_uniform_model():
 def test_eval_loss_duplicated_set():
     params = M.init_params(CFG, seed=4)
     seqs = [[1, 2, 3], [4, 5, 6]]
-    assert T.eval_loss(params, seqs) == pytest.approx(T.eval_loss(params, seqs + seqs), rel=1e-14)
+    once, twice = TokenTable.from_sequences(seqs), TokenTable.from_sequences(seqs + seqs)
+    assert T.eval_loss(params, once) == pytest.approx(T.eval_loss(params, twice), rel=1e-14)
 
 
 def test_eval_loss_matches_accumulation_oracle():
@@ -82,17 +83,19 @@ def test_eval_loss_matches_accumulation_oracle():
     rng = np.random.default_rng(1)
     seqs = [rng.integers(0, 12, size=rng.integers(2, 9)).tolist() for _ in range(9)]
     per = [M.forward(params, s, seq_len=len(s))[0][0] for s in seqs]
-    assert T.eval_loss(params, seqs) == pytest.approx(sum(per) / len(per), rel=1e-12)
+    got = T.eval_loss(params, TokenTable.from_sequences(seqs))
+    assert got == pytest.approx(sum(per) / len(per), rel=1e-12)
 
 
 def test_eval_loss_permutation_invariant():
     params = M.init_params(CFG, seed=6)
     rng = np.random.default_rng(2)
     seqs = [rng.integers(0, 12, size=6).tolist() for _ in range(12)]
-    base = T.eval_loss(params, seqs)
+    base = T.eval_loss(params, TokenTable.from_sequences(seqs))
     for _ in range(3):
         perm = [seqs[i] for i in rng.permutation(len(seqs))]
-        assert T.eval_loss(params, perm) == base  # exact: fsum is order-invariant
+        # exact: fsum is order-invariant
+        assert T.eval_loss(params, TokenTable.from_sequences(perm)) == base
 
 
 def test_divergence_guard():
@@ -101,7 +104,7 @@ def test_divergence_guard():
     rng = np.random.default_rng(3)
     data = [rng.integers(0, 12, size=6).tolist() for _ in range(16)]
     with pytest.raises(TrainingDivergedError):
-        T.train(params, data, cfg)
+        T.train(params, TokenTable.from_sequences(data), cfg)
 
 
 def test_non_finite_training_loss_names_the_step():
@@ -111,7 +114,7 @@ def test_non_finite_training_loss_names_the_step():
     data = [rng.integers(0, 12, size=6).tolist() for _ in range(16)]
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError,
                                                   match=r"non-finite loss .* at step \d+"):
-        T.train(params, data, cfg)
+        T.train(params, TokenTable.from_sequences(data), cfg)
 
 
 def test_non_finite_eval_loss_names_the_evaluation_set():
@@ -119,4 +122,4 @@ def test_non_finite_eval_loss_names_the_evaluation_set():
     params.head[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError,
                        match="non-finite loss nan on the evaluation set of 2 sequences"):
-        T.eval_loss(params, [[1, 2, 3], [4, 5]])
+        T.eval_loss(params, TokenTable.from_sequences([[1, 2, 3], [4, 5]]))
