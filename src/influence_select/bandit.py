@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -86,10 +86,18 @@ class PullRecord:
 
 
 @dataclass
+class Selection:
+    cluster: int
+    ids: list[int]
+
+
+@dataclass
 class IterationRecord:
+    """One iteration of ``run``; ``asdict`` of it is its ``ledger.jsonl`` line."""
+
     iteration: int
     pulls: list[PullRecord] = field(default_factory=list)
-    selections: list[tuple[int, list[int]]] = field(default_factory=list)  # (cluster, ids)
+    selections: list[Selection] = field(default_factory=list)
     newly_retired: list[int] = field(default_factory=list)
     skipped_pulls: int = 0
     selected_total: int = 0
@@ -187,12 +195,12 @@ def select_step(
     gamma: float,
     tau: float,
     seed: int,
-) -> list[tuple[int, list[int]]]:
+) -> list[Selection]:
     """Add a gamma-fraction of remaining members from every pulled cluster
     whose mean reward strictly exceeds tau to ``ledger.selected``, marking
     them in the mask ``selected``."""
     rng = np.random.default_rng(seed)
-    out: list[tuple[int, list[int]]] = []
+    out: list[Selection] = []
     for ci in range(state.n_clusters):
         if state.pulls[ci] == 0 or not state.reward[ci] / state.pulls[ci] > tau:
             continue
@@ -203,7 +211,7 @@ def select_step(
         ids = [int(x) for x in rng.choice(avail, size=take, replace=False)]
         ledger.selected.extend(ids)
         selected[ids] = True
-        out.append((ci, ids))
+        out.append(Selection(ci, ids))
     return out
 
 
@@ -264,38 +272,13 @@ def _derive_seed(seed: int, iteration: int, stream: int) -> int:
 
 def write_ledger_jsonl(path, ledger: SelectionLedger, fingerprint: str) -> None:
     """A header record (fingerprint and reward mode), one JSON record per
-    iteration, then a summary record."""
+    iteration (its ``IterationRecord``'s fields), then a summary record."""
+    records = [{"config_fingerprint": fingerprint, "reward_mode": ledger.reward_mode},
+               *map(asdict, ledger.iterations),
+               {"truncated": ledger.truncated, "selected_total": len(ledger.selected)}]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps({"config_fingerprint": fingerprint,
-                             "reward_mode": ledger.reward_mode}, sort_keys=True) + "\n")
-        for rec in ledger.iterations:
-            fh.write(
-                json.dumps(
-                    {
-                        "iteration": rec.iteration,
-                        "pulls": [
-                            {"cluster": p.cluster, "sampled_ids": p.sampled_ids,
-                             "batch_sum": p.batch_sum}
-                            for p in rec.pulls
-                        ],
-                        "selections": [
-                            {"cluster": c, "ids": ids} for c, ids in rec.selections
-                        ],
-                        "newly_retired": rec.newly_retired,
-                        "skipped_pulls": rec.skipped_pulls,
-                        "selected_total": rec.selected_total,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        fh.write(
-            json.dumps(
-                {"truncated": ledger.truncated, "selected_total": len(ledger.selected)},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def write_selection(path, ledger: SelectionLedger, fingerprint: str) -> None:
@@ -399,6 +382,11 @@ def replay_ledger(path, model: ClusterModel):
 
 
 POLICIES = ("ucb", "topk-greedy", "random")
+SIM_ALPHA = 1.0  # UCB exploration weight
+SIM_SIGMA = 1.0  # standard deviation of an arm's member values
+SIM_MEMBERS_PER_ARM = 400
+SIM_BEST_MEAN = 2.5
+SIM_SPREAD = 1.8  # the other arms' means lie evenly on [0, SIM_SPREAD]
 
 
 @dataclass
@@ -415,38 +403,34 @@ def simulate_policies(
     steps: int,
     trials: int,
     policies=POLICIES,
-    alpha: float = 1.0,
-    sigma: float = 1.0,
-    members_per_arm: int = 400,
     seed: int = 0,
-    best_mean: float = 2.5,
-    spread: float = 1.8,
 ) -> list[SimResult]:
     """Arm-identification benchmark on planted Gaussian rewards.
 
-    Every arm is a synthetic cluster of ``members_per_arm`` instances whose
-    influence values are fixed draws from N(mean_i, sigma^2); one trial runs
-    ``steps`` single-cluster pulls with batch size 1 through the same
-    ``pull_arms`` the real pipeline uses. Arm means are a shuffled
-    ladder: one arm at ``best_mean``, the rest evenly spaced on [0, spread].
+    Every arm is a synthetic cluster of ``SIM_MEMBERS_PER_ARM`` instances
+    whose influence values are fixed draws from N(mean_i, SIM_SIGMA^2); one
+    trial runs ``steps`` single-cluster pulls with batch size 1 through the
+    same ``pull_arms`` the real pipeline uses. Arm means are a shuffled
+    ladder: one arm at ``SIM_BEST_MEAN``, the rest evenly spaced on
+    [0, SIM_SPREAD].
     """
     results: list[SimResult] = []
     for trial in range(trials):
         trial_rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, trial]))
-        means = np.concatenate([[best_mean], np.linspace(0.0, spread, n_arms - 1)])
+        means = np.concatenate([[SIM_BEST_MEAN], np.linspace(0.0, SIM_SPREAD, n_arms - 1)])
         means = trial_rng.permutation(means)
         best_arm = int(np.argmax(means))
-        values = means[:, None] + sigma * trial_rng.normal(size=(n_arms, members_per_arm))
-        assignment = np.repeat(np.arange(n_arms, dtype=np.uint32), members_per_arm)
+        values = means[:, None] + SIM_SIGMA * trial_rng.normal(size=(n_arms, SIM_MEMBERS_PER_ARM))
+        assignment = np.repeat(np.arange(n_arms, dtype=np.uint32), SIM_MEMBERS_PER_ARM)
         model = ClusterModel(k=n_arms, centroids=np.zeros((n_arms, 1)), assignment=assignment)
         # no id is ever selected here, so no arm runs dry
         none_selected = np.zeros(model.count, dtype=bool)
 
         def scorer(ids):
-            return [float(values[i // members_per_arm, i % members_per_arm]) for i in ids]
+            return [float(values[divmod(i, SIM_MEMBERS_PER_ARM)]) for i in ids]
 
         for policy in policies:
-            state = BanditState(n_clusters=n_arms, alpha=alpha)
+            state = BanditState(n_clusters=n_arms, alpha=SIM_ALPHA)
             cached = CachedScorer(scorer)
             policy_rng = np.random.default_rng(
                 np.random.SeedSequence(

@@ -103,14 +103,6 @@ class TokenTable:
         gather = np.arange(offsets[-1]) + np.repeat(self.offsets[rows] - offsets[:-1], lengths)
         return TokenTable(ids=self.ids[rows], offsets=offsets, tokens=self.tokens[gather])
 
-    def row_reduce(self, ufunc) -> np.ndarray:
-        """``ufunc`` reduced over each record's tokens; empty records read 0."""
-        out = np.zeros(len(self), dtype=np.int64)
-        rows = np.flatnonzero(self.offsets[1:] > self.offsets[:-1])
-        if rows.size:
-            out[rows] = ufunc.reduceat(self.tokens, self.offsets[rows])
-        return out
-
 
 def _first(*masks) -> int | None:
     """Index of the first row that any mask flags, or None."""
@@ -348,7 +340,8 @@ def _load_checked(path, name: str, vocab_size: int, max_context: int,
     ids, lengths = table.ids, table.lengths
     no_row = (ids < 0) | (ids >= count) if count is not None else np.zeros(len(table), bool)
     bad_len = (lengths < 2) | (lengths > max_context)
-    bad_tok = table.row_reduce(np.maximum) >= vocab_size
+    # load_tokens leaves no record empty, so each offset starts a record's tokens
+    bad_tok = np.maximum.reduceat(table.tokens, table.offsets[:-1]) >= vocab_size
     r = _first(no_row, bad_len, bad_tok)
     if r is None:
         return table

@@ -30,6 +30,7 @@ RMS_EPS = 1e-6
 ROPE_BASE = 10000.0
 
 TAP_KINDS = ("qkv-joint", "attn-out", "mlp-1", "mlp-2")
+WEIGHT_OF_KIND = {"qkv-joint": "w_qkv", "attn-out": "w_o", "mlp-1": "w_up", "mlp-2": "w_down"}
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,7 @@ class ModelConfig:
 
 @dataclass
 class BlockParams:
-    w_q: np.ndarray  # (d, d)
-    w_k: np.ndarray  # (d, d)
-    w_v: np.ndarray  # (d, d)
+    w_qkv: np.ndarray  # (3d, d): Q, K and V stacked; its output rows are the joint tap
     w_o: np.ndarray  # (d, d)
     w_up: np.ndarray  # (f, d)
     w_down: np.ndarray  # (d, f)
@@ -91,8 +90,8 @@ class ParamSet:
         yield "embed", self.embed
         yield "head", self.head
         for i, blk in enumerate(self.layers):
-            for nm in ("w_q", "w_k", "w_v", "w_o", "w_up", "w_down"):
-                yield f"layer{i}.{nm}", getattr(blk, nm)
+            for nm, w in vars(blk).items():
+                yield f"layer{i}.{nm}", w
 
     def copy(self) -> "ParamSet":
         layers = [BlockParams(**{nm: w.copy() for nm, w in vars(b).items()}) for b in self.layers]
@@ -147,8 +146,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ParamSet:
 
     layers = [
         BlockParams(
-            w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), w_o=mat(d, d),
-            w_up=mat(f, d), w_down=mat(d, f),
+            w_qkv=mat(3 * d, d), w_o=mat(d, d), w_up=mat(f, d), w_down=mat(d, f),
         )
         for _ in range(cfg.n_layers)
     ]
@@ -256,11 +254,6 @@ def _merge_heads(x):
     return x.reshape(*x.shape[:-2], -1)
 
 
-def _qkv_weight(blk: BlockParams) -> np.ndarray:
-    """Fused (3d, d) projection; its output rows are the joint q/k/v tap."""
-    return np.concatenate([blk.w_q, blk.w_k, blk.w_v], axis=0)
-
-
 def _token_sum(delta, x):
     """sum over every token of delta_t x_t^T: the weight gradient of a batch."""
     return delta.reshape(-1, delta.shape[-1]).T @ x.reshape(-1, x.shape[-1])
@@ -306,9 +299,7 @@ class ForwardCache:
     h_final: np.ndarray = None
     ms_final: np.ndarray = None  # mean square of h_final, from _rmsnorm
     hn: np.ndarray = None
-    logits: np.ndarray = None
     probs: np.ndarray = None
-    loss: np.ndarray = None  # (B,)
 
 
 def forward(params: ParamSet, tokens, seq_len: int):
@@ -338,8 +329,7 @@ def forward(params: ParamSet, tokens, seq_len: int):
     for blk in params.layers:
         x_attn, ms_in = _rmsnorm(h)
         save: dict = {"h_in": h, "ms_in": ms_in}
-        w_qkv = _qkv_weight(blk)
-        qkv = _split_heads(x_attn @ w_qkv.T, 3 * H)
+        qkv = _split_heads(x_attn @ blk.w_qkv.T, 3 * H)
         qk = rope_apply(qkv[:, : 2 * H], cos, sin)  # Q and K rotated together
         qr, kr, v = qk[:, :H], qk[:, H:], qkv[:, 2 * H :]
         scores = qr @ kr.swapaxes(-1, -2)
@@ -347,7 +337,7 @@ def forward(params: ParamSet, tokens, seq_len: int):
         attn = _softmax(scores, mask)
         attn_in = _merge_heads(attn @ v)
         h = h + attn_in @ blk.w_o.T
-        save.update(x_attn=x_attn, w_qkv=w_qkv, qr=qr, kr=kr, vh=v, attn=attn,
+        save.update(x_attn=x_attn, qr=qr, kr=kr, vh=v, attn=attn,
                     attn_in=attn_in, h_mid=h)
         x_mlp, ms_mid = _rmsnorm(h)
         u = x_mlp @ blk.w_up.T
@@ -358,12 +348,10 @@ def forward(params: ParamSet, tokens, seq_len: int):
 
     cache.h_final = h
     cache.hn, cache.ms_final = _rmsnorm(h)
-    cache.logits = cache.hn @ params.head.T
-    cache.probs = _softmax(cache.logits.copy())
+    cache.probs = _softmax(cache.hn @ params.head.T)
     n_pred = T - 1
     p_target = np.take_along_axis(cache.probs[..., :n_pred, :], tokens[..., 1:, None], axis=-1)
-    cache.loss = -np.log(p_target[..., 0]).sum(axis=-1) / n_pred
-    return cache.loss, cache
+    return -np.log(p_target[..., 0]).sum(axis=-1) / n_pred, cache
 
 
 def ce_dlogits(cache: ForwardCache) -> np.ndarray:
@@ -378,17 +366,17 @@ def ce_dlogits(cache: ForwardCache) -> np.ndarray:
     return dlogits
 
 
-def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
+def backward(cache: ForwardCache, param_grads: bool = True):
     """Exact gradients of the cached loss plus per-layer taps, backpropagated
-    from the cross-entropy logit gradient ``ce_dlogits(cache)``.
+    from the cross-entropy logit gradient ``ce_dlogits(cache)``, at the
+    parameters ``cache.params`` that ``forward`` ran with.
 
     Returns (grads, taps): grads is ParamSet-shaped and summed over a chunk's
     sequences (None when ``param_grads`` is false); taps hold the per-token
     (x, delta) rows of every tracked layer, sequence-major for a chunk, in
     ``tracked_layers`` order.
     """
-    if cache.params is not params:
-        raise DataError("stale cache: it was produced by a different ParamSet")
+    params = cache.params
     cfg = params.config
     B, T = cache.tokens.shape
     H, hd = cfg.n_heads, cfg.head_dim
@@ -433,7 +421,7 @@ def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
         _rope_backward(drot, cos, sin, out=dheads[:, : 2 * H])
         delta_qkv = _merge_heads(dheads)
         if li or param_grads:  # below layer 0, dh feeds only the embedding gradient
-            dh = dh + _rmsnorm_backward(save["h_in"], save["ms_in"], delta_qkv @ save["w_qkv"])
+            dh = dh + _rmsnorm_backward(save["h_in"], save["ms_in"], delta_qkv @ blk.w_qkv)
         tap(li, "attn-out", save["attn_in"], delta_o)
         tap(li, "qkv-joint", save["x_attn"], delta_qkv)
 
@@ -442,8 +430,7 @@ def backward(params: ParamSet, cache: ForwardCache, param_grads: bool = True):
             gblk.w_down += _token_sum(delta_m2, save["act"])
             gblk.w_up += _token_sum(delta_m1, save["x_mlp"])
             gblk.w_o += _token_sum(delta_o, save["attn_in"])
-            gblk.w_q[...], gblk.w_k[...], gblk.w_v[...] = np.split(
-                _token_sum(delta_qkv, save["x_attn"]), 3, axis=0)
+            gblk.w_qkv += _token_sum(delta_qkv, save["x_attn"])
 
     if param_grads:
         grads.head += _token_sum(dlogits, cache.hn)
@@ -467,31 +454,22 @@ def chunk_taps(params: ParamSet, table: TokenTable):
     """
     for pos, tokens in chunks(table):
         _, cache = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
-        yield pos, backward(params, cache, param_grads=False)[1]
+        yield pos, backward(cache, param_grads=False)[1]
 
 
 # ----------------------------------------------------------- gradient views
 
 
 def layer_grad_matrix(grads: ParamSet, tl: TrackedLayer) -> np.ndarray:
-    """The (d_out, d_in) weight-gradient matrix for one tracked layer."""
-    blk = grads.layers[tl.layer]
-    if tl.kind == "qkv-joint":
-        return np.concatenate([blk.w_q, blk.w_k, blk.w_v], axis=0)
-    if tl.kind == "attn-out":
-        return blk.w_o
-    if tl.kind == "mlp-1":
-        return blk.w_up
-    if tl.kind == "mlp-2":
-        return blk.w_down
-    raise DataError(f"unknown tap kind {tl.kind!r}")
+    """The stored (d_out, d_in) weight-gradient matrix of one tracked layer."""
+    return getattr(grads.layers[tl.layer], WEIGHT_OF_KIND[tl.kind])
 
 
 def grad_of_sequence(params: ParamSet, tokens) -> dict[str, np.ndarray]:
     """One sequence's row-major flattened tracked-layer gradients, from the
     parameter gradient of a one-sequence chunk (the per-sequence oracle)."""
     _, cache = forward(params, tokens, seq_len=len(tokens))
-    grads, _ = backward(params, cache)
+    grads, _ = backward(cache)
     return {tl.name: layer_grad_matrix(grads, tl).ravel()
             for tl in tracked_layers(params.config)}
 

@@ -111,7 +111,7 @@ def finite_difference_check(params: ParamSet, seqs, picks) -> float:
     grad = {name: np.zeros_like(arr) for name, arr in params.iter_named()}
     for seq in seqs:
         _, cache = forward(params, seq, seq_len=len(seq))
-        g, _ = backward(params, cache)
+        g, _ = backward(cache)
         for name, arr in g.iter_named():
             grad[name] += arr / len(seqs)
 

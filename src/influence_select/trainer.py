@@ -87,7 +87,7 @@ def _batch_gradient(params: ParamSet, batch: TokenTable):
     total = None
     for pos, tokens in chunks(batch):
         losses[pos], cache = forward(params, tokens.ravel(), seq_len=tokens.shape[1])
-        grads, _ = backward(params, cache)
+        grads, _ = backward(cache)
         if total is None:
             total = grads
         else:

@@ -65,7 +65,7 @@ def test_acceptance_2_gradient_exactness():
     tap_worst = 0.0
     for s in seqs:
         _, cache = M.forward(params, s, seq_len=len(s))
-        g, taps = M.backward(params, cache)
+        g, taps = M.backward(cache)
         for tap in taps:
             tl = registry[(tap.layer, tap.kind)]
             rec = tap.delta.T @ tap.x
@@ -114,7 +114,7 @@ def test_acceptance_4_ucb_behavior():
     start = time.time()
     trials = 100
     results = B.simulate_policies(n_arms=20, steps=1000, trials=trials,
-                                  policies=("ucb",), alpha=1.0, sigma=1.0, seed=42)
+                                  policies=("ucb",), seed=42)
     best_hits = 0
     regret_ok = 0
     for res in results:

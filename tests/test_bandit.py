@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -110,7 +111,7 @@ def test_select_step_exact_gamma_fraction():
     out = B.select_step(st, model, ledger, np.zeros(model.count, bool),
                         gamma=0.05, tau=0.0025, seed=0)
     assert len(out) == 1
-    assert len(out[0][1]) == 5
+    assert len(out[0].ids) == 5
     assert len(ledger.selected) == 5
 
 
@@ -121,7 +122,7 @@ def test_select_step_threshold_is_strict():
     ledger = B.SelectionLedger()
     out = B.select_step(st, model, ledger, np.zeros(model.count, bool),
                         gamma=0.5, tau=tau, seed=0)
-    assert [c for c, _ in out] == [1]  # exactly-tau cluster is NOT selected
+    assert [sel.cluster for sel in out] == [1]  # exactly-tau cluster is NOT selected
 
 
 def test_select_step_minimum_one_when_nonempty():
@@ -130,7 +131,7 @@ def test_select_step_minimum_one_when_nonempty():
     ledger = B.SelectionLedger()
     out = B.select_step(st, model, ledger, np.zeros(model.count, bool),
                         gamma=0.01, tau=0.0, seed=0)
-    assert len(out[0][1]) == 1
+    assert len(out[0].ids) == 1
 
 
 def test_run_budget_zero():
@@ -154,7 +155,7 @@ def test_run_single_cluster_fill_schedule():
         take = min(remaining, max(1, int(0.25 * remaining)))
         sizes.append(take)
         remaining -= take
-    got = [sum(len(ids) for _, ids in rec.selections) for rec in ledger.iterations]
+    got = [sum(len(sel.ids) for sel in rec.selections) for rec in ledger.iterations]
     assert got == sizes
     assert sorted(ledger.selected) == list(range(n))
 
@@ -182,8 +183,8 @@ def test_run_accounting_and_consistency():
     # no duplicate selections, every id in its recorded cluster
     assert len(set(ledger.selected)) == len(ledger.selected)
     for rec in ledger.iterations:
-        for cl, ids in rec.selections:
-            assert (model.assignment[ids] == cl).all()
+        for sel in rec.selections:
+            assert (model.assignment[sel.ids] == sel.cluster).all()
 
 
 def test_run_determinism():
@@ -285,6 +286,21 @@ def test_ledger_jsonl_round_trip(tmp_path):
     sel_path = tmp_path / "sel.txt"
     B.write_selection(sel_path, ledger, fingerprint="fp")
     assert B.read_selection(sel_path) == ledger.selected
+
+
+def test_ledger_lines_are_the_records(tmp_path):
+    rng = np.random.default_rng(6)
+    model = _cluster_model([12, 9, 15, 6])
+    values = rng.normal(0.3, 0.4, size=model.count)
+    cfg = B.BanditConfig(alpha=0.5, tau=0.2, gamma=0.3, top_k=2, batch_size=4)
+    ledger = B.run(cfg, model, lambda ids: [float(values[i]) for i in ids], budget=30, seed=5)
+    assert any(rec.selections for rec in ledger.iterations)
+    path = tmp_path / "ledger.jsonl"
+    B.write_ledger_jsonl(path, ledger, fingerprint="fp")
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    assert len(lines) == len(ledger.iterations) + 2
+    for line, rec in zip(lines[1:-1], ledger.iterations):
+        assert line == dataclasses.asdict(rec)
 
 
 @pytest.mark.parametrize("reward_mode", B.REWARD_MODES)

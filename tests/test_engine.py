@@ -66,12 +66,12 @@ def test_chunked_engine_matches_single_sequence_calls(chunk_tokens):
     for pos, tokens in M.chunks(TokenTable.from_sequences(seqs)):
         n_seq, T = tokens.shape
         losses, cache = M.forward(params, tokens.ravel(), seq_len=T)
-        grads, taps = M.backward(params, cache)
+        grads, taps = M.backward(cache)
         assert losses.shape == (n_seq,)
         want = M.zeros_like_params(params)
         for b, p in enumerate(pos):
             loss, one = M.forward(params, seqs[p], seq_len=T)
-            g, one_taps = M.backward(params, one)
+            g, one_taps = M.backward(one)
             assert losses[b] == loss[0]
             for tap, one_tap in zip(taps, one_taps):
                 assert (tap.layer, tap.kind) == (one_tap.layer, one_tap.kind)
@@ -99,8 +99,8 @@ def test_taps_equal_with_and_without_parameter_gradients():
     params = M.init_params(CFG, seed=6)
     for _, tokens in M.chunks(TokenTable.from_sequences(_ragged_sequences(seed=2))):
         _, cache = M.forward(params, tokens.ravel(), seq_len=tokens.shape[1])
-        grads, want = M.backward(params, cache, param_grads=True)
-        none, got = M.backward(params, cache, param_grads=False)
+        grads, want = M.backward(cache, param_grads=True)
+        none, got = M.backward(cache, param_grads=False)
         assert grads is not None and none is None
         assert [(t.layer, t.kind) for t in got] == [(t.layer, t.kind) for t in want]
         for g, w in zip(got, want):
@@ -117,7 +117,7 @@ def test_backward_emits_taps_in_tracked_layer_order():
     for _, tokens in M.chunks(TokenTable.from_sequences(_ragged_sequences(seed=4))):
         _, cache = M.forward(params, tokens.ravel(), seq_len=tokens.shape[1])
         for param_grads in (True, False):
-            _, taps = M.backward(params, cache, param_grads=param_grads)
+            _, taps = M.backward(cache, param_grads=param_grads)
             assert [(t.layer, t.kind) for t in taps] == want
 
 
@@ -179,7 +179,7 @@ def test_collect_factors_reference_gradient_in_the_same_pass():
         acc = np.zeros((tl.d_out, tl.d_out))
         for s in seqs:
             _, cache = M.forward(params, s, seq_len=len(s))
-            _, taps = M.backward(params, cache)
+            _, taps = M.backward(cache)
             tap = [t for t in taps if (t.layer, t.kind) == (tl.layer, tl.kind)][0]
             acc += tap.delta.T @ tap.delta
         assert _rel(factors[tl.name].delta_sum, acc) <= 1e-12

@@ -42,7 +42,7 @@ def test_layer_block_matches_tap_outer_products():
     want = np.zeros((tl.flat_dim, tl.flat_dim))
     for seq in seqs:
         _, cache = M.forward(params, seq, seq_len=len(seq))
-        _, taps = M.backward(params, cache)
+        _, taps = M.backward(cache)
         tap = [t for t in taps if (t.layer, t.kind) == (tl.layer, tl.kind)][0]
         g = np.einsum("ti,tj->ij", tap.delta, tap.x).ravel()
         want += np.outer(g, g)
