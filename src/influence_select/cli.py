@@ -64,9 +64,13 @@ def _load_inputs(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = 
 
 
 def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clustering.ClusterModel:
-    cmodel = clustering.load_cluster_model(
-        _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")
-    )
+    path = _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")
+    cmodel = clustering.load_cluster_model(path)
+    if cmodel.k != cfg.clustering.k:
+        raise DataError(
+            f"{path} holds k={cmodel.k} clusters but clustering.k is {cfg.clustering.k}; "
+            "re-run the `cluster` command"
+        )
     if cmodel.count != emb.count:
         raise DataError(
             f"cluster model covers {cmodel.count} instances but corpus has {emb.count}; "

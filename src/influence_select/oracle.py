@@ -143,13 +143,22 @@ class MethodReport:
     n: int
 
 
-def method_correlations(exact_scores, approx_by_method: dict[str, np.ndarray]) -> list[MethodReport]:
-    # scipy.stats takes about a second to import; only oracle-check reaches here
-    from scipy import stats
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - (counts - 1) / 2.0)[inverse]
 
+
+def method_correlations(exact_scores, approx_by_method: dict[str, np.ndarray]) -> list[MethodReport]:
+    """Pearson and Spearman (Pearson of tie-averaged ranks) of each method's
+    scores against the exact scores. Both read ``corrcoef``'s ``[1, 0]``
+    entry, the one scipy's ``spearmanr`` reads, so Spearman agrees to the
+    bit with that reference (``[0, 1]`` divides in the other order)."""
     exact_scores = np.asarray(exact_scores, dtype=np.float64)
     if np.std(exact_scores) == 0.0:
         raise NumericError("exact score vector has zero variance")
+    exact_ranks = _average_ranks(exact_scores)
     out = []
     for method, scores in approx_by_method.items():
         scores = np.asarray(scores, dtype=np.float64)
@@ -158,8 +167,8 @@ def method_correlations(exact_scores, approx_by_method: dict[str, np.ndarray]) -
         out.append(
             MethodReport(
                 method=method,
-                pearson=float(stats.pearsonr(scores, exact_scores)[0]),
-                spearman=float(stats.spearmanr(scores, exact_scores)[0]),
+                pearson=float(np.corrcoef(scores, exact_scores)[1, 0]),
+                spearman=float(np.corrcoef(_average_ranks(scores), exact_ranks)[1, 0]),
                 n=exact_scores.shape[0],
             )
         )

@@ -110,9 +110,44 @@ def test_method_correlation_self_is_one():
     assert reports[0].spearman == pytest.approx(1.0, abs=1e-12)
 
 
+def test_linear_scores_correlate_to_one():
+    exact = np.array([0.3, -1.2, 5.0, 2.2, 0.7, 9.1, -4.0, 0.0])
+    (report,) = O.method_correlations(exact, {"linear": 2 * exact + 1})
+    assert report.pearson == pytest.approx(1.0, abs=1e-15)
+    assert report.spearman == pytest.approx(1.0, abs=1e-15)
+    assert report.n == 8
+
+
+def test_average_ranks_share_ties():
+    assert O._average_ranks(np.array([3.0, 1.0, 3.0, 2.0])).tolist() == [3.5, 1.0, 3.5, 2.0]
+
+
+def _correlation_case(name):
+    rng = np.random.default_rng(21)
+    exact = rng.normal(size=60)
+    if name == "random":
+        return exact, 0.4 * exact + rng.normal(size=60)
+    if name == "tied":
+        return np.round(exact), np.round(exact + rng.normal(size=60), 1)
+    if name == "n=3":
+        return np.array([0.5, -2.0, 1.5]), np.array([1.0, 0.0, 3.0])
+    return exact, -exact + 0.1 * rng.normal(size=60)  # anti-correlated
+
+
+@pytest.mark.parametrize("name", ["random", "tied", "n=3", "anti-correlated"])
+def test_method_correlations_match_scipy(name):
+    stats = pytest.importorskip("scipy.stats")
+    exact, scores = _correlation_case(name)
+    (report,) = O.method_correlations(exact, {name: scores})
+    assert report.pearson == pytest.approx(stats.pearsonr(scores, exact)[0], abs=1e-12)
+    assert report.spearman == pytest.approx(stats.spearmanr(scores, exact)[0], abs=1e-12)
+
+
 def test_zero_variance_scores_rejected():
     with pytest.raises(NumericError, match="zero variance"):
         O.method_correlations(np.ones(10), {})
+    with pytest.raises(NumericError, match="flat score vector has zero variance"):
+        O.method_correlations(np.arange(10.0), {"flat": np.full(10, 2.5)})
 
 
 def test_decorrelated_construction_zeroes_cross_moments():

@@ -144,16 +144,22 @@ def test_oracle_check_command(workdir, tmp_path):
     assert "joint-qkv" in methods
 
 
-def test_package_and_cli_import_without_scipy():
-    # scipy.stats costs about a second at start-up; only oracle-check may load it
+def test_package_and_cli_import_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is a test-only reference
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = ("import influence_select, influence_select.cli, sys; "
-             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    scipy_modules = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+    probe = f"import influence_select, influence_select.cli, sys; print({scipy_modules})"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+    argv = ["oracle-check", "--set", f"paths.output_dir={tmp_path}"]
+    probe = f"import sys; from influence_select import cli; code = cli.main({argv!r}); " \
+            f"print(code, {scipy_modules})"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_rerun_is_byte_identical(workdir, tmp_path):
@@ -464,6 +470,23 @@ def test_report_rejects_bad_selection_or_ledger(selected_out, workdir, tmp_path,
     assert code == 2
     assert f"{path}:{lineno}: " in err and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["select", "report"])
+def test_stale_cluster_model_is_data_error(selected_out, workdir, tmp_path, capsys,
+                                           no_factor_setup, command):
+    """A clusters.bin made at another clustering.k is not used."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code = _run(command, "--config", str(cfg), "--set", f"paths.output_dir={out}",
+                "--set", "clustering.k=4")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{out / 'clusters.bin'} holds k=8 clusters but clustering.k is 4" in err
+    assert "re-run the `cluster` command" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_report_non_finite_loss_exits_3(selected_out, workdir, tmp_path, capsys):
