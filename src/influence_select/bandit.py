@@ -270,31 +270,29 @@ def _derive_seed(seed: int, iteration: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed & 0xFFFFFFFF, iteration, stream]).generate_state(1)[0])
 
 
-def write_ledger_jsonl(path, ledger: SelectionLedger, fingerprint: str) -> None:
+def encode_ledger(ledger: SelectionLedger, fingerprint: str) -> str:
     """A header record (fingerprint and reward mode), one JSON record per
     iteration (its ``IterationRecord``'s fields), then a summary record."""
     records = [{"config_fingerprint": fingerprint, "reward_mode": ledger.reward_mode},
                *map(asdict, ledger.iterations),
                {"truncated": ledger.truncated, "selected_total": len(ledger.selected)}]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
-def write_selection(path, ledger: SelectionLedger, fingerprint: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_fingerprint={fingerprint}\n")
-        for i in ledger.selected:
-            fh.write(f"{i}\n")
+def encode_selection(ledger: SelectionLedger, fingerprint: str) -> str:
+    return "".join([f"# config_fingerprint={fingerprint}\n", *(f"{i}\n" for i in ledger.selected)])
 
 
-def read_selection(path, count: int | None = None) -> list[int]:
+def read_selection(path, count: int | None = None, first: str | None = None) -> list[int]:
     """Selected ids in file order. Each must appear once and, with ``count``,
-    be a row of a ``count``-row corpus; errors name the file and line."""
+    be a row of a ``count``-row corpus; with ``first``, the first line must
+    be that line. Errors name the file and line."""
     out: list[int] = []
     seen: set[int] = set()
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        if first is not None and fh.readline().strip() != first:
+            raise DataError(f"{path}:1: expected {first!r}, as in the ledger of its select")
+        for lineno, line in enumerate(fh, start=1 if first is None else 2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -312,18 +310,20 @@ def read_selection(path, count: int | None = None) -> list[int]:
     return out
 
 
-def replay_ledger(path, model: ClusterModel):
-    """Replay the pulls of a ledger written by ``write_ledger_jsonl``, crediting
-    them under the reward mode its header record names.
+def replay_ledger(path, model: ClusterModel, selection_path):
+    """Replay the pulls of a ledger encoded by ``encode_ledger``, crediting
+    them under the reward mode its header record names, beside the
+    ``read_selection`` ids at ``selection_path`` that the same select wrote.
 
-    Returns ``(state, trajectory)``: the arms' reward and pull counts as
-    ``run`` left them (alpha and retirements are not recorded, so alpha is 0
-    and no arm is retired), and one ``(iteration, cluster, mean reward)`` row
-    per pull, in file order. Every record between the header and the last
-    (summary) one has an iteration; iterations are non-decreasing
-    non-negative ints; a pull names a cluster of ``model``, a non-empty list
-    of its members as ``sampled_ids`` and a finite ``batch_sum``. Errors name
-    the file and line.
+    Returns ``(selected, state, trajectory)``: those ids, the arms' reward
+    and pull counts as ``run`` left them (alpha and retirements are not
+    recorded, so alpha is 0 and no arm is retired), and one ``(iteration,
+    cluster, mean reward)`` row per pull, in file order. The selection's
+    fingerprint line and the summary's ``selected_total`` must match the
+    ledger. Every record between the header and the last (summary) one has
+    an iteration; iterations are non-decreasing non-negative ints; a pull
+    names a cluster of ``model``, a non-empty list of its members as
+    ``sampled_ids`` and a finite ``batch_sum``. Errors name the file and line.
     """
     state = BanditState(n_clusters=model.k, alpha=0.0)
     trajectory = []
@@ -337,6 +337,9 @@ def replay_ledger(path, model: ClusterModel):
         if reward_mode not in REWARD_MODES:
             raise DataError(f"{path}:1: header record has reward_mode {reward_mode!r}, "
                             f"expected one of {REWARD_MODES}")
+        selected = read_selection(selection_path, model.count,
+                                  first=f"# config_fingerprint={head.get('config_fingerprint')}")
+        summary = {}
         body = fh.readlines()
         for lineno, line in enumerate(body, start=2):
             where = f"{path}:{lineno}"
@@ -348,6 +351,7 @@ def replay_ledger(path, model: ClusterModel):
                 raise DataError(f"{where}: not a JSON object")
             if "iteration" not in rec:
                 if lineno == len(body) + 1:
+                    summary = rec
                     continue
                 raise DataError(f"{where}: record has no iteration "
                                 "(only the last, summary record may lack one)")
@@ -375,7 +379,10 @@ def replay_ledger(path, model: ClusterModel):
                         raise DataError(f"{where}: sampled id {i!r} is not a member of cluster {ci}")
                 _credit(state, ci, float(batch_sum), len(ids), reward_mode)
                 trajectory.append((it, ci, state.reward[ci] / state.pulls[ci]))
-    return state, trajectory
+    if summary.get("selected_total") != len(selected):
+        raise DataError(f"{path}:{len(body) + 1}: expected a summary record with "
+                        f"selected_total {len(selected)}, the ids in {selection_path}")
+    return selected, state, trajectory
 
 
 # ------------------------------------------------------------- simulation

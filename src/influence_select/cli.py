@@ -4,10 +4,10 @@ simulate-bandit, report.
 Exit codes: 0 success, 1 usage error (an unreadable config file, and a
 config value that sizes an array beyond memory, included), 2 data error (any
 OS error on a data path included), 3 numeric failure.
-Every output file carries the resolved-config fingerprint (CSV/JSONL inline,
-every CSV through ``write_csv``; binary artifacts get a ``.meta.json``
-sidecar), and commands are idempotent: identical config implies
-byte-identical outputs.
+Every output file carries the resolved-config fingerprint (CSV/JSONL inline;
+binary artifacts get a ``.meta.json`` sidecar), and commands are idempotent:
+identical config implies byte-identical outputs. Each command hands all its
+files to one ``_publish`` call, so a command that fails leaves them as they were.
 """
 
 from __future__ import annotations
@@ -26,9 +26,23 @@ from .config import RunConfig, fingerprint, load_config
 from .errors import DataError, NumericError, UsageError
 
 
-def _out(cfg: RunConfig, name: str) -> str:
+def _publish(cfg: RunConfig, files: dict[str, str | bytes]) -> None:
+    """The one writer of output files: each ``{name: text or bytes}`` entry is
+    staged as ``<name>.partial`` in ``paths.output_dir`` before any replaces
+    its name; a failed staging removes its partial files and re-raises."""
     os.makedirs(cfg.paths.output_dir, exist_ok=True)
-    return os.path.join(cfg.paths.output_dir, name)
+    staged: list[str] = []  # the partial files written so far
+    try:
+        for name, data in files.items():
+            with open(os.path.join(cfg.paths.output_dir, name + ".partial"), "wb") as fh:
+                staged.append(fh.name)
+                fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+        for partial in staged:
+            os.replace(partial, partial.removesuffix(".partial"))
+    except BaseException:
+        for partial in filter(os.path.exists, staged):
+            os.remove(partial)
+        raise
 
 
 def _require(path: str, producer: str) -> str:
@@ -37,22 +51,15 @@ def _require(path: str, producer: str) -> str:
     return path
 
 
-def _write_meta(path: str, fp: str, extra: dict | None = None) -> None:
-    meta = {"config_fingerprint": fp}
-    if extra:
-        meta.update(extra)
-    with open(path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+def _encode_meta(fp: str, **extra) -> str:
+    return json.dumps({"config_fingerprint": fp, **extra}, sort_keys=True) + "\n"
 
 
-def write_csv(path: str, fp: str, header: str, rows) -> None:
-    """The one writer of fingerprinted CSVs: a ``# config_fingerprint=`` line,
+def encode_csv(fp: str, header: str, rows) -> str:
+    """The one encoder of fingerprinted CSVs: a ``# config_fingerprint=`` line,
     the ``header`` line, then one line per row; floats at 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_fingerprint={fp}\n{header}\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+    lines = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return "\n".join([f"# config_fingerprint={fp}", header, *lines]) + "\n"
 
 
 def _load_inputs(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
@@ -108,15 +115,11 @@ def cmd_cluster(cfg: RunConfig) -> int:
     model = clustering.kmeans(
         emb, k=cfg.clustering.k, seed=cfg.clustering.seed, max_iters=cfg.clustering.max_iters
     )
-    path = _out(cfg, "clusters.bin")
-    clustering.save_cluster_model(path, model)
-    _write_meta(path, fp, {
-        "k": model.k,
-        "count": model.count,
-        "objective": f"{clustering.objective(model, emb):.17g}",
-        "iterations": model.n_iters,
-        "converged": model.converged,
-    })
+    meta = _encode_meta(fp, k=model.k, count=model.count, iterations=model.n_iters,
+                        converged=model.converged,
+                        objective=f"{clustering.objective(model, emb):.17g}")
+    _publish(cfg, {"clusters.bin": clustering.encode_cluster_model(model),
+                   "clusters.bin.meta.json": meta})
     print(f"clustered {model.count} instances into k={model.k} "
           f"({model.n_iters} iterations, converged={model.converged})")
     return 0
@@ -132,10 +135,9 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     params, ihvp, _ = _scoring_setup(cfg, ref)
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params)
-    path = _out(cfg, "scores.csv")
-    write_csv(path, fp, "instance_id,score,method",
-              ((i, s, ihvp.method) for i, s in zip(ids, scores)))
-    print(f"scored {len(ids)} instances -> {path}")
+    _publish(cfg, {"scores.csv": encode_csv(fp, "instance_id,score,method",
+                                            ((i, s, ihvp.method) for i, s in zip(ids, scores)))})
+    print(f"scored {len(ids)} instances -> {os.path.join(cfg.paths.output_dir, 'scores.csv')}")
     return 0
 
 
@@ -154,14 +156,10 @@ def cmd_select(cfg: RunConfig) -> int:
     ledger = bandit_mod.run(
         cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
     )
-    sel_path = _out(cfg, "selection.txt")
-    led_path = _out(cfg, "ledger.jsonl")
-    bandit_mod.write_selection(sel_path, ledger, fingerprint=fp)
-    bandit_mod.write_ledger_jsonl(led_path, ledger, fingerprint=fp)
-    # last, so a select that fails leaves the directory's earlier factors with their run
-    fac_path = _out(cfg, "factors.ntc")
-    curvature.save_factors(fac_path, factors)
-    _write_meta(fac_path, fp)
+    _publish(cfg, {"selection.txt": bandit_mod.encode_selection(ledger, fingerprint=fp),
+                   "ledger.jsonl": bandit_mod.encode_ledger(ledger, fingerprint=fp),
+                   "factors.ntc": curvature.encode_factors(factors),
+                   "factors.ntc.meta.json": _encode_meta(fp)})
     print(
         f"selected {len(ledger.selected)} / budget {cfg.selection.budget} "
         f"in {len(ledger.iterations)} iterations"
@@ -172,8 +170,12 @@ def cmd_select(cfg: RunConfig) -> int:
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
-    summary = oracle.run_oracle_check(
-        cfg.oracle, lambda name, header, rows: write_csv(_out(cfg, name), fp, header, rows))
+    tables: dict[str, str] = {}
+    try:  # a breach publishes the tables made so far, the breaching one included
+        summary = oracle.run_oracle_check(
+            cfg.oracle, lambda name, *table: tables.update({name: encode_csv(fp, *table)}))
+    finally:
+        _publish(cfg, tables)
     print(f"oracle checks passed: {summary}")
     return 0
 
@@ -183,8 +185,9 @@ def cmd_simulate_bandit(cfg: RunConfig) -> int:
     sc = cfg.sim
     results = bandit_mod.simulate_policies(n_arms=sc.arms, steps=sc.steps, trials=sc.trials,
                                            seed=sc.seed)
-    path = _out(cfg, "regret.csv")
-    write_csv(path, fp, "policy,trial,step,regret,cum_regret", _regret_rows(results))
+    path = os.path.join(cfg.paths.output_dir, "regret.csv")
+    _publish(cfg, {"regret.csv": encode_csv(fp, "policy,trial,step,regret,cum_regret",
+                                            _regret_rows(results))})
     ucb = [r for r in results if r.policy == "ucb"]
     hits = sum(int(np.argmax(r.pull_counts)) == r.best_arm for r in ucb)
     print(f"simulated {sc.trials} trials x {sc.steps} steps; "
@@ -208,12 +211,11 @@ def cmd_report(cfg: RunConfig) -> int:
     cmodel = _load_cluster_model(cfg, emb)
     sel_path = _require(os.path.join(cfg.paths.output_dir, "selection.txt"), "select")
     led_path = _require(os.path.join(cfg.paths.output_dir, "ledger.jsonl"), "select")
-    selected = bandit_mod.read_selection(sel_path, count=emb.count)
-    state, trajectory = bandit_mod.replay_ledger(led_path, cmodel)
+    selected, state, trajectory = bandit_mod.replay_ledger(led_path, cmodel, sel_path)
 
     # selection composition per cluster
     comp = np.bincount(cmodel.assignment[np.asarray(selected, dtype=np.int64)],
-                       minlength=cmodel.k)
+                       minlength=cmodel.k).tolist()
 
     # end-to-end loss table: selection vs random vs top-clusters baselines
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
@@ -230,13 +232,11 @@ def cmd_report(cfg: RunConfig) -> int:
             data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
             rows.append((name, trainer.eval_loss(trainer.train(params, data, cfg.trainer), ref)))
 
-    # written only once every table is computed, so a failed report leaves
-    # the directory's earlier tables as they were
-    write_csv(_out(cfg, "report_composition.csv"), fp, "cluster,selected_count",
-              enumerate(comp.tolist()))
-    write_csv(_out(cfg, "report_trajectories.csv"), fp, "iteration,cluster,mean_reward",
-              trajectory)
-    write_csv(_out(cfg, "report_loss.csv"), fp, "method,reference_loss", rows)
+    _publish(cfg, {
+        "report_composition.csv": encode_csv(fp, "cluster,selected_count", enumerate(comp)),
+        "report_trajectories.csv": encode_csv(fp, "iteration,cluster,mean_reward", trajectory),
+        "report_loss.csv": encode_csv(fp, "method,reference_loss", rows),
+    })
     print("report written:", ", ".join(name for name, _ in rows))
     return 0
 

@@ -378,13 +378,11 @@ def objective(model: ClusterModel, corpus: EmbeddingCorpus) -> float:
     return float(np.sum(_squared_errors(x, model.centroids, model.assignment, np.empty_like(x))))
 
 
-def save_cluster_model(path, model: ClusterModel) -> None:
+def encode_cluster_model(model: ClusterModel) -> bytes:
     """Binary layout: (k, dim, count) uint64 LE, float64 centroids, uint32 assignment."""
-    with open(path, "wb") as fh:
-        fh.write(CLUSTER_MAGIC)
-        fh.write(struct.pack("<QQQ", model.k, model.dim, model.count))
-        fh.write(model.centroids.astype("<f8").tobytes())
-        fh.write(model.assignment.astype("<u4").tobytes())
+    return b"".join([CLUSTER_MAGIC, struct.pack("<QQQ", model.k, model.dim, model.count),
+                     model.centroids.astype("<f8").tobytes(),
+                     model.assignment.astype("<u4").tobytes()])
 
 
 def load_cluster_model(path) -> ClusterModel:

@@ -124,24 +124,24 @@ class RunConfig:
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
-def _parse_value(text: str, typ):
+def _parse_value(key: str, text: str, typ):
     text = text.strip()
     if typ is bool:
         if text.lower() in ("1", "true", "yes", "on"):
             return True
         if text.lower() in ("0", "false", "no", "off"):
             return False
-        raise UsageError(f"cannot parse boolean from {text!r}")
+        raise UsageError(f"{key}: cannot parse boolean from {text!r}")
     if typ is int:
         try:
             return int(text)
         except ValueError as exc:
-            raise UsageError(f"cannot parse integer from {text!r}") from exc
+            raise UsageError(f"{key}: cannot parse integer from {text!r}") from exc
     if typ is float:
         try:
             return float(text)
         except ValueError as exc:
-            raise UsageError(f"cannot parse float from {text!r}") from exc
+            raise UsageError(f"{key}: cannot parse float from {text!r}") from exc
     return text
 
 
@@ -155,7 +155,7 @@ def _parse_assignment(key: str, value: str) -> tuple[str, str, object]:
         raise UsageError(f"unknown config section {section!r}")
     if (section, name) not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {section}.{name}")
-    parsed = _parse_value(value, _FIELD_TYPES[(section, name)])
+    parsed = _parse_value(key, value, _FIELD_TYPES[(section, name)])
     if isinstance(parsed, float) and not math.isfinite(parsed):
         raise UsageError(f"{section}.{name} must be finite, got {parsed!r}")
     if name.endswith("seed") and parsed < 0:

@@ -124,9 +124,8 @@ def load_embeddings(path) -> EmbeddingCorpus:
             raise DataError(f"{path}: malformed header (dim must be positive)")
         got, want = st.st_size - HEADER.size, count * dim * 4
         if got != want:
-            raise DataError(
-                f"{path}: truncated payload ({got} bytes, expected {want} for {count}x{dim})"
-            )
+            kind = "truncated" if got < want else "over-long"
+            raise DataError(f"{path}: {kind} payload ({got} bytes, expected {want} for {count}x{dim})")
         raw = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
     return EmbeddingCorpus(vectors=raw.astype(np.float64), source=path)
 

@@ -199,21 +199,19 @@ def qkv_independent_ihvp(factor: KroneckerFactor, damping: float, v: np.ndarray)
     return np.concatenate(parts)
 
 
-def save_factors(path, factors: dict[str, KroneckerFactor]) -> None:
+def encode_factors(factors: dict[str, KroneckerFactor]) -> bytes:
     """Factor checkpoint in the named-tensor container format.
 
     Per layer: `<name>/kind` (uint8 UTF-8), `<name>/meta` = [d_out, d_in,
     sample_count] (int64), `<name>/Delta` and `<name>/X` (float64 means).
     """
     tensors: dict[str, np.ndarray] = {}
-    for name in sorted(factors):
-        fac = factors[name]
-        tensors[f"{name}/kind"] = np.frombuffer(fac.kind.encode("utf-8"), dtype=np.uint8).copy()
-        tensors[f"{name}/meta"] = np.array([fac.d_out, fac.d_in, fac.sample_count],
-                                           dtype=np.int64)
+    for name, fac in sorted(factors.items()):
+        tensors[f"{name}/kind"] = np.frombuffer(fac.kind.encode("utf-8"), dtype=np.uint8)
+        tensors[f"{name}/meta"] = np.array([fac.d_out, fac.d_in, fac.sample_count], dtype=np.int64)
         tensors[f"{name}/Delta"] = fac.Delta
         tensors[f"{name}/X"] = fac.X
-    tensorio.write_tensors(path, tensors)
+    return tensorio.encode_tensors(tensors)
 
 
 def load_factors(path) -> dict[str, KroneckerFactor]:

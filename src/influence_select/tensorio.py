@@ -12,8 +12,8 @@ Used for curvature-factor checkpoints. Layout (all integers little-endian):
         dims      ndim * uint64
         payload   raw row-major little-endian data
 
-Writes are byte-deterministic for a given ordered mapping, so re-running
-a command with identical inputs reproduces identical files.
+The encoding is byte-deterministic for a given ordered mapping, so
+re-running a command with identical inputs reproduces identical files.
 """
 
 from __future__ import annotations
@@ -35,28 +35,23 @@ _DTYPE_CODES = {
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
-def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write an ordered name->array mapping to ``path``."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr)
-            dt = np.dtype(arr.dtype).newbyteorder("<")
-            if np.dtype(dt) not in _DTYPE_CODES:
-                raise DataError(f"unsupported dtype {arr.dtype!r} for tensor {name!r}")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", _DTYPE_CODES[np.dtype(dt)]))
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(arr.astype(dt, copy=False).tobytes())
+def encode_tensors(tensors: dict[str, np.ndarray]) -> bytes:
+    """The container bytes of an ordered name->array mapping."""
+    parts = [MAGIC, struct.pack("<Q", len(tensors))]
+    for name, arr in tensors.items():
+        arr = np.ascontiguousarray(arr)
+        dt = np.dtype(arr.dtype).newbyteorder("<")
+        if np.dtype(dt) not in _DTYPE_CODES:
+            raise DataError(f"unsupported dtype {arr.dtype!r} for tensor {name!r}")
+        raw = name.encode("utf-8")
+        parts.append(struct.pack(f"<I{len(raw)}sBI{arr.ndim}Q", len(raw), raw,
+                                 _DTYPE_CODES[np.dtype(dt)], arr.ndim, *arr.shape))
+        parts.append(arr.astype(dt, copy=False).tobytes())
+    return b"".join(parts)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
-    """Read a container written by :func:`write_tensors`."""
+    """Read a container encoded by :func:`encode_tensors`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:

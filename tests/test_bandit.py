@@ -276,28 +276,24 @@ def test_ledger_jsonl_round_trip(tmp_path):
     model = _cluster_model([10, 10])
     cfg = B.BanditConfig(alpha=0.1, tau=0.0, gamma=0.5, top_k=1, batch_size=2)
     ledger = B.run(cfg, model, lambda ids: [1.0] * len(ids), budget=10, seed=0)
-    path = tmp_path / "ledger.jsonl"
-    B.write_ledger_jsonl(path, ledger, fingerprint="fp")
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    lines = [json.loads(l) for l in B.encode_ledger(ledger, fingerprint="fp").splitlines()]
     assert lines[0] == {"config_fingerprint": "fp", "reward_mode": "sum"}
     assert lines[-1]["selected_total"] == len(ledger.selected)
     running = [l["selected_total"] for l in lines[1:-1]]
     assert running == [rec.selected_total for rec in ledger.iterations]
     sel_path = tmp_path / "sel.txt"
-    B.write_selection(sel_path, ledger, fingerprint="fp")
+    sel_path.write_text(B.encode_selection(ledger, fingerprint="fp"))
     assert B.read_selection(sel_path) == ledger.selected
 
 
-def test_ledger_lines_are_the_records(tmp_path):
+def test_ledger_lines_are_the_records():
     rng = np.random.default_rng(6)
     model = _cluster_model([12, 9, 15, 6])
     values = rng.normal(0.3, 0.4, size=model.count)
     cfg = B.BanditConfig(alpha=0.5, tau=0.2, gamma=0.3, top_k=2, batch_size=4)
     ledger = B.run(cfg, model, lambda ids: [float(values[i]) for i in ids], budget=30, seed=5)
     assert any(rec.selections for rec in ledger.iterations)
-    path = tmp_path / "ledger.jsonl"
-    B.write_ledger_jsonl(path, ledger, fingerprint="fp")
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    lines = [json.loads(l) for l in B.encode_ledger(ledger, fingerprint="fp").splitlines()]
     assert len(lines) == len(ledger.iterations) + 2
     for line, rec in zip(lines[1:-1], ledger.iterations):
         assert line == dataclasses.asdict(rec)
@@ -311,9 +307,11 @@ def test_replay_ledger_reproduces_final_state_bitwise(tmp_path, reward_mode):
     cfg = B.BanditConfig(alpha=0.5, tau=0.3, gamma=0.2, top_k=3, batch_size=5,
                          reward_mode=reward_mode)
     ledger = B.run(cfg, model, lambda ids: [float(values[i]) for i in ids], budget=80, seed=2)
-    path = tmp_path / "ledger.jsonl"
-    B.write_ledger_jsonl(path, ledger, fingerprint="fp")
-    state, trajectory = B.replay_ledger(path, model)
+    path, sel_path = tmp_path / "ledger.jsonl", tmp_path / "selection.txt"
+    path.write_text(B.encode_ledger(ledger, fingerprint="fp"))
+    sel_path.write_text(B.encode_selection(ledger, fingerprint="fp"))
+    selected, state, trajectory = B.replay_ledger(path, model, sel_path)
+    assert selected == ledger.selected
     np.testing.assert_array_equal(state.reward, ledger.final_state.reward)
     np.testing.assert_array_equal(state.pulls, ledger.final_state.pulls)
     pulls = [(rec.iteration, p.cluster) for rec in ledger.iterations for p in rec.pulls]

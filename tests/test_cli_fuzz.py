@@ -1,4 +1,5 @@
-"""Mutated inputs end a command with exit 0-3 and at most one typed error line.
+"""Mutated inputs end a command with exit 0-3 and at most one typed error line;
+a command that fails leaves the output directory as it was.
 
 Each example copies a finished cluster + select run of a tiny corpus, applies
 one or two byte edits to one input or artifact, and runs, in-process, a
@@ -92,6 +93,10 @@ def finished_run(tmp_path_factory):
     return root
 
 
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 @st.composite
 def _mutated(draw, blob):
     for _ in range(draw(st.integers(1, 2))):
@@ -132,12 +137,16 @@ def test_mutated_input_exits_with_one_typed_error_line(finished_run, data):
         shutil.copytree(finished_run, root)
         path = root / name
         path.write_bytes(data.draw(_mutated(path.read_bytes()), label="mutated"))
+        before = _outputs(root / "out")
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = cli.main(_argv(command, root))
+        after = _outputs(root / "out")
     lines = stderr.getvalue().splitlines()
     assert code in (0, 1, 2, 3)
+    assert not [name for name in after if name.endswith(".partial")]
     if code:
         assert len(lines) == 1 and ERROR_LINE.match(lines[0]), lines
+        assert after == before
     else:
         assert lines == []

@@ -12,7 +12,7 @@ from influence_select.clustering import (
     kmeans,
     load_cluster_model,
     objective,
-    save_cluster_model,
+    encode_cluster_model,
 )
 from influence_select.corpus import EmbeddingCorpus
 from influence_select.errors import DataError
@@ -167,7 +167,7 @@ def test_serialization_round_trip(tmp_path):
     corpus = EmbeddingCorpus(vectors=rng.normal(size=(64, 6)))
     model = kmeans(corpus, k=8, seed=1)
     path = tmp_path / "clusters.bin"
-    save_cluster_model(path, model)
+    path.write_bytes(encode_cluster_model(model))
     again = load_cluster_model(path)
     assert again.k == model.k
     np.testing.assert_array_equal(again.centroids, model.centroids)

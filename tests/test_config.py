@@ -123,7 +123,10 @@ def test_influence_section_validated_at_load(override, key):
 
 
 @pytest.mark.parametrize("override", ["influence.layers=foo", "influence.sketch_dim=0",
-                                      "influence.sketch_dim=-3", "influence.damping=-1"])
+                                      "influence.sketch_dim=-3", "influence.damping=-1",
+                                      # values that do not parse as the key's type
+                                      "influence.sketch_dim=", "influence.damping=abc",
+                                      "influence.use_sketch=maybe"])
 def test_bad_influence_value_exits_1_without_traceback(override, tmp_path, capsys):
     from influence_select import cli
 
@@ -163,6 +166,10 @@ def test_bad_influence_value_exits_1_without_traceback(override, tmp_path, capsy
     ("trainer.beta1=1", "trainer.beta1"),
     ("trainer.beta2=0", "trainer.beta2"),
     ("trainer.eps=0", "trainer.eps"),
+    # values that do not parse as the key's type
+    ("clustering.k=", "clustering.k: cannot parse integer from ''"),
+    ("bandit.alpha=fast", "bandit.alpha: cannot parse float from 'fast'"),
+    ("influence.use_sketch=2", "influence.use_sketch: cannot parse boolean from '2'"),
 ])
 def test_remaining_sections_validated_at_load(override, key):
     with pytest.raises(UsageError, match=key.replace(".", r"\.")):

@@ -69,7 +69,7 @@ def test_overlong_payload(tmp_path):
     sizes named, before any of it is read."""
     path = tmp_path / "long.bin"
     path.write_bytes(struct.pack("<QQ", 4, 8) + b"\x00" * (4 * 8 * 4 + 4))
-    with pytest.raises(DataError, match=r"truncated payload \(132 bytes, expected 128 for 4x8\)"):
+    with pytest.raises(DataError, match=r"over-long payload \(132 bytes, expected 128 for 4x8\)"):
         load_embeddings(path)
 
 

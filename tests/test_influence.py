@@ -4,7 +4,7 @@ import pytest
 from influence_select import curvature as C
 from influence_select import influence as I
 from influence_select import model as M
-from influence_select.cli import write_csv
+from influence_select.cli import encode_csv
 from influence_select.corpus import TokenTable
 from influence_select.errors import DataError
 
@@ -231,11 +231,9 @@ def test_pullback_covers_the_multi_block_stream():
         assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_influence_csv_round_trip(tmp_path):
+def test_influence_csv_round_trip():
     rows = [(0, 1.2345678901234567e-3, "factored"), (7, -2.5, "factored+sketch")]
-    path = tmp_path / "scores.csv"
-    write_csv(path, "abc123", "instance_id,score,method", rows)
-    lines = path.read_text().splitlines()
+    lines = encode_csv("abc123", "instance_id,score,method", rows).splitlines()
     assert lines[:2] == ["# config_fingerprint=abc123", "instance_id,score,method"]
     again = [line.split(",") for line in lines[2:]]
     assert [(int(i), float(s), m) for i, s, m in again] == rows

@@ -5,7 +5,7 @@ from influence_select import curvature as C
 from influence_select import model as M
 from influence_select import oracle as O
 from influence_select import synthetic as S
-from influence_select.cli import write_csv
+from influence_select.cli import encode_csv
 from influence_select.corpus import TokenTable
 from influence_select.errors import DataError, NumericError
 
@@ -251,11 +251,9 @@ def test_factored_ranking_tracks_exact_oracle():
     assert by["joint-qkv"].spearman >= 0.9
 
 
-def test_method_report_csv(tmp_path):
+def test_method_report_csv():
     reports = [O.MethodReport("joint-qkv", 0.5, 0.25, 200)]
-    path = tmp_path / "m.csv"
-    write_csv(path, "fp", "method,pearson,spearman,n",
-              [(r.method, r.pearson, r.spearman, r.n) for r in reports])
-    text = path.read_text()
+    text = encode_csv("fp", "method,pearson,spearman,n",
+                      [(r.method, r.pearson, r.spearman, r.n) for r in reports])
     assert "method,pearson,spearman,n" in text
     assert "joint-qkv,0.5,0.25,200" in text

@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import json
 import os
@@ -487,6 +488,91 @@ def test_stale_cluster_model_is_data_error(selected_out, workdir, tmp_path, caps
     assert f"{out / 'clusters.bin'} holds k=8 clusters but clustering.k is 4" in err
     assert "re-run the `cluster` command" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _snapshot(out):
+    """Every file under ``out``, by relative path, with its bytes."""
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case", ["selection cut short", "ledger without its summary",
+                                  "ledger of another select"])
+def test_report_rejects_a_selection_and_ledger_of_different_selects(
+        selected_out, workdir, tmp_path, capsys, monkeypatch, case):
+    """``selection.txt`` and ``ledger.jsonl`` must carry one fingerprint, and
+    the ledger must end in the summary record that counts the selection."""
+    from influence_select import trainer
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    sel, led = out / "selection.txt", out / "ledger.jsonl"
+    led_lines = led.read_text().splitlines(keepends=True)
+    if case == "selection cut short":
+        sel.write_text("".join(sel.read_text().splitlines(keepends=True)[:41]))  # 40 ids
+        where = f"{led}:{len(led_lines)}: expected a summary record with selected_total 40"
+    elif case == "ledger without its summary":
+        led.write_text("".join(led_lines[:-1]))
+        where = f"{led}:{len(led_lines) - 1}: expected a summary record"
+    else:
+        other = tmp_path / "other"
+        shutil.copytree(selected_out, other)
+        assert _run("select", "--config", str(cfg), "--set", f"paths.output_dir={other}",
+                    "--set", "bandit.tau=15.0") == 0
+        shutil.copyfile(other / "ledger.jsonl", led)
+        where = f"{sel}:1: expected '# config_fingerprint="
+    def boom(*args, **kwargs):
+        raise AssertionError("training ran before the selection and ledger checks")
+
+    monkeypatch.setattr(trainer, "train", boom)
+    code = _run("report", "--config", str(cfg), "--set", f"paths.output_dir={out}")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"data error: {where}"), err
+
+
+@pytest.mark.parametrize("failure", ["encode", "stage"])
+def test_select_that_cannot_publish_leaves_the_directory_as_it_was(
+        selected_out, workdir, tmp_path, capsys, monkeypatch, failure):
+    """A ``select`` whose last file fails to encode (a full disk, say), or
+    whose ``ledger.jsonl`` cannot be staged, exits 2 and leaves every file of
+    the output directory byte-identical, with no ``*.partial`` file."""
+    from influence_select import curvature
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    if failure == "encode":
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(curvature, "encode_factors", full)
+        needle = os.strerror(errno.ENOSPC)
+    else:  # selection.txt.partial is written, then ledger.jsonl.partial is refused
+        (out / "ledger.jsonl.partial").mkdir()
+        needle = f"data error: {str(out / 'ledger.jsonl.partial')!r}: "
+    before = _snapshot(out)
+    code = _run("select", "--config", str(cfg), "--set", f"paths.output_dir={out}",
+                "--set", "bandit.tau=15.0")
+    assert code == 2
+    assert needle in capsys.readouterr().err
+    assert _snapshot(out) == before
+    assert [p.name for p in out.iterdir() if p.name.endswith(".partial") and p.is_file()] == []
+
+
+def test_oracle_breach_publishes_the_tables_made_so_far(tmp_path, capsys, monkeypatch):
+    """A tolerance breach exits 3 and still publishes the tables computed up
+    to the breach, the breaching one included."""
+    from influence_select import oracle
+
+    monkeypatch.setattr(oracle, "finite_difference_check", lambda *args: 1.0)
+    out = tmp_path / "out"
+    assert _run("oracle-check", "--set", f"paths.output_dir={out}") == 3
+    assert capsys.readouterr().err.startswith("numeric failure: gradient check breach")
+    assert sorted(p.name for p in out.iterdir()) == ["oracle_gradcheck.csv",
+                                                     "oracle_kronecker.csv"]
+    assert (out / "oracle_gradcheck.csv").read_text().splitlines()[2] == \
+        "finite-difference-sample,1"
 
 
 def test_report_non_finite_loss_exits_3(selected_out, workdir, tmp_path, capsys):
