@@ -16,12 +16,15 @@ outputs are kept apart:
   simulate  simulate-bandit at its defaults.
 
 Every file that differs, or that only one side wrote, is listed; the exit
-code is 1 if there is any, else 0.
+code is 1 if there is any, else 0. A CSV or JSONL file that differs only in
+its numbers is marked "numbers only", with the largest relative difference
+between two of its numbers.
 """
 
 import argparse
 import filecmp
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +35,8 @@ sys.path.insert(0, HERE)
 from run_end_to_end import CONFIG_TEMPLATE  # noqa: E402
 
 SCORE_IDS = "0,5,9,100,2000"
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+TEXT_SUFFIXES = (".csv", ".jsonl")
 STAGES = [
     ("pipeline", [], [["cluster"], ["select"], ["score", "--ids", SCORE_IDS], ["report"]]),
     ("sketch", ["influence.use_sketch=true", "influence.sketch_dim=64"],
@@ -67,6 +72,28 @@ def differing_files(a: str, b: str) -> list[str]:
         os.path.join(a, p), os.path.join(b, p), shallow=False))
 
 
+def numbers_moved(a: str, b: str) -> float | None:
+    """The largest relative difference between the numbers of text files
+    ``a`` and ``b`` when they differ only in their numbers, else None."""
+    with open(a, encoding="utf-8") as fa, open(b, encoding="utf-8") as fb:
+        text_a, text_b = fa.read(), fb.read()
+    if NUMBER.sub("#", text_a) != NUMBER.sub("#", text_b):
+        return None
+    pairs = ((float(x), float(y)) for x, y in zip(NUMBER.findall(text_a), NUMBER.findall(text_b)))
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
+
+
+def describe(a: str, b: str, path: str) -> str:
+    """``path``, marked "numbers only" with the largest relative difference
+    when it is a text output on both sides that differs only in its numbers."""
+    pa, pb = os.path.join(a, path), os.path.join(b, path)
+    if path.endswith(TEXT_SUFFIXES) and os.path.exists(pa) and os.path.exists(pb):
+        moved = numbers_moved(pa, pb)
+        if moved is not None:
+            return f"{path} (numbers only, largest relative difference {moved:.3g})"
+    return path
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -89,10 +116,10 @@ def main() -> None:
             kept.append(os.path.join(work, f"side{i}"))
             shutil.move(out, kept[-1])
         n_files = len(files(kept[0]) | files(kept[1]))
-        diff = differing_files(*kept)
+        diff = [describe(*kept, path) for path in differing_files(*kept)]
 
-    for path in diff:
-        print(f"differs: {path}")
+    for line in diff:
+        print(f"differs: {line}")
     print(f"{len(diff)} of {n_files} files differ ({sides[0]} vs {sides[1]})")
     sys.exit(1 if diff else 0)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class Selection:
 
 @dataclass
 class IterationRecord:
-    """One iteration of ``run``; ``asdict`` of it is its ``ledger.jsonl`` line."""
+    """One iteration of ``run``; its ``vars``, nested ones too, are its ``ledger.jsonl`` line."""
 
     iteration: int
     pulls: list[PullRecord] = field(default_factory=list)
@@ -272,11 +272,12 @@ def _derive_seed(seed: int, iteration: int, stream: int) -> int:
 
 def encode_ledger(ledger: SelectionLedger, fingerprint: str) -> str:
     """A header record (fingerprint and reward mode), one JSON record per
-    iteration (its ``IterationRecord``'s fields), then a summary record."""
+    iteration (its ``IterationRecord``'s fields, read through ``vars``, which
+    copies no id list), then a summary record."""
     records = [{"config_fingerprint": fingerprint, "reward_mode": ledger.reward_mode},
-               *map(asdict, ledger.iterations),
+               *ledger.iterations,
                {"truncated": ledger.truncated, "selected_total": len(ledger.selected)}]
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    return "".join(json.dumps(rec, sort_keys=True, default=vars) + "\n" for rec in records)
 
 
 def encode_selection(ledger: SelectionLedger, fingerprint: str) -> str:

@@ -91,24 +91,6 @@ def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clusteri
     return cmodel
 
 
-def _scoring_setup(cfg: RunConfig, ref: corpus.TokenTable):
-    """Model init, factor estimation over the reference set, reference iHVP
-    (with the JL sketch folded in when ``influence.use_sketch`` is set)."""
-    params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
-    factors, ref_grad = curvature.collect_factors(params, ref)
-    inverses = {
-        name: curvature.inverse_of_factor(fac, cfg.influence.damping)
-        for name, fac in factors.items()
-    }
-    ihvp = influence.reference_ihvp(ref_grad, inverses)
-    if cfg.influence.use_sketch:
-        projector = influence.SketchProjector(
-            target_dim=cfg.influence.sketch_dim, seed=cfg.influence.sketch_seed
-        )
-        ihvp = influence.pullback_ihvp(projector, ihvp)
-    return params, ihvp, factors
-
-
 def cmd_cluster(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     emb = corpus.load_embeddings(cfg.paths.embeddings)
@@ -132,7 +114,8 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     missing = [i for i in ids if not 0 <= i < emb.count or row_of[i] < 0]
     if missing:
         raise DataError(f"no token record for instance id(s) {missing[:5]}")
-    params, ihvp, _ = _scoring_setup(cfg, ref)
+    params, ihvp, _ = influence.scoring_setup(
+        model_mod.init_params(cfg.model, seed=cfg.model.init_seed), ref, cfg.influence)
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params)
     _publish(cfg, {"scores.csv": encode_csv(fp, "instance_id,score,method",
@@ -147,7 +130,8 @@ def cmd_select(cfg: RunConfig) -> int:
     table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
     cmodel = _load_cluster_model(cfg, emb)
     bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
-    params, ihvp, factors = _scoring_setup(cfg, ref)
+    params, ihvp, factors = influence.scoring_setup(
+        model_mod.init_params(cfg.model, seed=cfg.model.init_seed), ref, cfg.influence)
 
     def scorer(ids):
         rows = row_of[np.asarray(ids, dtype=np.int64)]

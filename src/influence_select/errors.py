@@ -14,7 +14,7 @@ class DataError(Exception):
 
 
 class NumericError(Exception):
-    """A numeric contract was violated (oracle tolerance breach, divergence)."""
+    """A numeric contract was violated (oracle breach, divergence, non-finite score)."""
 
 
 class SingularFactorError(NumericError):

@@ -11,6 +11,9 @@ points the same way as the reference gradient scores POSITIVE, i.e. a
 positive score means upweighting the candidate is expected to reduce
 reference loss. Selection thresholds are stated in this orientation.
 
+Curvature and iHVP are float64; candidates run through a float32 copy of the
+parameters (``scoring_setup``), and each score is summed in float64.
+
 Optionally the score is the JL-sketched one, ``<S g, S v>`` with a seeded
 Rademacher projection S (entries +-1/sqrt(target_dim)) drawn per layer from
 the seed and never stored. Since ``<S g, S v> = <g, S^T S v>``, the sketch is
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import curvature
+from .config import InfluenceConfig
 from .corpus import TokenTable
-from .curvature import DampedFactorInverse, kron_ihvp
-from .errors import DataError
+from .errors import DataError, NumericError
 from .model import ParamSet, chunk_taps, sequence_grads, tracked_layers
 
 SKETCH_BLOCK = 1 << 14  # input dims consumed per RNG draw; part of the stream layout
@@ -51,13 +55,13 @@ class SketchProjector:
 
 def reference_ihvp(
     ref_grad: dict[str, np.ndarray],
-    inverses: dict[str, DampedFactorInverse],
+    inverses: dict[str, curvature.DampedFactorInverse],
 ) -> IhvpVector:
     """Apply each layer's damped inverse to the reference gradient."""
     missing = sorted(set(ref_grad) - set(inverses))
     if missing:
         raise DataError(f"missing curvature factor for tracked layer(s): {missing}")
-    return IhvpVector(vectors={name: kron_ihvp(inverses[name], vec)
+    return IhvpVector(vectors={name: curvature.kron_ihvp(inverses[name], vec)
                                for name, vec in ref_grad.items()})
 
 
@@ -102,14 +106,28 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
     return IhvpVector(vectors=vectors, method="factored+sketch")
 
 
+def scoring_setup(params: ParamSet, ref: TokenTable, cfg: InfluenceConfig):
+    """What scoring needs, from float64 ``params`` and the reference set:
+    ``(scoring params, ihvp, factors)``. The factors, the reference gradient
+    and its iHVP (with the JL sketch folded in when ``cfg.use_sketch`` is set)
+    are float64; the scoring params are a float32 copy of ``params``."""
+    factors, ref_grad = curvature.collect_factors(params, ref)
+    ihvp = reference_ihvp(ref_grad, {name: curvature.inverse_of_factor(fac, cfg.damping)
+                                     for name, fac in factors.items()})
+    if cfg.use_sketch:
+        ihvp = pullback_ihvp(SketchProjector(cfg.sketch_dim, cfg.sketch_seed), ihvp)
+    return params.astype(np.float32), ihvp, factors
+
+
 def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet) -> list[float]:
     """The influence score of every record of ``table``, in table order,
     computed in engine chunks.
 
     Each tracked layer's per-sequence gradient delta^T x, straight from the
     engine's taps, is dotted with that layer's iHVP vector, and the layer
-    terms are summed in ``tracked_layers`` order. Every score is checked to be
-    finite; the error names the record's instance id.
+    terms are summed in ``tracked_layers`` order, in float64 whatever the
+    dtype of ``params``. Every score is checked to be finite; the
+    ``NumericError`` names the record's instance id.
     """
     layers = tracked_layers(params.config)
     scores = [0.0] * len(table)
@@ -120,5 +138,5 @@ def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet) -> list[f
                 scores[p] += float(np.dot(g, vec))
     for inst_id, s in zip(table.ids.tolist(), scores):
         if not np.isfinite(s):
-            raise DataError(f"non-finite influence score for instance {inst_id}")
+            raise NumericError(f"non-finite influence score for instance {inst_id}")
     return scores

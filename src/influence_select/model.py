@@ -1,4 +1,4 @@
-"""Desk-scale decoder-only transformer with exact float64 gradients.
+"""Desk-scale decoder-only transformer with exact gradients in its parameters' dtype.
 
 Forward/backward are hand-written over numpy so every layer exposes a tap:
 the per-token input activations x and pre-activation output gradients delta.
@@ -93,9 +93,14 @@ class ParamSet:
             for nm, w in vars(blk).items():
                 yield f"layer{i}.{nm}", w
 
+    def astype(self, dtype) -> "ParamSet":
+        """A copy with every array cast to ``dtype``."""
+        layers = [BlockParams(**{nm: w.astype(dtype) for nm, w in vars(b).items()})
+                  for b in self.layers]
+        return ParamSet(self.config, self.embed.astype(dtype), self.head.astype(dtype), layers)
+
     def copy(self) -> "ParamSet":
-        layers = [BlockParams(**{nm: w.copy() for nm, w in vars(b).items()}) for b in self.layers]
-        return ParamSet(self.config, self.embed.copy(), self.head.copy(), layers)
+        return self.astype(self.embed.dtype)
 
 
 @dataclass
@@ -210,12 +215,12 @@ def _softmax(s, mask=None):
 
 
 @functools.lru_cache(maxsize=None)
-def rope_tables(cfg: ModelConfig, n_positions: int):
-    """cos/sin tables of shape (n_positions, head_dim/2), built once per length."""
+def rope_tables(cfg: ModelConfig, n_positions: int, dtype):
+    """cos/sin tables of shape (n_positions, head_dim/2) in ``dtype``, built once per length."""
     half = cfg.head_dim // 2
     inv_freq = ROPE_BASE ** (-2.0 * np.arange(half) / cfg.head_dim)
     ang = np.arange(n_positions)[:, None] * inv_freq[None, :]
-    cos, sin = np.cos(ang), np.sin(ang)
+    cos, sin = np.cos(ang).astype(dtype, copy=False), np.sin(ang).astype(dtype, copy=False)
     cos.flags.writeable = sin.flags.writeable = False
     return cos, sin
 
@@ -265,7 +270,8 @@ def _token_sum(delta, x):
 # sequences (one sequence is a chunk of one); every cached array carries a
 # leading B axis, and every operation is elementwise, a reduction over the
 # last axis, or a stacked matmul, so each sequence's numbers are bitwise the
-# same whichever chunk (and chunk position) it is computed in.
+# same whichever chunk (and chunk position) it is computed in. Arrays take the
+# parameters' dtype; constants are Python floats, which never widen float32.
 
 CHUNK_TOKENS = 384  # tokens per engine call; measured in README "Model engine"
 
@@ -321,7 +327,7 @@ def forward(params: ParamSet, tokens, seq_len: int):
     tokens = tokens.reshape(-1, T)
 
     H, dh = cfg.n_heads, cfg.head_dim
-    cos, sin = rope_tables(cfg, T)
+    cos, sin = rope_tables(cfg, T, params.embed.dtype)
     mask = _causal_mask(T)
 
     cache = ForwardCache(params=params, tokens=tokens)
@@ -333,7 +339,7 @@ def forward(params: ParamSet, tokens, seq_len: int):
         qk = rope_apply(qkv[:, : 2 * H], cos, sin)  # Q and K rotated together
         qr, kr, v = qk[:, :H], qk[:, H:], qkv[:, 2 * H :]
         scores = qr @ kr.swapaxes(-1, -2)
-        scores /= np.sqrt(dh)
+        scores /= math.sqrt(dh)
         attn = _softmax(scores, mask)
         attn_in = _merge_heads(attn @ v)
         h = h + attn_in @ blk.w_o.T
@@ -380,7 +386,7 @@ def backward(cache: ForwardCache, param_grads: bool = True):
     cfg = params.config
     B, T = cache.tokens.shape
     H, hd = cfg.n_heads, cfg.head_dim
-    cos, sin = rope_tables(cfg, T)
+    cos, sin = rope_tables(cfg, T, params.embed.dtype)
 
     grads = zeros_like_params(params) if param_grads else None
     taps: list[LayerTap] = []
@@ -408,14 +414,14 @@ def backward(cache: ForwardCache, param_grads: bool = True):
         delta_o = dh  # grad wrt w_o output
         dctx = _split_heads(delta_o @ blk.w_o, H)
         attn, vh, qr, kr = save["attn"], save["vh"], save["qr"], save["kr"]
-        dheads = np.empty((B, 3 * H, T, hd))  # q, k, v head gradients
+        dheads = np.empty((B, 3 * H, T, hd), dctx.dtype)  # q, k, v head gradients
         np.matmul(attn.swapaxes(-1, -2), dctx, out=dheads[:, 2 * H :])
         dscores = dctx @ vh.swapaxes(-1, -2)  # d attn, made d scores in place
         rowdot = np.sum(dscores * attn, axis=-1, keepdims=True)
         dscores -= rowdot
         dscores *= attn  # masked-out entries have attn == 0 so contribute nothing
-        dscores /= np.sqrt(hd)
-        drot = np.empty((B, 2 * H, T, hd))  # rotated q, k gradients
+        dscores /= math.sqrt(hd)
+        drot = np.empty((B, 2 * H, T, hd), dctx.dtype)  # rotated q, k gradients
         np.matmul(dscores, kr, out=drot[:, :H])
         np.matmul(dscores.swapaxes(-1, -2), qr, out=drot[:, H:])
         _rope_backward(drot, cos, sin, out=dheads[:, : 2 * H])

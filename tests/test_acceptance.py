@@ -13,12 +13,12 @@ import pytest
 
 from influence_select import bandit as B
 from influence_select import cli
-from influence_select import curvature as C
 from influence_select import influence as I
 from influence_select import model as M
 from influence_select import oracle as O
 from influence_select import trainer as T
 from influence_select.clustering import kmeans, objective
+from influence_select.config import InfluenceConfig
 from influence_select.corpus import EmbeddingCorpus, write_embeddings, write_tokens
 from influence_select.synthetic import SyntheticSpec, generate
 
@@ -249,13 +249,13 @@ def _end_to_end_once(master_seed: int):
     mcfg = M.ModelConfig(vocab_size=64, hidden_dim=32, n_layers=1, n_heads=2,
                          max_context=32, mlp_ratio=2.0)
     params = M.init_params(mcfg, seed=s_model)
-    factors, ref_grad = C.collect_factors(params, data.reference)
-    inverses = {n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()}
-    ihvp = I.reference_ihvp(ref_grad, inverses)
+    # select's setup: float64 curvature and iHVP, float32 scoring parameters
+    scoring_params, ihvp, _ = I.scoring_setup(params, data.reference,
+                                              InfluenceConfig(damping=1e-3))
     tokens = data.instances  # record i is instance i
 
     def scorer(ids):
-        return I.score_batch(tokens.take(ids), ihvp, params)
+        return I.score_batch(tokens.take(ids), ihvp, scoring_params)
 
     bcfg = B.BanditConfig(alpha=20.0, tau=150.0, gamma=0.05, top_k=8, batch_size=8,
                           reward_mode="mean", max_rounds=300)

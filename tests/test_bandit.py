@@ -299,6 +299,19 @@ def test_ledger_lines_are_the_records():
         assert line == dataclasses.asdict(rec)
 
 
+def test_ledger_encoding_is_the_asdict_encoding():
+    rng = np.random.default_rng(6)
+    model = _cluster_model([4, 9, 6, 3])
+    values = rng.normal(0.3, 0.4, size=model.count)
+    cfg = B.BanditConfig(alpha=0.5, tau=-1.0, gamma=0.5, top_k=2, batch_size=4)
+    ledger = B.run(cfg, model, lambda ids: [float(values[i]) for i in ids], budget=22, seed=5)
+    for part in ("pulls", "selections", "newly_retired"):
+        assert any(getattr(rec, part) for rec in ledger.iterations), part
+    lines = B.encode_ledger(ledger, fingerprint="fp").splitlines()
+    assert lines[1:-1] == [json.dumps(dataclasses.asdict(rec), sort_keys=True)
+                           for rec in ledger.iterations]
+
+
 @pytest.mark.parametrize("reward_mode", B.REWARD_MODES)
 def test_replay_ledger_reproduces_final_state_bitwise(tmp_path, reward_mode):
     rng = np.random.default_rng(4)

@@ -59,8 +59,10 @@ def test_chunks_cover_every_sequence_once_in_bucket_order(chunk_tokens):
     assert list(M.chunks(TokenTable.from_sequences([]))) == []
 
 
-def test_chunked_engine_matches_single_sequence_calls(chunk_tokens):
-    params = M.init_params(CFG, seed=3)
+def _check_chunked_engine_against_single_sequence_calls(dtype, grad_sum_rel):
+    """Losses and taps bitwise equal; summed parameter gradients within
+    ``grad_sum_rel``, since chunk and one-sequence sums add in other orders."""
+    params = M.init_params(CFG, seed=3).astype(dtype)
     seqs = _ragged_sequences()
     worst = 0.0
     for pos, tokens in M.chunks(TokenTable.from_sequences(seqs)):
@@ -81,7 +83,29 @@ def test_chunked_engine_matches_single_sequence_calls(chunk_tokens):
                 acc += arr
         for (name, got), (_, ref) in zip(grads.iter_named(), want.iter_named()):
             worst = max(worst, _rel(got, ref))
-    assert worst <= 1e-12, worst
+    assert worst <= grad_sum_rel, worst
+
+
+def test_chunked_engine_matches_single_sequence_calls(chunk_tokens):
+    _check_chunked_engine_against_single_sequence_calls(np.float64, 1e-12)
+
+
+def test_chunked_float32_engine_matches_single_sequence_calls(chunk_tokens):
+    _check_chunked_engine_against_single_sequence_calls(np.float32, 1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_engine_arrays_take_the_parameters_dtype(dtype):
+    params = M.init_params(CFG, seed=2).astype(dtype)
+    for pos, tokens in M.chunks(TokenTable.from_sequences(_ragged_sequences(seed=5))):
+        losses, cache = M.forward(params, tokens.ravel(), seq_len=tokens.shape[1])
+        grads, taps = M.backward(cache)
+        arrays = [losses, cache.h_final, cache.ms_final, cache.hn, cache.probs,
+                  *(a for save in cache.layer_saves for a in save.values()),
+                  *(a for _, a in grads.iter_named()),
+                  *(a for t in taps for a in (t.x, t.delta, M.sequence_grads(t, pos.size)))]
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        assert cache.tokens.dtype == np.int64
 
 
 def test_sequence_grads_equal_parameter_gradients(chunk_tokens):

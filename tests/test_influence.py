@@ -5,8 +5,9 @@ from influence_select import curvature as C
 from influence_select import influence as I
 from influence_select import model as M
 from influence_select.cli import encode_csv
+from influence_select.config import InfluenceConfig
 from influence_select.corpus import TokenTable
-from influence_select.errors import DataError
+from influence_select.errors import DataError, NumericError
 
 CFG = M.ModelConfig(vocab_size=13, hidden_dim=8, n_layers=1, n_heads=2,
                     max_context=16, mlp_ratio=1.0)
@@ -142,8 +143,32 @@ def test_score_batch_non_finite_score_names_the_instance():
     ihvp = I.reference_ihvp(ref_grad, _identity_inverses(registry))
     ihvp.vectors[registry[0].name] = ihvp.vectors[registry[0].name] * np.nan
     pair = TokenTable.from_sequences([[5, 6, 7], [2, 3, 4]], ids=[4, 9])
-    with pytest.raises(DataError, match="non-finite influence score for instance 4"):
+    with pytest.raises(NumericError, match="non-finite influence score for instance 4"):
         I.score_batch(pair, ihvp, params)
+
+
+def test_float32_scoring_tracks_float64_scores():
+    """scoring_setup scores with float32 parameters against a float64 iHVP;
+    on a fixed model at damping 1e-3 every score stays within 1e-5 of the
+    largest |score| of the float64 engine's."""
+    cfg = M.ModelConfig(vocab_size=64, hidden_dim=32, n_layers=1, n_heads=2,
+                        max_context=32, mlp_ratio=2.0)
+    params = M.init_params(cfg, seed=11)
+    rng = np.random.default_rng(12)
+    ref = TokenTable.from_sequences([rng.integers(0, 64, size=24) for _ in range(16)])
+    candidates = TokenTable.from_sequences([rng.integers(0, 64, size=24) for _ in range(64)])
+    scoring_params, ihvp, factors = I.scoring_setup(params, ref, InfluenceConfig(damping=1e-3))
+    assert {a.dtype for _, a in scoring_params.iter_named()} == {np.dtype(np.float32)}
+    assert {v.dtype for v in ihvp.vectors.values()} == {np.dtype(np.float64)}
+    for (_, a32), (_, a64) in zip(scoring_params.iter_named(), params.iter_named()):
+        np.testing.assert_array_equal(a32, a64.astype(np.float32))
+    want_ihvp = I.reference_ihvp(C.collect_factors(params, ref)[1], {
+        n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()})
+    for name, vec in want_ihvp.vectors.items():
+        np.testing.assert_array_equal(ihvp.vectors[name], vec)
+    s32 = np.array(I.score_batch(candidates, ihvp, scoring_params))
+    s64 = np.array(I.score_batch(candidates, ihvp, params))
+    assert np.max(np.abs(s32 - s64)) <= 1e-5 * np.max(np.abs(s64))
 
 
 # ------------------------------------------------------------- sketching

@@ -276,7 +276,7 @@ def test_select_non_finite_score_is_typed_error(workdir, tmp_path, monkeypatch, 
 
     monkeypatch.setattr(influence, "reference_ihvp", poisoned)
     code = _run("select", "--config", str(cfg), "--set", f"paths.output_dir={out}")
-    assert code == 2
+    assert code == 3
     assert "non-finite influence score" in capsys.readouterr().err
     assert not (out / "ledger.jsonl").exists()
     assert not (out / "selection.txt").exists()
