@@ -12,6 +12,9 @@ outputs are kept apart:
             config of ``run_end_to_end.py``;
   sketch    cluster, then select with influence.use_sketch=true and
             influence.sketch_dim=64;
+  default-shape  score --ids 0,5,9,100,2000 at the program's default model
+            shape (2 layers, d=64, 4 heads, max_context 64), the shape of
+            the benchmark's pool-large;
   oracle    oracle-check at its defaults;
   simulate  simulate-bandit at its defaults.
 
@@ -35,12 +38,16 @@ sys.path.insert(0, HERE)
 from run_end_to_end import CONFIG_TEMPLATE  # noqa: E402
 
 SCORE_IDS = "0,5,9,100,2000"
+# the ModelConfig defaults, over run_end_to_end.py's smaller model
+DEFAULT_SHAPE = ["model.vocab_size=256", "model.hidden_dim=64", "model.n_layers=2",
+                 "model.n_heads=4", "model.max_context=64", f"model.mlp_ratio={8 / 3!r}"]
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 TEXT_SUFFIXES = (".csv", ".jsonl")
 STAGES = [
     ("pipeline", [], [["cluster"], ["select"], ["score", "--ids", SCORE_IDS], ["report"]]),
     ("sketch", ["influence.use_sketch=true", "influence.sketch_dim=64"],
      [["cluster"], ["select"]]),
+    ("default-shape", DEFAULT_SHAPE, [["score", "--ids", SCORE_IDS]]),
     ("oracle", [], [["oracle-check"]]),
     ("simulate", [], [["simulate-bandit"]]),
 ]

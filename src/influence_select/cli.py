@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bandit as bandit_mod
-from . import clustering, corpus, curvature, influence, oracle, trainer
+from . import clustering, corpus, curvature, influence, trainer
 from . import model as model_mod
 from .config import RunConfig, fingerprint, load_config
 from .errors import DataError, NumericError, UsageError
@@ -94,6 +94,7 @@ def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clusteri
 def cmd_cluster(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     emb = corpus.load_embeddings(cfg.paths.embeddings)
+    emb.vectors = emb.vectors.astype(np.float64)  # k-means is float64: convert once, for both calls
     model = clustering.kmeans(
         emb, k=cfg.clustering.k, seed=cfg.clustering.seed, max_iters=cfg.clustering.max_iters
     )
@@ -153,6 +154,8 @@ def cmd_select(cfg: RunConfig) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
+    from . import oracle  # only this command needs it: other commands skip its import
+
     fp = fingerprint(cfg)
     tables: dict[str, str] = {}
     try:  # a breach publishes the tables made so far, the breaching one included

@@ -157,7 +157,7 @@ def _lower_closest(x, c, rows, closest) -> None:
 
 
 def kmeans(corpus: EmbeddingCorpus, k: int, seed: int = 0, max_iters: int = 100) -> ClusterModel:
-    """Cluster the corpus vectors, as given, into k groups.
+    """Cluster the corpus vectors, as given, into k groups, in float64.
 
     Iterates assign/update until the assignment reaches a fixpoint, no
     centroid moves, or ``max_iters`` is hit. The result is that of
@@ -171,7 +171,7 @@ def kmeans(corpus: EmbeddingCorpus, k: int, seed: int = 0, max_iters: int = 100)
         raise DataError("k must be positive")
     if k > corpus.count:
         raise DataError(f"k={k} exceeds corpus count {corpus.count}")
-    x = corpus.vectors
+    x = corpus.vectors.astype(np.float64, copy=False)
     with np.errstate(over="ignore"):
         x_sq = np.sum(x * x, axis=1)
         # seeding sums n squared distances, each at most 4 max(x_sq), with margin
@@ -369,12 +369,12 @@ def _repair_empty(x, assignment, centroids, buf):
 
 
 def objective(model: ClusterModel, corpus: EmbeddingCorpus) -> float:
-    """Within-cluster sum of squared Euclidean distances."""
+    """Within-cluster sum of squared Euclidean distances, in float64."""
     if model.dim != corpus.dim:
         raise DataError(f"dimension mismatch: model {model.dim}, corpus {corpus.dim}")
     if model.count != corpus.count:
         raise DataError(f"count mismatch: model {model.count}, corpus {corpus.count}")
-    x = corpus.vectors
+    x = corpus.vectors.astype(np.float64, copy=False)
     return float(np.sum(_squared_errors(x, model.centroids, model.assignment, np.empty_like(x))))
 
 

@@ -6,6 +6,8 @@ embedding format is:
     header   uint64 count, uint64 dim      (little-endian)
     payload  count * dim float32, row-major, little-endian
 
+and a loaded corpus keeps the float32 values as read.
+
 Token files are newline-delimited text records::
 
     <id> TAB <space-separated token ids>
@@ -20,10 +22,14 @@ Instance ids index 1:1 into the embedding matrix (id == row).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
+import pickle
+import signal
 import stat
 import struct
+import threading
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -37,11 +43,13 @@ HEADER = struct.Struct("<QQ")
 class EmbeddingCorpus:
     """Dense embedding vectors for the candidate pool, one row per instance."""
 
-    vectors: np.ndarray  # (count, dim) float64; row i is instance id i
+    vectors: np.ndarray  # (count, dim) float32 as read from a file, else float64; row i is id i
     source: InitVar[str | None] = None  # file the vectors came from, named in errors
 
     def __post_init__(self, source):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        self.vectors = np.asarray(self.vectors)
+        if self.vectors.dtype != np.float32:
+            self.vectors = self.vectors.astype(np.float64, copy=False)
         if self.vectors.ndim != 2:
             raise DataError(f"embedding matrix must be 2-D, got shape {self.vectors.shape}")
         if not np.isfinite(self.vectors).all():
@@ -111,7 +119,8 @@ def _first(*masks) -> int | None:
 
 
 def load_embeddings(path) -> EmbeddingCorpus:
-    """Load an embedding corpus from the binary file at ``path``."""
+    """Load an embedding corpus from the binary file at ``path``; its vectors
+    stay float32."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if not stat.S_ISREG(st.st_mode):  # a pipe has no size to check the header against
@@ -127,7 +136,7 @@ def load_embeddings(path) -> EmbeddingCorpus:
             kind = "truncated" if got < want else "over-long"
             raise DataError(f"{path}: {kind} payload ({got} bytes, expected {want} for {count}x{dim})")
         raw = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
-    return EmbeddingCorpus(vectors=raw.astype(np.float64), source=path)
+    return EmbeddingCorpus(vectors=raw, source=path)
 
 
 def write_embeddings(path, corpus: EmbeddingCorpus) -> None:
@@ -140,16 +149,20 @@ def write_embeddings(path, corpus: EmbeddingCorpus) -> None:
 _LF, _TAB, _SPACE, _CR, _MINUS = 10, 9, 32, 13, 45
 _MAX_DIGITS = 19  # the widest run that can still fit int64
 _BLOCK_BYTES = 1 << 20  # whole lines per block: temporaries stay small and cache-sized
+# From this file size on, with 2+ CPUs, a forked child parses the second half
+# of the blocks (_parse_in_two); README ("Token file") gives the measurements.
+_FORK_BYTES = 4 << 20
 
 
 def load_tokens(path) -> TokenTable:
     """Parse a token file into a TokenTable, with numpy passes over its bytes.
 
-    The bytes are cut into blocks of whole lines (see ``_parse_block``).
-    Repeated ids are found over the whole file. An error names the first
-    offending line; within a line the checks run in this order: a byte
-    above 0x7f or a CR, the one TAB, the id, a repeated id, an empty token
-    list, a malformed token, a negative token.
+    The bytes are cut into blocks of whole lines (see ``_parse_block``); a
+    file of at least ``_FORK_BYTES`` is parsed by two processes, a block
+    range each, with the same result. Repeated ids are found over the whole
+    file. An error names the first offending line; within a line the checks
+    run in this order: a byte above 0x7f or a CR, the one TAB, the id, a
+    repeated id, an empty token list, a malformed token, a negative token.
     """
     with open(path, "rb") as fh:  # not np.fromfile, which cannot read a pipe
         b = np.frombuffer(fh.read(), dtype=np.uint8)
@@ -158,14 +171,15 @@ def load_tokens(path) -> TokenTable:
     line_end = np.flatnonzero(b == _LF)
     if not line_end.size:
         return TokenTable.from_sequences([])
-    blocks = []
-    first = 0  # first line of the next block
-    while first < line_end.size and (not blocks or blocks[-1].error is None):
+    bounds = []  # (first, last) line of each block
+    first = 0
+    while first < line_end.size:
         lo = line_end[first - 1] + 1 if first else 0
         last = min(int(np.searchsorted(line_end, lo + _BLOCK_BYTES)), line_end.size - 1)
-        blocks.append(_parse_block(b[lo:line_end[last] + 1], path, first,
-                                   line_end[first:last + 1] - lo))
+        bounds.append((first, last))
         first = last + 1
+    parse = functools.partial(_parse_blocks, b, path, line_end)
+    blocks = _parse_in_two(parse, bounds) if _two_processes(b.size, bounds) else parse(bounds)
     ids = np.concatenate([blk.ids for blk in blocks])
     lines = np.concatenate([blk.lines for blk in blocks])
     errors = [blk.error for blk in blocks if blk.error is not None]
@@ -180,6 +194,86 @@ def load_tokens(path) -> TokenTable:
     np.cumsum(np.concatenate([blk.lengths for blk in blocks]), out=offsets[1:])
     return TokenTable(ids=ids, offsets=offsets,
                       tokens=np.concatenate([blk.tokens for blk in blocks]))
+
+
+def _two_processes(size: int, bounds) -> bool:
+    """Whether a file of ``size`` bytes in blocks ``bounds`` is parsed by two
+    processes: it reaches _FORK_BYTES, has 2+ blocks, this process may run on
+    2+ CPUs, and it runs no other Python thread (a fork copies only the
+    calling thread, and a lock another thread holds would stay held)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (size >= _FORK_BYTES and len(bounds) > 1 and (cpus or 1) > 1
+            and hasattr(os, "fork") and threading.active_count() == 1)
+
+
+def _parse_blocks(b, path, line_end, bounds) -> list:
+    """``_parse_block`` over the blocks ``bounds`` of ``b``, in order, up to
+    and including the first block with an error."""
+    blocks = []
+    for first, last in bounds:
+        lo = line_end[first - 1] + 1 if first else 0
+        blocks.append(_parse_block(b[lo:line_end[last] + 1], path, first,
+                                   line_end[first:last + 1] - lo))
+        if blocks[-1].error is not None:
+            break
+    return blocks
+
+
+def _parse_in_two(parse, bounds) -> list:
+    """``parse(bounds)``, with a forked child parsing the second half of the
+    blocks while this process parses the first.
+
+    The child sends its blocks back pickled through a pipe, each block's
+    tokens in the narrowest integer type that holds them. Its half is
+    needed only when the first half has no error, as in the serial order.
+    The child is killed and reaped on every path, once its blocks are read
+    or not needed; a fork that fails, or a child that sends nothing, leaves
+    its half to this process.
+    """
+    half = len(bounds) // 2
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(r)
+        os.close(w)
+        return parse(bounds)
+    if pid == 0:  # the child: exits here, whatever happens
+        code = 1
+        try:
+            os.close(r)
+            blocks = parse(bounds[half:])
+            for blk in blocks:  # load_tokens's concatenate widens them back to int64
+                blk.tokens = _narrowed(blk.tokens)
+            with open(w, "wb") as fh:
+                pickle.dump(blocks, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as fh:
+            mine = parse(bounds[:half])
+            if mine[-1].error is not None:
+                return mine
+            try:
+                return mine + pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):  # the child failed
+                pass
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return mine + parse(bounds[half:])
+
+
+def _narrowed(a: np.ndarray) -> np.ndarray:
+    """Integer array ``a`` in the narrowest signed type that holds its values."""
+    if a.size:
+        lo, hi = a.min(), a.max()
+        for t in (np.int8, np.int16, np.int32):
+            if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max:
+                return a.astype(t)
+    return a
 
 
 @dataclass

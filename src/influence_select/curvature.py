@@ -86,7 +86,9 @@ def collect_factors(params: ParamSet, table: TokenTable):
     """Estimate factors over a TokenTable's records from the model engine's taps.
 
     Returns ``(factors, grad)``: the same pass also gives ``grad``, the mean
-    per-sequence tracked-layer gradient, flattened row-major per layer.
+    per-sequence tracked-layer gradient, flattened row-major per layer. The
+    products of each chunk run in the dtype of ``params``; the sums they
+    enter are float64.
     """
     if not len(table):
         raise DataError("collect_factors needs a non-empty sequence set")

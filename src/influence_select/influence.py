@@ -11,8 +11,9 @@ points the same way as the reference gradient scores POSITIVE, i.e. a
 positive score means upweighting the candidate is expected to reduce
 reference loss. Selection thresholds are stated in this orientation.
 
-Curvature and iHVP are float64; candidates run through a float32 copy of the
-parameters (``scoring_setup``), and each score is summed in float64.
+The reference pass and the candidates run through a float32 copy of the
+parameters (``scoring_setup``); factor sums, the reference gradient, the iHVP
+and each score's sum are float64.
 
 Optionally the score is the JL-sketched one, ``<S g, S v>`` with a seeded
 Rademacher projection S (entries +-1/sqrt(target_dim)) drawn per layer from
@@ -108,15 +109,17 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
 
 def scoring_setup(params: ParamSet, ref: TokenTable, cfg: InfluenceConfig):
     """What scoring needs, from float64 ``params`` and the reference set:
-    ``(scoring params, ihvp, factors)``. The factors, the reference gradient
-    and its iHVP (with the JL sketch folded in when ``cfg.use_sketch`` is set)
-    are float64; the scoring params are a float32 copy of ``params``."""
-    factors, ref_grad = curvature.collect_factors(params, ref)
+    ``(scoring params, ihvp, factors)``. The scoring params are a float32 copy
+    of ``params``, and the reference pass runs on them too; the factor sums,
+    the reference gradient and its iHVP (with the JL sketch folded in when
+    ``cfg.use_sketch`` is set) are float64."""
+    params32 = params.astype(np.float32)
+    factors, ref_grad = curvature.collect_factors(params32, ref)
     ihvp = reference_ihvp(ref_grad, {name: curvature.inverse_of_factor(fac, cfg.damping)
                                      for name, fac in factors.items()})
     if cfg.use_sketch:
         ihvp = pullback_ihvp(SketchProjector(cfg.sketch_dim, cfg.sketch_seed), ihvp)
-    return params.astype(np.float32), ihvp, factors
+    return params32, ihvp, factors
 
 
 def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet) -> list[float]:

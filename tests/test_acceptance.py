@@ -249,7 +249,7 @@ def _end_to_end_once(master_seed: int):
     mcfg = M.ModelConfig(vocab_size=64, hidden_dim=32, n_layers=1, n_heads=2,
                          max_context=32, mlp_ratio=2.0)
     params = M.init_params(mcfg, seed=s_model)
-    # select's setup: float64 curvature and iHVP, float32 scoring parameters
+    # select's setup: float32 reference pass and scoring parameters, float64 iHVP
     scoring_params, ihvp, _ = I.scoring_setup(params, data.reference,
                                               InfluenceConfig(damping=1e-3))
     tokens = data.instances  # record i is instance i

@@ -174,6 +174,19 @@ def test_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(again.assignment, model.assignment)
 
 
+def test_float32_held_corpus_clusters_as_its_float64_copy():
+    """kmeans and objective run in float64 whatever the corpus holds: a
+    float32 corpus gives the bytes and objective of its float64 copy."""
+    rng = np.random.default_rng(41)
+    x32 = (rng.normal(size=(600, 8)) + 4 * rng.integers(0, 5, size=(600, 1))).astype(np.float32)
+    held, copy = EmbeddingCorpus(vectors=x32), EmbeddingCorpus(vectors=x32.astype(np.float64))
+    assert (held.vectors.dtype, copy.vectors.dtype) == (np.float32, np.float64)
+    got, want = kmeans(held, k=12, seed=3), kmeans(copy, k=12, seed=3)
+    assert encode_cluster_model(got) == encode_cluster_model(want)
+    assert (got.n_iters, got.converged) == (want.n_iters, want.converged)
+    assert objective(got, held) == objective(want, copy)
+
+
 def test_serialization_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"nope")

@@ -148,9 +148,10 @@ def test_score_batch_non_finite_score_names_the_instance():
 
 
 def test_float32_scoring_tracks_float64_scores():
-    """scoring_setup scores with float32 parameters against a float64 iHVP;
-    on a fixed model at damping 1e-3 every score stays within 1e-5 of the
-    largest |score| of the float64 engine's."""
+    """scoring_setup runs the reference pass and the candidates through
+    float32 parameters, against a float64 iHVP; on a fixed model at damping
+    1e-3 every score stays within 1e-5 of the largest |score| of an
+    all-float64 setup's."""
     cfg = M.ModelConfig(vocab_size=64, hidden_dim=32, n_layers=1, n_heads=2,
                         max_context=32, mlp_ratio=2.0)
     params = M.init_params(cfg, seed=11)
@@ -160,14 +161,19 @@ def test_float32_scoring_tracks_float64_scores():
     scoring_params, ihvp, factors = I.scoring_setup(params, ref, InfluenceConfig(damping=1e-3))
     assert {a.dtype for _, a in scoring_params.iter_named()} == {np.dtype(np.float32)}
     assert {v.dtype for v in ihvp.vectors.values()} == {np.dtype(np.float64)}
+    assert {f.delta_sum.dtype for f in factors.values()} == {np.dtype(np.float64)}
     for (_, a32), (_, a64) in zip(scoring_params.iter_named(), params.iter_named()):
         np.testing.assert_array_equal(a32, a64.astype(np.float32))
-    want_ihvp = I.reference_ihvp(C.collect_factors(params, ref)[1], {
-        n: C.inverse_of_factor(f, 1e-3) for n, f in factors.items()})
+    factors32, grad32 = C.collect_factors(params.astype(np.float32), ref)
+    want_ihvp = I.reference_ihvp(grad32, {
+        n: C.inverse_of_factor(f, 1e-3) for n, f in factors32.items()})
     for name, vec in want_ihvp.vectors.items():
         np.testing.assert_array_equal(ihvp.vectors[name], vec)
+    factors64, grad64 = C.collect_factors(params, ref)
+    ihvp64 = I.reference_ihvp(grad64, {
+        n: C.inverse_of_factor(f, 1e-3) for n, f in factors64.items()})
     s32 = np.array(I.score_batch(candidates, ihvp, scoring_params))
-    s64 = np.array(I.score_batch(candidates, ihvp, params))
+    s64 = np.array(I.score_batch(candidates, ihvp64, params))
     assert np.max(np.abs(s32 - s64)) <= 1e-5 * np.max(np.abs(s64))
 
 

@@ -163,6 +163,16 @@ def test_package_and_cli_import_without_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
+def test_cli_imports_the_oracle_only_for_oracle_check():
+    """Every command but oracle-check starts without importing oracle.py."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import influence_select.cli, sys; print('influence_select.oracle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_rerun_is_byte_identical(workdir, tmp_path):
     root, cfg = workdir
     out = tmp_path / "det"
