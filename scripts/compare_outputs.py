@@ -18,8 +18,14 @@ outputs are kept apart:
   oracle    oracle-check at its defaults;
   simulate  simulate-bandit at its defaults.
 
-Every file that differs, or that only one side wrote, is listed; the exit
-code is 1 if there is any, else 0. A CSV or JSONL file that differs only in
+Then each side runs the pipeline stage's ``report`` once more, pinned to one
+CPU, so that it trains every baseline itself rather than in forked
+children; its three tables go to ``report-one-cpu`` and must match the
+first run's byte for byte.
+
+Every file that differs, or that only one side wrote, is listed, and so is
+every one-CPU table that differs from its side's first run; the exit code
+is 1 if there is any, else 0. A CSV or JSONL file that differs only in
 its numbers is marked "numbers only", with the largest relative difference
 between two of its numbers.
 """
@@ -51,19 +57,47 @@ STAGES = [
     ("oracle", [], [["oracle-check"]]),
     ("simulate", [], [["simulate-bandit"]]),
 ]
+REPORT_TABLES = ("report_composition.csv", "report_trajectories.csv", "report_loss.csv")
 
 
-def run_side(src: str, cfg_path: str, out: str) -> None:
-    """Every stage's commands with ``src`` on the path, each stage into
-    ``out/<stage>``; exits 1 naming the first command that fails."""
-    env = {**os.environ, "PYTHONPATH": src}
+def run_command(src: str, cfg_path: str, out: str, stage: str, overrides, cmd,
+                cpus=None) -> None:
+    """One command with ``src`` on the path, into ``out/<stage>``, on the CPU
+    set ``cpus`` when given; exits 1 naming the command if it fails."""
+    sets = [f"paths.output_dir={os.path.join(out, stage)}", *overrides]
+    argv = [sys.executable, "-m", "influence_select", *cmd, "--config", cfg_path,
+            *(arg for kv in sets for arg in ("--set", kv))]
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL,
+                          preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus))
+    if done.returncode:
+        sys.exit(f"{src}: {stage} `{' '.join(cmd)}` failed")
+
+
+def run_side(src: str, cfg_path: str, out: str) -> list[str]:
+    """Every stage's commands, each stage into ``out/<stage>``, then the
+    pipeline's ``report`` on one CPU, its tables moved to
+    ``out/report-one-cpu``; returns the one-CPU tables that differ from the
+    first run's."""
     for stage, overrides, commands in STAGES:
-        sets = [f"paths.output_dir={os.path.join(out, stage)}", *overrides]
         for cmd in commands:
-            argv = [sys.executable, "-m", "influence_select", *cmd, "--config", cfg_path,
-                    *(arg for kv in sets for arg in ("--set", kv))]
-            if subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode:
-                sys.exit(f"{src}: {stage} `{' '.join(cmd)}` failed")
+            run_command(src, cfg_path, out, stage, overrides, cmd)
+    pipeline, one_cpu = os.path.join(out, "pipeline"), os.path.join(out, "report-one-cpu")
+    first = {name: read_bytes(os.path.join(pipeline, name)) for name in REPORT_TABLES}
+    # the fingerprint holds the output directory, so the rerun writes in place
+    run_command(src, cfg_path, out, "pipeline", [], ["report"],
+                cpus={min(os.sched_getaffinity(0))})
+    os.makedirs(one_cpu)
+    for name, data in first.items():
+        os.replace(os.path.join(pipeline, name), os.path.join(one_cpu, name))
+        with open(os.path.join(pipeline, name), "wb") as fh:
+            fh.write(data)
+    return [name for name, data in first.items()
+            if read_bytes(os.path.join(one_cpu, name)) != data]
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def files(root: str) -> set[str]:
@@ -117,13 +151,14 @@ def main() -> None:
                        stdout=subprocess.DEVNULL, check=True)
         with open(cfg_path, "w", encoding="utf-8") as fh:
             fh.write(CONFIG_TEMPLATE.format(data=data, out=out))
-        kept = []
+        kept, diff = [], []
         for i, src in enumerate(sides):
-            run_side(src, cfg_path, out)
+            diff += [f"report-one-cpu/{name} against pipeline/{name} ({src})"
+                     for name in run_side(src, cfg_path, out)]
             kept.append(os.path.join(work, f"side{i}"))
             shutil.move(out, kept[-1])
         n_files = len(files(kept[0]) | files(kept[1]))
-        diff = [describe(*kept, path) for path in differing_files(*kept)]
+        diff += [describe(*kept, path) for path in differing_files(*kept)]
 
     for line in diff:
         print(f"differs: {line}")

@@ -13,6 +13,7 @@ files to one ``_publish`` call, so a command that fails leaves them as they were
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bandit as bandit_mod
-from . import clustering, corpus, curvature, influence, trainer
+from . import clustering, corpus, curvature, forking, influence, trainer
 from . import model as model_mod
 from .config import RunConfig, fingerprint, load_config
 from .errors import DataError, NumericError, UsageError
@@ -207,7 +208,7 @@ def cmd_report(cfg: RunConfig) -> int:
     # end-to-end loss table: selection vs random vs top-clusters baselines
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
     n = len(selected)
-    rows = [("initial", trainer.eval_loss(params, ref))]
+    baselines = []
     if n:
         seed = cfg.report.baseline_seed
         baselines = [
@@ -215,9 +216,25 @@ def cmd_report(cfg: RunConfig) -> int:
             ("random", np.random.default_rng(seed).choice(emb.count, size=n, replace=False)),
             ("top-clusters", _top_cluster_ids(cmodel, state, n, seed)),
         ]
-        for name, ids in baselines:
-            data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
-            rows.append((name, trainer.eval_loss(trainer.train(params, data, cfg.trainer), ref)))
+
+    def trained_loss(ids) -> float:
+        data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
+        return trainer.eval_loss(trainer.train(params, data, cfg.trainer), ref)
+
+    # the trainings are independent and cost the same: when a child may run
+    # beside this process, the last two train in forked children while this
+    # one evaluates `initial` and trains `selected`; a child that fails
+    # leaves its job to this process, so errors come in the serial order
+    jobs = [functools.partial(trained_loss, ids) for _, ids in baselines]
+    children = [forking.Forked(job) for job in jobs[1:]] if forking.may_fork() else []
+    try:
+        losses = [trainer.eval_loss(params, ref)]
+        losses += [job() for job in jobs[:len(jobs) - len(children)]]
+        losses += [child.result() for child in children]
+    finally:
+        for child in children:
+            child.close()
+    rows = list(zip(["initial", *(name for name, _ in baselines)], losses))
 
     _publish(cfg, {
         "report_composition.csv": encode_csv(fp, "cluster,selected_count", enumerate(comp)),

@@ -25,15 +25,13 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import pickle
-import signal
 import stat
 import struct
-import threading
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from . import forking
 from .errors import DataError
 
 HEADER = struct.Struct("<QQ")
@@ -198,12 +196,8 @@ def load_tokens(path) -> TokenTable:
 
 def _two_processes(size: int, bounds) -> bool:
     """Whether a file of ``size`` bytes in blocks ``bounds`` is parsed by two
-    processes: it reaches _FORK_BYTES, has 2+ blocks, this process may run on
-    2+ CPUs, and it runs no other Python thread (a fork copies only the
-    calling thread, and a lock another thread holds would stay held)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (size >= _FORK_BYTES and len(bounds) > 1 and (cpus or 1) > 1
-            and hasattr(os, "fork") and threading.active_count() == 1)
+    processes: it reaches _FORK_BYTES, has 2+ blocks, and ``forking.may_fork``."""
+    return size >= _FORK_BYTES and len(bounds) > 1 and forking.may_fork()
 
 
 def _parse_blocks(b, path, line_end, bounds) -> list:
@@ -220,50 +214,27 @@ def _parse_blocks(b, path, line_end, bounds) -> list:
 
 
 def _parse_in_two(parse, bounds) -> list:
-    """``parse(bounds)``, with a forked child parsing the second half of the
-    blocks while this process parses the first.
+    """``parse(bounds)``, with a forked child (``forking.Forked``) parsing the
+    second half of the blocks while this process parses the first.
 
-    The child sends its blocks back pickled through a pipe, each block's
-    tokens in the narrowest integer type that holds them. Its half is
-    needed only when the first half has no error, as in the serial order.
-    The child is killed and reaped on every path, once its blocks are read
-    or not needed; a fork that fails, or a child that sends nothing, leaves
-    its half to this process.
+    The child sends its blocks back with each block's tokens in the narrowest
+    integer type that holds them. Its half is needed only when the first
+    half has no error, as in the serial order.
     """
     half = len(bounds) // 2
-    r, w = os.pipe()
+
+    def second_half():
+        blocks = parse(bounds[half:])
+        for blk in blocks:  # load_tokens's concatenate widens them back to int64
+            blk.tokens = _narrowed(blk.tokens)
+        return blocks
+
+    child = forking.Forked(second_half)
     try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(r)
-        os.close(w)
-        return parse(bounds)
-    if pid == 0:  # the child: exits here, whatever happens
-        code = 1
-        try:
-            os.close(r)
-            blocks = parse(bounds[half:])
-            for blk in blocks:  # load_tokens's concatenate widens them back to int64
-                blk.tokens = _narrowed(blk.tokens)
-            with open(w, "wb") as fh:
-                pickle.dump(blocks, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    try:
-        with open(r, "rb") as fh:
-            mine = parse(bounds[:half])
-            if mine[-1].error is not None:
-                return mine
-            try:
-                return mine + pickle.load(fh)
-            except (EOFError, pickle.UnpicklingError):  # the child failed
-                pass
+        mine = parse(bounds[:half])
+        return mine if mine[-1].error is not None else mine + child.result()
     finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    return mine + parse(bounds[half:])
+        child.close()
 
 
 def _narrowed(a: np.ndarray) -> np.ndarray:

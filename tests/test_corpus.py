@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influence_select import corpus
+from influence_select import corpus, forking
 from influence_select.corpus import (
     EmbeddingCorpus,
     TokenTable,
@@ -449,7 +449,7 @@ def test_two_process_parse_falls_back_when_the_child_sends_nothing(tmp_path, mon
     its half is parsed in the parent."""
     path = tmp_path / "t.tsv"
     path.write_text("\n".join(_ragged_lines(200, seed=3)) + "\n")
-    monkeypatch.setattr(corpus.pickle, "dump", lambda obj, fh, **kwargs: os._exit(1))
+    monkeypatch.setattr(forking.pickle, "dump", lambda obj, fh, **kwargs: os._exit(1))
     got = load_tokens(path)
     assert len(two_process) == 1
     _assert_no_child_left()

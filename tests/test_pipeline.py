@@ -619,6 +619,125 @@ def test_numeric_failure_prints_one_stderr_line(selected_out, workdir, tmp_path)
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), done.stderr
 
 
+
+# ------------------------------------------------------------ forked report
+
+_TABLES = ("report_composition.csv", "report_trajectories.csv", "report_loss.csv")
+
+
+def _report_on(cpus, cfg, out, monkeypatch, capsys):
+    """``report`` into ``out`` with ``forking.may_fork`` seeing ``cpus`` CPUs:
+    (exit code, stderr, the three tables' bytes, the child pids forked).
+    No child may be left afterwards."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        m.setattr(os, "fork", counted_fork)
+        code = _run("report", "--config", str(cfg), "--set", f"paths.output_dir={out}")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, capsys.readouterr().err, {name: (out / name).read_bytes() for name in _TABLES}, pids
+
+
+def test_forked_report_writes_the_serial_bytes(selected_out, workdir, tmp_path, monkeypatch,
+                                               capsys):
+    """With two CPUs ``random`` and ``top-clusters`` train in forked children;
+    the three tables are the one-CPU run's, byte for byte."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    serial = _report_on(1, cfg, out, monkeypatch, capsys)
+    forked = _report_on(2, cfg, out, monkeypatch, capsys)
+    assert serial[0] == forked[0] == 0
+    assert serial[3] == [] and len(forked[3]) == 2
+    assert forked[2] == serial[2]
+
+
+@pytest.mark.parametrize("failing", [["random"], ["top-clusters"], ["selected"],
+                                     ["random", "top-clusters"], ["selected", "top-clusters"]])
+def test_forked_report_raises_the_serial_error(selected_out, workdir, tmp_path, monkeypatch,
+                                               capsys, failing):
+    """A baseline whose training raises, in a child or in this process while
+    the children run, stops ``report`` with exit 3 and the serial message:
+    that of the first failing baseline in table order. The tables of an
+    earlier run keep their bytes."""
+    from influence_select import trainer
+    from influence_select.errors import TrainingDivergedError
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    train = trainer.train
+    trained = []  # the id set of each baseline, in training order
+
+    def recording(params, data, cfg):
+        trained.append(frozenset(data.ids.tolist()))
+        return train(params, data, cfg)
+
+    monkeypatch.setattr(trainer, "train", recording)
+    code, _, before, _ = _report_on(1, cfg, out, monkeypatch, capsys)
+    assert code == 0
+    name_of = dict(zip(trained, ["selected", "random", "top-clusters"]))
+    assert len(name_of) == 3
+
+    def diverging(params, data, cfg):
+        name = name_of[frozenset(data.ids.tolist())]
+        if name in failing:
+            raise TrainingDivergedError(f"{name} diverged")
+        return train(params, data, cfg)
+
+    monkeypatch.setattr(trainer, "train", diverging)
+    serial = _report_on(1, cfg, out, monkeypatch, capsys)
+    forked = _report_on(2, cfg, out, monkeypatch, capsys)
+    assert serial[:3] == forked[:3] == (3, f"numeric failure: {failing[0]} diverged\n", before)
+    assert len(forked[3]) == 2
+
+
+@pytest.mark.parametrize("case", ["child sends nothing", "fork fails", "another thread"])
+def test_report_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, monkeypatch,
+                                              capsys, case):
+    """A child that dies before it sends its loss leaves its training to this
+    process; a failing ``os.fork``, or a live second thread, keeps every
+    training here. Either way the tables are the serial ones."""
+    import threading
+
+    from influence_select import forking
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    code, _, serial, _ = _report_on(1, cfg, out, monkeypatch, capsys)
+    assert code == 0
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    if case == "child sends nothing":
+        monkeypatch.setattr(forking.pickle, "dump", lambda obj, fh, **kwargs: os._exit(1))
+    elif case == "fork fails":
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        other.start()
+    try:
+        code, _, tables, pids = _report_on(2, cfg, out, monkeypatch, capsys)
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(30)
+    assert not other.is_alive()
+    assert code == 0 and tables == serial
+    assert len(pids) == (2 if case == "child sends nothing" else 0)
+
 def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """At the default model shape a two-thread BLAS sums the curvature
     factors in another order; the program pins one thread, so ``score``
@@ -666,13 +785,14 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _TRACER = os.path.join(_REPO, "perfbench", "tracing.py")
 
 
-def _traced(tmp_path, *argv):
-    """Run one command under ``perfbench/tracing.py``, require exit 0 and return
-    the command's per-layer metrics."""
+def _traced(tmp_path, *argv, cpus=None):
+    """Run one command under ``perfbench/tracing.py``, on the CPU set ``cpus``
+    when given, require exit 0 and return the command's per-layer metrics."""
     spans_path = tmp_path / f"spans-{argv[0]}.json"
     done = subprocess.run([sys.executable, _TRACER, str(spans_path), *argv],
                           env=dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src")),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus))
     assert done.returncode == 0, done.stderr
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACER)
     tracing = importlib.util.module_from_spec(spec)
@@ -709,7 +829,10 @@ def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_p
 
 def test_traced_cluster_score_report_read_their_attributes(selected_out, workdir, tmp_path):
     """The tracer reads ``kmeans(...).n_iters`` in ``cluster`` and ``train``'s ``cfg``
-    in ``report``, which trains three baselines; ``score`` runs traced too."""
+    in ``report``, which trains three baselines; ``score`` runs traced too.
+    The tracer keeps no span of a forked child, so the three trainings are
+    counted on one CPU, where ``report`` trains them all itself, and on more
+    CPUs it counts ``selected`` alone, the one this process trains."""
     root, cfg = workdir
     out = tmp_path / "out"
     shutil.copytree(selected_out, out)
@@ -718,5 +841,8 @@ def test_traced_cluster_score_report_read_their_attributes(selected_out, workdir
     meta = json.loads((out / "clusters.bin.meta.json").read_text())
     assert cluster["clustering.iters"] == meta["iterations"]
     _traced(tmp_path, "score", *args, "--ids", "0,5,10")
-    report = _traced(tmp_path, "report", *args)
+    cpus = os.sched_getaffinity(0)
+    report = _traced(tmp_path, "report", *args, cpus={min(cpus)})
     assert report["trainer.steps"] == 3 * 8  # trainer.steps = 8 in the fixture's config
+    if len(cpus) > 1:
+        assert _traced(tmp_path, "report", *args)["trainer.steps"] == 8
