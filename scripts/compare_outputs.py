@@ -18,13 +18,14 @@ outputs are kept apart:
   oracle    oracle-check at its defaults;
   simulate  simulate-bandit at its defaults.
 
-Then each side runs the pipeline stage's ``report`` once more, pinned to one
-CPU, so that it trains every baseline itself rather than in forked
-children; its three tables go to ``report-one-cpu`` and must match the
-first run's byte for byte.
+Then each side runs the pipeline stage's ``select``, ``score`` and ``report``
+once more, pinned to one CPU, so that each runs its influence setup or
+trains every baseline itself rather than in forked children; each rerun's
+outputs go to ``<command>-one-cpu`` and must match the first run's byte for
+byte.
 
 Every file that differs, or that only one side wrote, is listed, and so is
-every one-CPU table that differs from its side's first run; the exit code
+every one-CPU output that differs from its side's first run; the exit code
 is 1 if there is any, else 0. A CSV or JSONL file that differs only in
 its numbers is marked "numbers only", with the largest relative difference
 between two of its numbers.
@@ -57,7 +58,12 @@ STAGES = [
     ("oracle", [], [["oracle-check"]]),
     ("simulate", [], [["simulate-bandit"]]),
 ]
-REPORT_TABLES = ("report_composition.csv", "report_trajectories.csv", "report_loss.csv")
+# the pipeline commands rerun on one CPU, with the outputs each writes
+ONE_CPU = [
+    (["select"], ("selection.txt", "ledger.jsonl", "factors.ntc", "factors.ntc.meta.json")),
+    (["score", "--ids", SCORE_IDS], ("scores.csv",)),
+    (["report"], ("report_composition.csv", "report_trajectories.csv", "report_loss.csv")),
+]
 
 
 def run_command(src: str, cfg_path: str, out: str, stage: str, overrides, cmd,
@@ -74,25 +80,29 @@ def run_command(src: str, cfg_path: str, out: str, stage: str, overrides, cmd,
 
 
 def run_side(src: str, cfg_path: str, out: str) -> list[str]:
-    """Every stage's commands, each stage into ``out/<stage>``, then the
-    pipeline's ``report`` on one CPU, its tables moved to
-    ``out/report-one-cpu``; returns the one-CPU tables that differ from the
-    first run's."""
+    """Every stage's commands, each stage into ``out/<stage>``, then each
+    ``ONE_CPU`` command of the pipeline on one CPU, its outputs moved to
+    ``out/<command>-one-cpu``; returns the one-CPU outputs that differ from
+    the first run's, as paths under ``out``."""
     for stage, overrides, commands in STAGES:
         for cmd in commands:
             run_command(src, cfg_path, out, stage, overrides, cmd)
-    pipeline, one_cpu = os.path.join(out, "pipeline"), os.path.join(out, "report-one-cpu")
-    first = {name: read_bytes(os.path.join(pipeline, name)) for name in REPORT_TABLES}
-    # the fingerprint holds the output directory, so the rerun writes in place
-    run_command(src, cfg_path, out, "pipeline", [], ["report"],
-                cpus={min(os.sched_getaffinity(0))})
-    os.makedirs(one_cpu)
-    for name, data in first.items():
-        os.replace(os.path.join(pipeline, name), os.path.join(one_cpu, name))
-        with open(os.path.join(pipeline, name), "wb") as fh:
-            fh.write(data)
-    return [name for name, data in first.items()
-            if read_bytes(os.path.join(one_cpu, name)) != data]
+    pipeline = os.path.join(out, "pipeline")
+    differ = []
+    for cmd, names in ONE_CPU:
+        one_cpu = os.path.join(out, f"{cmd[0]}-one-cpu")
+        first = {name: read_bytes(os.path.join(pipeline, name)) for name in names}
+        # the fingerprint holds the output directory, so the rerun writes in
+        # place; the first run's bytes go back before the next rerun reads them
+        run_command(src, cfg_path, out, "pipeline", [], cmd, cpus={min(os.sched_getaffinity(0))})
+        os.makedirs(one_cpu)
+        for name, data in first.items():
+            os.replace(os.path.join(pipeline, name), os.path.join(one_cpu, name))
+            with open(os.path.join(pipeline, name), "wb") as fh:
+                fh.write(data)
+        differ += [f"{cmd[0]}-one-cpu/{name}" for name, data in first.items()
+                   if read_bytes(os.path.join(one_cpu, name)) != data]
+    return differ
 
 
 def read_bytes(path: str) -> bytes:
@@ -153,8 +163,8 @@ def main() -> None:
             fh.write(CONFIG_TEMPLATE.format(data=data, out=out))
         kept, diff = [], []
         for i, src in enumerate(sides):
-            diff += [f"report-one-cpu/{name} against pipeline/{name} ({src})"
-                     for name in run_side(src, cfg_path, out)]
+            diff += [f"{path} against pipeline/{os.path.basename(path)} ({src})"
+                     for path in run_side(src, cfg_path, out)]
             kept.append(os.path.join(work, f"side{i}"))
             shutil.move(out, kept[-1])
         n_files = len(files(kept[0]) | files(kept[1]))

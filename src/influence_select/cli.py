@@ -13,6 +13,7 @@ files to one ``_publish`` call, so a command that fails leaves them as they were
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -63,12 +64,39 @@ def encode_csv(fp: str, header: str, rows) -> str:
     return "\n".join([f"# config_fingerprint={fp}", header, *lines]) + "\n"
 
 
-def _load_inputs(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
-    """Token table, id -> row index and reference table, checked against the
-    corpus and the model (see ``corpus.load_inputs``)."""
-    return corpus.load_inputs(cfg.paths.tokens, cfg.paths.reference, count=emb.count,
-                              vocab_size=cfg.model.vocab_size,
-                              max_context=cfg.model.max_context, cover_all=cover_all)
+def _load_candidates(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: bool = False):
+    """Token table and id -> row index, checked against the corpus and the
+    model (see ``corpus.load_candidates``)."""
+    return corpus.load_candidates(cfg.paths.tokens, count=emb.count,
+                                  vocab_size=cfg.model.vocab_size,
+                                  max_context=cfg.model.max_context, cover_all=cover_all)
+
+
+@contextlib.contextmanager
+def _scoring_setup(cfg: RunConfig, keep_factors: bool = False):
+    """Yields ``setup()``, which returns ``influence.scoring_setup``'s
+    ``(scoring params, ihvp, factors)`` for the initial parameters and the
+    reference set, read and checked by the setup; ``factors`` is None unless
+    ``keep_factors``.
+
+    The setup needs no other input, so when ``forking.may_fork()`` holds it
+    starts at once in a forked child while the caller checks the rest, and
+    ``setup()`` returns or raises what the child sent: errors come in the
+    one-CPU order, the caller's checks first.
+    """
+    def job():
+        params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
+        ref = corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size,
+                                    cfg.model.max_context)
+        params32, ihvp, factors = influence.scoring_setup(params, ref, cfg.influence)
+        return params32, ihvp, factors if keep_factors else None
+
+    child = forking.Forked(job) if forking.may_fork() else None
+    try:
+        yield job if child is None else child.result
+    finally:
+        if child is not None:
+            child.close()
 
 
 def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clustering.ClusterModel:
@@ -111,13 +139,13 @@ def cmd_cluster(cfg: RunConfig) -> int:
 
 def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     fp = fingerprint(cfg)
-    emb = corpus.load_embeddings(cfg.paths.embeddings)
-    table, row_of, ref = _load_inputs(cfg, emb)
-    missing = [i for i in ids if not 0 <= i < emb.count or row_of[i] < 0]
-    if missing:
-        raise DataError(f"no token record for instance id(s) {missing[:5]}")
-    params, ihvp, _ = influence.scoring_setup(
-        model_mod.init_params(cfg.model, seed=cfg.model.init_seed), ref, cfg.influence)
+    with _scoring_setup(cfg) as setup:
+        emb = corpus.load_embeddings(cfg.paths.embeddings)
+        table, row_of = _load_candidates(cfg, emb)
+        missing = [i for i in ids if not 0 <= i < emb.count or row_of[i] < 0]
+        if missing:
+            raise DataError(f"no token record for instance id(s) {missing[:5]}")
+        params, ihvp, _ = setup()
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params)
     _publish(cfg, {"scores.csv": encode_csv(fp, "instance_id,score,method",
@@ -128,12 +156,12 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
 
 def cmd_select(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
-    emb = corpus.load_embeddings(cfg.paths.embeddings)
-    table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
-    cmodel = _load_cluster_model(cfg, emb)
-    bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
-    params, ihvp, factors = influence.scoring_setup(
-        model_mod.init_params(cfg.model, seed=cfg.model.init_seed), ref, cfg.influence)
+    with _scoring_setup(cfg, keep_factors=True) as setup:
+        emb = corpus.load_embeddings(cfg.paths.embeddings)
+        table, row_of = _load_candidates(cfg, emb, cover_all=True)
+        cmodel = _load_cluster_model(cfg, emb)
+        bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
+        params, ihvp, factors = setup()
 
     def scorer(ids):
         rows = row_of[np.asarray(ids, dtype=np.int64)]
@@ -195,7 +223,8 @@ def _regret_rows(results):
 def cmd_report(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
     emb = corpus.load_embeddings(cfg.paths.embeddings)
-    table, row_of, ref = _load_inputs(cfg, emb, cover_all=True)
+    table, row_of = _load_candidates(cfg, emb, cover_all=True)
+    ref = corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size, cfg.model.max_context)
     cmodel = _load_cluster_model(cfg, emb)
     sel_path = _require(os.path.join(cfg.paths.output_dir, "selection.txt"), "select")
     led_path = _require(os.path.join(cfg.paths.output_dir, "ledger.jsonl"), "select")
@@ -223,8 +252,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
     # the trainings are independent and cost the same: when a child may run
     # beside this process, the last two train in forked children while this
-    # one evaluates `initial` and trains `selected`; a child that fails
-    # leaves its job to this process, so errors come in the serial order
+    # one evaluates `initial` and trains `selected`; errors keep table order
     jobs = [functools.partial(trained_loss, ids) for _, ids in baselines]
     children = [forking.Forked(job) for job in jobs[1:]] if forking.may_fork() else []
     try:

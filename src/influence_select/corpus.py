@@ -22,7 +22,6 @@ Instance ids index 1:1 into the embedding matrix (id == row).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import stat
@@ -31,7 +30,6 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from . import forking
 from .errors import DataError
 
 HEADER = struct.Struct("<QQ")
@@ -147,20 +145,16 @@ def write_embeddings(path, corpus: EmbeddingCorpus) -> None:
 _LF, _TAB, _SPACE, _CR, _MINUS = 10, 9, 32, 13, 45
 _MAX_DIGITS = 19  # the widest run that can still fit int64
 _BLOCK_BYTES = 1 << 20  # whole lines per block: temporaries stay small and cache-sized
-# From this file size on, with 2+ CPUs, a forked child parses the second half
-# of the blocks (_parse_in_two); README ("Token file") gives the measurements.
-_FORK_BYTES = 4 << 20
 
 
 def load_tokens(path) -> TokenTable:
     """Parse a token file into a TokenTable, with numpy passes over its bytes.
 
-    The bytes are cut into blocks of whole lines (see ``_parse_block``); a
-    file of at least ``_FORK_BYTES`` is parsed by two processes, a block
-    range each, with the same result. Repeated ids are found over the whole
-    file. An error names the first offending line; within a line the checks
-    run in this order: a byte above 0x7f or a CR, the one TAB, the id, a
-    repeated id, an empty token list, a malformed token, a negative token.
+    The bytes are cut into blocks of whole lines (see ``_parse_block``).
+    Repeated ids are found over the whole file. An error names the first
+    offending line; within a line the checks run in this order: a byte
+    above 0x7f or a CR, the one TAB, the id, a repeated id, an empty token
+    list, a malformed token, a negative token.
     """
     with open(path, "rb") as fh:  # not np.fromfile, which cannot read a pipe
         b = np.frombuffer(fh.read(), dtype=np.uint8)
@@ -169,15 +163,14 @@ def load_tokens(path) -> TokenTable:
     line_end = np.flatnonzero(b == _LF)
     if not line_end.size:
         return TokenTable.from_sequences([])
-    bounds = []  # (first, last) line of each block
-    first = 0
-    while first < line_end.size:
+    blocks = []
+    first = 0  # first line of the next block
+    while first < line_end.size and (not blocks or blocks[-1].error is None):
         lo = line_end[first - 1] + 1 if first else 0
         last = min(int(np.searchsorted(line_end, lo + _BLOCK_BYTES)), line_end.size - 1)
-        bounds.append((first, last))
+        blocks.append(_parse_block(b[lo:line_end[last] + 1], path, first,
+                                   line_end[first:last + 1] - lo))
         first = last + 1
-    parse = functools.partial(_parse_blocks, b, path, line_end)
-    blocks = _parse_in_two(parse, bounds) if _two_processes(b.size, bounds) else parse(bounds)
     ids = np.concatenate([blk.ids for blk in blocks])
     lines = np.concatenate([blk.lines for blk in blocks])
     errors = [blk.error for blk in blocks if blk.error is not None]
@@ -192,59 +185,6 @@ def load_tokens(path) -> TokenTable:
     np.cumsum(np.concatenate([blk.lengths for blk in blocks]), out=offsets[1:])
     return TokenTable(ids=ids, offsets=offsets,
                       tokens=np.concatenate([blk.tokens for blk in blocks]))
-
-
-def _two_processes(size: int, bounds) -> bool:
-    """Whether a file of ``size`` bytes in blocks ``bounds`` is parsed by two
-    processes: it reaches _FORK_BYTES, has 2+ blocks, and ``forking.may_fork``."""
-    return size >= _FORK_BYTES and len(bounds) > 1 and forking.may_fork()
-
-
-def _parse_blocks(b, path, line_end, bounds) -> list:
-    """``_parse_block`` over the blocks ``bounds`` of ``b``, in order, up to
-    and including the first block with an error."""
-    blocks = []
-    for first, last in bounds:
-        lo = line_end[first - 1] + 1 if first else 0
-        blocks.append(_parse_block(b[lo:line_end[last] + 1], path, first,
-                                   line_end[first:last + 1] - lo))
-        if blocks[-1].error is not None:
-            break
-    return blocks
-
-
-def _parse_in_two(parse, bounds) -> list:
-    """``parse(bounds)``, with a forked child (``forking.Forked``) parsing the
-    second half of the blocks while this process parses the first.
-
-    The child sends its blocks back with each block's tokens in the narrowest
-    integer type that holds them. Its half is needed only when the first
-    half has no error, as in the serial order.
-    """
-    half = len(bounds) // 2
-
-    def second_half():
-        blocks = parse(bounds[half:])
-        for blk in blocks:  # load_tokens's concatenate widens them back to int64
-            blk.tokens = _narrowed(blk.tokens)
-        return blocks
-
-    child = forking.Forked(second_half)
-    try:
-        mine = parse(bounds[:half])
-        return mine if mine[-1].error is not None else mine + child.result()
-    finally:
-        child.close()
-
-
-def _narrowed(a: np.ndarray) -> np.ndarray:
-    """Integer array ``a`` in the narrowest signed type that holds its values."""
-    if a.size:
-        lo, hi = a.min(), a.max()
-        for t in (np.int8, np.int16, np.int32):
-            if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max:
-                return a.astype(t)
-    return a
 
 
 @dataclass
@@ -369,16 +309,16 @@ def write_tokens(path, table: TokenTable) -> None:
             fh.write(f"{i}\t{' '.join(map(str, seq))}\n")
 
 
-def load_inputs(tokens_path, reference_path, count: int, vocab_size: int, max_context: int,
-                cover_all: bool = False):
-    """Parse the candidate and reference token files and check them against a
-    ``count``-row embedding corpus and the model; every input check is here.
+def load_candidates(tokens_path, count: int, vocab_size: int, max_context: int,
+                    cover_all: bool = False):
+    """Parse the candidate token file and check it against a ``count``-row
+    embedding corpus and the model. This and ``load_reference`` hold every
+    token input check.
 
-    Returns ``(table, row_of, reference)``: two TokenTables, and ``row_of[i]``,
-    the table row of instance id ``i`` or -1 when it has no record. Every
-    record of either file needs a length in [2, max_context] and tokens below
-    ``vocab_size``; a candidate id must be an embedding row, and the reference
-    must not be empty. With ``cover_all`` every embedding row must have a
+    Returns ``(table, row_of)``: a TokenTable, and ``row_of[i]``, the table
+    row of instance id ``i`` or -1 when it has no record. Every record needs
+    an embedding row for its id, a length in [2, max_context] and tokens
+    below ``vocab_size``. With ``cover_all`` every embedding row must have a
     record, since the bandit and the random baseline may sample any row.
     Errors name the file and the record's id.
     """
@@ -389,10 +329,16 @@ def load_inputs(tokens_path, reference_path, count: int, vocab_size: int, max_co
         first = int(np.argmax(row_of < 0))
         raise DataError(f"embedding row {first} has no token record in {tokens_path!r} "
                         f"({len(table)} of {count} rows covered)")
-    reference = _load_checked(reference_path, "reference id", vocab_size, max_context)
+    return table, row_of
+
+
+def load_reference(path, vocab_size: int, max_context: int) -> TokenTable:
+    """Parse the reference token file, checked as ``load_candidates`` checks
+    a candidate's length and tokens; the set must not be empty."""
+    reference = _load_checked(path, "reference id", vocab_size, max_context)
     if not len(reference):
-        raise DataError(f"{reference_path}: reference set is empty")
-    return table, row_of, reference
+        raise DataError(f"{path}: reference set is empty")
+    return reference
 
 
 def _load_checked(path, name: str, vocab_size: int, max_context: int,

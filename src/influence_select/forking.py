@@ -1,6 +1,7 @@
-"""One function run in a forked child while this process works on: the
-token parse (``corpus.load_tokens``) and ``report``'s baseline trainings.
-A child computes what this process would, so only the time differs."""
+"""One function run in a forked child while this process works on. It has
+two users: the influence setup of ``score`` and ``select``, which runs while
+they read their inputs (``cli._scoring_setup``), and ``report``'s baseline
+trainings. A child computes what this process would, so only the time differs."""
 
 from __future__ import annotations
 
@@ -20,20 +21,21 @@ def may_fork() -> bool:
 
 
 class Forked:
-    """``fn()`` started in a forked child, which sends its value back
-    pickled through a pipe and always leaves through ``os._exit``: a child
-    whose ``fn`` raises sends nothing.
+    """``fn()`` run in a forked child that sends back, pickled through a
+    pipe, its value or the exception ``fn`` raised, leaves through
+    ``os._exit``, and dies with this process (``_die_with``).
 
-    ``result()`` returns the child's value, or runs ``fn()`` in this process
-    when the fork failed or the child sent nothing, so an error is raised
-    here as a serial run raises it. ``close()`` kills and reaps the child;
-    call it on every path, once the value is read or no longer needed.
+    ``result()`` returns that value or raises that exception, as a serial
+    run would (a rerun here could not read again a pipe that ``fn`` read);
+    when the fork failed or the child sent nothing, it runs ``fn()`` here.
+    ``close()`` kills and reaps the child; call it on every path.
     """
 
     def __init__(self, fn):
         self._fn = fn
         self._pid = 0
         self._pipe = None
+        parent = os.getpid()
         r, w = os.pipe()
         try:
             self._pid = os.fork()
@@ -44,10 +46,14 @@ class Forked:
         if self._pid == 0:  # the child: exits here, whatever happens
             code = 1
             try:
+                _die_with(parent)
                 os.close(r)
-                value = fn()
+                try:
+                    sent = (fn(), None)
+                except Exception as exc:
+                    sent = (None, exc)
                 with open(w, "wb") as fh:
-                    pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(sent, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 code = 0
             finally:
                 os._exit(code)
@@ -57,9 +63,13 @@ class Forked:
     def result(self):
         if self._pipe is not None:
             try:
-                return pickle.load(self._pipe)
-            except (EOFError, pickle.UnpicklingError):  # the child failed
+                value, error = pickle.load(self._pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child sent nothing
                 pass
+            else:
+                if error is not None:
+                    raise error
+                return value
         return self._fn()
 
     def close(self) -> None:
@@ -70,3 +80,17 @@ class Forked:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = 0
+
+
+def _die_with(parent: int) -> None:
+    """Have the kernel SIGKILL this child when its parent dies (Linux
+    ``prctl(PR_SET_PDEATHSIG)``), so a parent killed from outside leaves no
+    child running; leave at once if ``parent`` died before that took hold."""
+    try:
+        import ctypes  # here, not at the top: only a child pays for the import
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+    except (ImportError, OSError, AttributeError):  # no prctl: not Linux
+        pass
+    if os.getppid() != parent:
+        os._exit(1)

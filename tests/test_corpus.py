@@ -1,19 +1,18 @@
 import os
 import re
 import struct
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influence_select import corpus, forking
+from influence_select import corpus
 from influence_select.corpus import (
     EmbeddingCorpus,
     TokenTable,
     load_embeddings,
-    load_inputs,
+    load_reference,
     load_tokens,
     write_embeddings,
     write_tokens,
@@ -161,13 +160,10 @@ def test_load_tokens_order_preserved(tmp_path):
 
 
 def _reference_of(tmp_path, text, vocab_size=6, max_context=4):
-    """The reference table ``load_inputs`` returns for a reference file ``text``."""
-    tokens = tmp_path / "t.tsv"
-    tokens.write_text("0\t1 2\n1\t3 4\n")
+    """The reference table ``load_reference`` returns for a reference file ``text``."""
     path = tmp_path / "r.tsv"
     path.write_text(text)
-    return load_inputs(tokens, path, count=2, vocab_size=vocab_size,
-                       max_context=max_context)[2]
+    return load_reference(path, vocab_size=vocab_size, max_context=max_context)
 
 
 def test_reference_set_validation(tmp_path):
@@ -357,141 +353,3 @@ def test_loaded_embeddings_stay_float32(tmp_path):
     with pytest.raises(DataError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"{path}: non-finite embedding value at row 7"
-
-
-# --------------------------------------------------- two-process parse
-
-@pytest.fixture
-def two_process(monkeypatch):
-    """Send every file of 2+ blocks down the two-process path, with 64-byte
-    blocks and two CPUs whatever the host has; returns the list of child
-    pids forked."""
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(corpus, "_FORK_BYTES", 1)
-    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(corpus.os, "fork", counted_fork)
-    return pids
-
-
-def _serial(path, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(corpus, "_FORK_BYTES", 1 << 62)
-        return _outcome(load_tokens, path)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _ragged_lines(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return [f"{i}\t{' '.join(map(str, rng.integers(0, 10 ** rng.integers(1, 6), size=k)))}"
-            for i, k in zip(rng.permutation(10 * n)[:n], rng.integers(1, 12, size=n))]
-
-
-def test_two_process_parse_equals_serial(tmp_path, monkeypatch, two_process):
-    lines = _ragged_lines(300)
-    lines[40:40] = ["", ""]  # blank lines are skipped on either side
-    path = tmp_path / "t.tsv"
-    path.write_text("\n".join(lines))  # no final LF
-    got = load_tokens(path)
-    assert len(two_process) == 1
-    _assert_no_child_left()
-    want = _serial(path, monkeypatch)
-    for name in ("ids", "offsets", "tokens"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert getattr(got, name).dtype == np.int64
-
-
-@pytest.mark.parametrize("where", [0.2, 0.9], ids=["first-half", "second-half"])
-@pytest.mark.parametrize("bad", ["x\t1 2", "7\t1 -2", "8\t", "9\t1 2\t3"])
-def test_two_process_parse_bad_line_gives_the_serial_message(tmp_path, monkeypatch,
-                                                             two_process, where, bad):
-    lines = _ragged_lines(300, seed=1)
-    lines.insert(int(where * len(lines)), bad)
-    path = tmp_path / "t.tsv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError) as exc:
-        load_tokens(path)
-    assert len(two_process) == 1
-    _assert_no_child_left()
-    assert str(exc.value) == _serial(path, monkeypatch)
-    assert f"t.tsv:{int(where * 300) + 1}: " in str(exc.value)
-
-
-def test_two_process_parse_duplicate_across_halves(tmp_path, monkeypatch, two_process):
-    lines = _ragged_lines(300, seed=2)
-    lines[250] = lines[10].split("\t")[0] + "\t1 2"  # the id of line 11, again on line 251
-    lines[280] = "5 x"  # a later bad line: the duplicate comes first
-    path = tmp_path / "t.tsv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError) as exc:
-        load_tokens(path)
-    assert len(two_process) == 1
-    _assert_no_child_left()
-    assert str(exc.value) == _serial(path, monkeypatch)
-    assert re.search(r"t\.tsv:251: duplicate instance id \d+$", str(exc.value))
-
-
-def test_two_process_parse_falls_back_when_the_child_sends_nothing(tmp_path, monkeypatch,
-                                                                   two_process):
-    """A child that dies before sending its blocks costs time, not the result:
-    its half is parsed in the parent."""
-    path = tmp_path / "t.tsv"
-    path.write_text("\n".join(_ragged_lines(200, seed=3)) + "\n")
-    monkeypatch.setattr(forking.pickle, "dump", lambda obj, fh, **kwargs: os._exit(1))
-    got = load_tokens(path)
-    assert len(two_process) == 1
-    _assert_no_child_left()
-    want = _serial(path, monkeypatch)
-    np.testing.assert_array_equal(got.tokens, want.tokens)
-    np.testing.assert_array_equal(got.offsets, want.offsets)
-
-
-def test_two_process_parse_without_a_fork_parses_alone(tmp_path, monkeypatch, two_process):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    path = tmp_path / "t.tsv"
-    path.write_text("\n".join(_ragged_lines(200, seed=5)) + "\n")
-    monkeypatch.setattr(corpus.os, "fork", no_fork)
-    got = load_tokens(path)
-    want = _serial(path, monkeypatch)
-    np.testing.assert_array_equal(got.tokens, want.tokens)
-    np.testing.assert_array_equal(got.offsets, want.offsets)
-
-
-def test_a_process_with_another_thread_parses_alone(tmp_path, two_process):
-    path = tmp_path / "t.tsv"
-    path.write_text("\n".join(_ragged_lines(200, seed=6)) + "\n")
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(30,))
-    other.start()
-    try:
-        assert len(load_tokens(path)) == 200
-    finally:
-        release.set()
-        other.join(30)
-    assert not other.is_alive()
-    assert two_process == []
-
-
-def test_small_files_stay_serial(tmp_path, monkeypatch):
-    forks = []
-    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus.os, "fork", lambda: forks.append(1))
-    path = tmp_path / "t.tsv"
-    path.write_text("\n".join(_ragged_lines(300, seed=4)) + "\n")
-    assert path.stat().st_size < corpus._FORK_BYTES
-    assert len(load_tokens(path)) == 300
-    assert not forks

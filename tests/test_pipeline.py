@@ -241,7 +241,9 @@ def test_sketched_selection_path(workdir, tmp_path):
 
 @pytest.fixture
 def no_factor_setup(monkeypatch):
-    """Fail the test if curvature setup starts: input checks must come first."""
+    """Fail the test if this process runs the curvature setup: input checks
+    must come first. (A forked setup child that runs it sends the error
+    back, and this process, stopped by an input check, never reads it.)"""
     from influence_select import curvature
 
     def boom(*args, **kwargs):
@@ -625,10 +627,10 @@ def test_numeric_failure_prints_one_stderr_line(selected_out, workdir, tmp_path)
 _TABLES = ("report_composition.csv", "report_trajectories.csv", "report_loss.csv")
 
 
-def _report_on(cpus, cfg, out, monkeypatch, capsys):
-    """``report`` into ``out`` with ``forking.may_fork`` seeing ``cpus`` CPUs:
-    (exit code, stderr, the three tables' bytes, the child pids forked).
-    No child may be left afterwards."""
+def _run_on(cpus, out, names, monkeypatch, capsys, *argv):
+    """The command ``argv`` with ``forking.may_fork`` seeing ``cpus`` CPUs:
+    (exit code, stderr, the bytes of the outputs ``names`` in ``out``, None
+    for one not there, the child pids forked). No child may be left afterwards."""
     pids = []
     fork = os.fork
 
@@ -642,10 +644,17 @@ def _report_on(cpus, cfg, out, monkeypatch, capsys):
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         m.setattr(os, "fork", counted_fork)
-        code = _run("report", "--config", str(cfg), "--set", f"paths.output_dir={out}")
+        code = _run(*argv)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return code, capsys.readouterr().err, {name: (out / name).read_bytes() for name in _TABLES}, pids
+    files = {name: (out / name).read_bytes() if (out / name).exists() else None for name in names}
+    return code, capsys.readouterr().err, files, pids
+
+
+def _report_on(cpus, cfg, out, monkeypatch, capsys):
+    """``_run_on`` for ``report`` into ``out``, reading its three tables."""
+    return _run_on(cpus, out, _TABLES, monkeypatch, capsys,
+                   "report", "--config", str(cfg), "--set", f"paths.output_dir={out}")
 
 
 def test_forked_report_writes_the_serial_bytes(selected_out, workdir, tmp_path, monkeypatch,
@@ -738,6 +747,158 @@ def test_report_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, m
     assert code == 0 and tables == serial
     assert len(pids) == (2 if case == "child sends nothing" else 0)
 
+
+# ----------------------------------------------------- forked scoring setup
+
+_SETUP_OUTPUTS = {
+    "score": ("scores.csv",),
+    "select": ("selection.txt", "ledger.jsonl", "factors.ntc", "factors.ntc.meta.json"),
+}
+
+
+def _setup_run_on(cpus, command, cfg, out, monkeypatch, capsys, *extra):
+    """``_run_on`` for ``score`` (of ids 0, 5 and 10 unless ``extra`` names
+    others) or ``select`` into ``out``, reading their outputs."""
+    ids = ["--ids", "0,5,10"] if command == "score" and "--ids" not in extra else []
+    return _run_on(cpus, out, _SETUP_OUTPUTS[command], monkeypatch, capsys, command,
+                   "--config", str(cfg), "--set", f"paths.output_dir={out}", *ids, *extra)
+
+
+@pytest.mark.parametrize("command", ["score", "select"])
+def test_forked_setup_writes_the_serial_bytes(selected_out, workdir, tmp_path, monkeypatch,
+                                              capsys, command):
+    """With two CPUs the influence setup runs in a forked child while the
+    command reads its inputs; the outputs are the one-CPU run's, byte for byte."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    serial = _setup_run_on(1, command, cfg, out, monkeypatch, capsys)
+    forked = _setup_run_on(2, command, cfg, out, monkeypatch, capsys)
+    assert serial[0] == forked[0] == 0
+    assert serial[3] == [] and len(forked[3]) == 1
+    assert None not in serial[2].values()
+    assert forked[2] == serial[2]
+
+
+@pytest.mark.parametrize("command, case", [
+    ("score", "bad tokens.tsv line"), ("select", "bad tokens.tsv line"),
+    ("score", "bad reference file"), ("select", "bad reference file"),
+    ("score", "missing --ids id"), ("select", "stale clusters.bin"),
+    ("score", "bad reference file, missing --ids id"),
+    ("select", "bad reference file, stale clusters.bin"),
+    ("score", "numeric failure in the setup"), ("select", "numeric failure in the setup"),
+])
+def test_forked_setup_raises_the_serial_error(selected_out, workdir, tmp_path, monkeypatch,
+                                              capsys, command, case):
+    """An input the command checks while the child runs its setup, a
+    reference the setup checks, and an error of the setup itself each stop
+    the command with the one-CPU run's message and exit code; the command's
+    own checks come before the reference's. No output changes."""
+    from influence_select import influence
+    from influence_select.errors import NumericError
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    extra = []
+    if case == "bad tokens.tsv line":
+        lines = (root / "tokens.tsv").read_text().splitlines(keepends=True)
+        lines[100] = "x\t1 2\n"
+        (tmp_path / "tokens.tsv").write_text("".join(lines))
+        extra = ["--set", f"paths.tokens={tmp_path / 'tokens.tsv'}"]
+        code, needle = 2, f"data error: {tmp_path / 'tokens.tsv'}:101: bad instance id 'x'"
+    if case.startswith("bad reference file"):
+        lines = (root / "reference.tsv").read_text().splitlines(keepends=True)
+        lines[3] = "3\t" + " ".join(["1"] * 17) + "\n"
+        (tmp_path / "reference.tsv").write_text("".join(lines))
+        extra = ["--set", f"paths.reference={tmp_path / 'reference.tsv'}"]
+        code, needle = 2, f"data error: {tmp_path / 'reference.tsv'}: reference id 3 has length 17"
+    if case.endswith("missing --ids id"):
+        extra += ["--ids", "0,9999"]
+        code, needle = 2, "data error: no token record for instance id(s) [9999]"
+    if case.endswith("stale clusters.bin"):
+        extra += ["--set", "clustering.k=4"]
+        code, needle = 2, (f"data error: {out / 'clusters.bin'} holds k=8 clusters "
+                           "but clustering.k is 4")
+    if case == "numeric failure in the setup":
+        def diverging(*args, **kwargs):
+            raise NumericError("setup diverged")
+
+        monkeypatch.setattr(influence, "scoring_setup", diverging)
+        code, needle = 3, "numeric failure: setup diverged"
+    before = {name: (out / name).read_bytes() if (out / name).exists() else None
+              for name in _SETUP_OUTPUTS[command]}
+    serial = _setup_run_on(1, command, cfg, out, monkeypatch, capsys, *extra)
+    forked = _setup_run_on(2, command, cfg, out, monkeypatch, capsys, *extra)
+    assert serial[:3] == forked[:3]
+    assert serial[0] == code and serial[1].startswith(needle) and serial[1].count("\n") == 1
+    assert serial[2] == before
+    assert serial[3] == [] and len(forked[3]) == 1
+
+
+def test_a_bad_reference_pipe_gives_its_error(workdir, tmp_path):
+    """The setup reads the reference once, in a child when it forks one, so a
+    bad reference given as a pipe exits 2 with its message on one CPU and on
+    more: the child sends its error back, since a rerun could not read the
+    pipe again."""
+    root, cfg = workdir
+    fifo = tmp_path / "reference.fifo"
+    os.mkfifo(fifo)
+    argv = [sys.executable, "-m", "influence_select", "score", "--config", str(cfg), "--ids", "0",
+            "--set", f"paths.reference={fifo}", "--set", f"paths.output_dir={tmp_path / 'out'}"]
+    write = "import sys; open(sys.argv[1], 'w').write('0\\t1 2\\n1\\t3 24\\n')"
+    cpus = os.sched_getaffinity(0)
+    for run_on in ({min(cpus)}, cpus):
+        writer = subprocess.Popen([sys.executable, "-c", write, str(fifo)])
+        try:
+            done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src")),
+                                  capture_output=True, text=True, timeout=60,
+                                  preexec_fn=lambda: os.sched_setaffinity(0, run_on))
+        finally:
+            writer.kill()
+            writer.wait()
+        assert done.returncode == 2
+        assert done.stderr == f"data error: {fifo}: reference id 1 has token id >= vocab_size 24\n"
+
+
+@pytest.mark.parametrize("case", ["child sends nothing", "fork fails", "another thread"])
+@pytest.mark.parametrize("command", ["score", "select"])
+def test_setup_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, monkeypatch,
+                                             capsys, command, case):
+    """A setup child that dies before it sends the iHVP leaves the setup to
+    this process; a failing ``os.fork``, or a live second thread, keeps it
+    here from the start. Either way the outputs are the serial ones."""
+    import threading
+
+    from influence_select import forking
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    code, _, serial, _ = _setup_run_on(1, command, cfg, out, monkeypatch, capsys)
+    assert code == 0
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    if case == "child sends nothing":
+        monkeypatch.setattr(forking.pickle, "dump", lambda obj, fh, **kwargs: os._exit(1))
+    elif case == "fork fails":
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        other.start()
+    try:
+        code, _, files, pids = _setup_run_on(2, command, cfg, out, monkeypatch, capsys)
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join(30)
+    assert not other.is_alive()
+    assert code == 0 and files == serial
+    assert len(pids) == (1 if case == "child sends nothing" else 0)
+
+
 def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     """At the default model shape a two-thread BLAS sums the curvature
     factors in another order; the program pins one thread, so ``score``
@@ -812,24 +973,32 @@ def test_tracer_installs_on_the_program(tmp_path):
 def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_path):
     """``perfbench/tracing.py`` runs ``select`` and reads ``model.tokens`` from the
     ``tokens`` argument of every ``model.forward`` call: the reference set once,
-    then each distinct sampled id once (the bandit caches scores)."""
+    then each distinct sampled id once (the bandit caches scores). The tracer
+    keeps no span of a forked child, so the reference pass is counted on one
+    CPU, where ``select`` runs its setup itself; on more CPUs the setup runs
+    in a child and the count is the sampled ids' alone."""
     from influence_select.corpus import load_tokens
 
     root, cfg = workdir
     out = tmp_path / "out"
     shutil.copytree(selected_out, out)
-    metrics = _traced(tmp_path, "select", "--config", str(cfg), "--set", f"paths.output_dir={out}")
+    args = ["select", "--config", str(cfg), "--set", f"paths.output_dir={out}"]
+    cpus = os.sched_getaffinity(0)
+    metrics = _traced(tmp_path, *args, cpus={min(cpus)})
     tokens = load_tokens(root / "tokens.tsv")
     length = dict(zip(tokens.ids.tolist(), tokens.lengths.tolist()))
     sampled = {i for line in (out / "ledger.jsonl").read_text().splitlines()
                for pull in json.loads(line).get("pulls", []) for i in pull["sampled_ids"]}
     want = int(load_tokens(root / "reference.tsv").lengths.sum()) + sum(length[i] for i in sampled)
     assert metrics["model.tokens"] == want
+    if len(cpus) > 1:
+        assert _traced(tmp_path, *args)["model.tokens"] == sum(length[i] for i in sampled)
 
 
 def test_traced_cluster_score_report_read_their_attributes(selected_out, workdir, tmp_path):
     """The tracer reads ``kmeans(...).n_iters`` in ``cluster`` and ``train``'s ``cfg``
-    in ``report``, which trains three baselines; ``score`` runs traced too.
+    in ``report``, which trains three baselines; ``score`` runs traced too, on
+    one CPU, where it runs its setup itself.
     The tracer keeps no span of a forked child, so the three trainings are
     counted on one CPU, where ``report`` trains them all itself, and on more
     CPUs it counts ``selected`` alone, the one this process trains."""
@@ -840,8 +1009,8 @@ def test_traced_cluster_score_report_read_their_attributes(selected_out, workdir
     cluster = _traced(tmp_path, "cluster", *args)
     meta = json.loads((out / "clusters.bin.meta.json").read_text())
     assert cluster["clustering.iters"] == meta["iterations"]
-    _traced(tmp_path, "score", *args, "--ids", "0,5,10")
     cpus = os.sched_getaffinity(0)
+    _traced(tmp_path, "score", *args, "--ids", "0,5,10", cpus={min(cpus)})
     report = _traced(tmp_path, "report", *args, cpus={min(cpus)})
     assert report["trainer.steps"] == 3 * 8  # trainer.steps = 8 in the fixture's config
     if len(cpus) > 1:

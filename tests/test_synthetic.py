@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from influence_select.corpus import load_embeddings, load_inputs
+from influence_select.corpus import load_candidates, load_embeddings, load_reference
 from influence_select.errors import DataError
 from influence_select.synthetic import SyntheticSpec, generate
 
@@ -81,9 +81,9 @@ def test_make_synthetic_data_script_writes_loadable_pinned_files(tmp_path):
          "--seed", "3"],
         env=env, capture_output=True, check=True)
     emb = load_embeddings(tmp_path / "embeddings.bin")
-    table, row_of, reference = load_inputs(tmp_path / "tokens.tsv", tmp_path / "reference.tsv",
-                                           count=emb.count, vocab_size=16, max_context=6,
-                                           cover_all=True)
+    table, row_of = load_candidates(tmp_path / "tokens.tsv", count=emb.count, vocab_size=16,
+                                    max_context=6, cover_all=True)
+    reference = load_reference(tmp_path / "reference.tsv", vocab_size=16, max_context=6)
     assert (emb.count, emb.dim, len(table), len(reference)) == (300, 4, 300, 10)
     np.testing.assert_array_equal(row_of, np.arange(300))
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
