@@ -13,7 +13,6 @@ files to one ``_publish`` call, so a command that fails leaves them as they were
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -72,31 +71,15 @@ def _load_candidates(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: boo
                                   max_context=cfg.model.max_context, cover_all=cover_all)
 
 
-@contextlib.contextmanager
-def _scoring_setup(cfg: RunConfig, keep_factors: bool = False):
-    """Yields ``setup()``, which returns ``influence.scoring_setup``'s
-    ``(scoring params, ihvp, factors)`` for the initial parameters and the
-    reference set, read and checked by the setup; ``factors`` is None unless
-    ``keep_factors``.
-
-    The setup needs no other input, so when ``forking.may_fork()`` holds it
-    starts at once in a forked child while the caller checks the rest, and
-    ``setup()`` returns or raises what the child sent: errors come in the
-    one-CPU order, the caller's checks first.
-    """
-    def job():
-        params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
-        ref = corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size,
-                                    cfg.model.max_context)
-        params32, ihvp, factors = influence.scoring_setup(params, ref, cfg.influence)
-        return params32, ihvp, factors if keep_factors else None
-
-    child = forking.Forked(job) if forking.may_fork() else None
-    try:
-        yield job if child is None else child.result
-    finally:
-        if child is not None:
-            child.close()
+def _influence_setup(cfg: RunConfig, keep_factors: bool = False):
+    """``influence.scoring_setup``'s ``(scoring params, ihvp, factors)`` for the
+    initial parameters and the reference set, which it reads and checks;
+    ``factors`` is None unless ``keep_factors``. It needs no other input, so it is
+    the job ``score`` and ``select`` may fork, after the job of their own checks."""
+    params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
+    ref = corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size, cfg.model.max_context)
+    params32, ihvp, factors = influence.scoring_setup(params, ref, cfg.influence)
+    return params32, ihvp, factors if keep_factors else None
 
 
 def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clustering.ClusterModel:
@@ -139,13 +122,17 @@ def cmd_cluster(cfg: RunConfig) -> int:
 
 def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
     fp = fingerprint(cfg)
-    with _scoring_setup(cfg) as setup:
+
+    def read_inputs():
         emb = corpus.load_embeddings(cfg.paths.embeddings)
         table, row_of = _load_candidates(cfg, emb)
         missing = [i for i in ids if not 0 <= i < emb.count or row_of[i] < 0]
         if missing:
             raise DataError(f"no token record for instance id(s) {missing[:5]}")
-        params, ihvp, _ = setup()
+        return table, row_of
+
+    (table, row_of), (params, ihvp, _) = forking.run_all(
+        [read_inputs, functools.partial(_influence_setup, cfg)])
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params)
     _publish(cfg, {"scores.csv": encode_csv(fp, "instance_id,score,method",
@@ -156,12 +143,16 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
 
 def cmd_select(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
-    with _scoring_setup(cfg, keep_factors=True) as setup:
+
+    def read_inputs():
         emb = corpus.load_embeddings(cfg.paths.embeddings)
         table, row_of = _load_candidates(cfg, emb, cover_all=True)
         cmodel = _load_cluster_model(cfg, emb)
         bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
-        params, ihvp, factors = setup()
+        return table, row_of, cmodel
+
+    (table, row_of, cmodel), (params, ihvp, factors) = forking.run_all(
+        [read_inputs, functools.partial(_influence_setup, cfg, keep_factors=True)])
 
     def scorer(ids):
         rows = row_of[np.asarray(ids, dtype=np.int64)]
@@ -250,19 +241,12 @@ def cmd_report(cfg: RunConfig) -> int:
         data = table.take(row_of[np.asarray(ids, dtype=np.int64)])
         return trainer.eval_loss(trainer.train(params, data, cfg.trainer), ref)
 
-    # the trainings are independent and cost the same: when a child may run
-    # beside this process, the last two train in forked children while this
-    # one evaluates `initial` and trains `selected`; errors keep table order
+    # the trainings are independent and cost the same: `random` and `top-clusters`
+    # may train in forked children while this process does `initial` and `selected`
     jobs = [functools.partial(trained_loss, ids) for _, ids in baselines]
-    children = [forking.Forked(job) for job in jobs[1:]] if forking.may_fork() else []
-    try:
-        losses = [trainer.eval_loss(params, ref)]
-        losses += [job() for job in jobs[:len(jobs) - len(children)]]
-        losses += [child.result() for child in children]
-    finally:
-        for child in children:
-            child.close()
-    rows = list(zip(["initial", *(name for name, _ in baselines)], losses))
+    head, *rest = forking.run_all(
+        [lambda: [trainer.eval_loss(params, ref), *(job() for job in jobs[:1])], *jobs[1:]])
+    rows = list(zip(["initial", *(name for name, _ in baselines)], [*head, *rest]))
 
     _publish(cfg, {
         "report_composition.csv": encode_csv(fp, "cluster,selected_count", enumerate(comp)),

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
-NumericError -> 3.
+The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2 (a
+forked child that died, ChildDiedError, included), NumericError -> 3.
 """
 
 
@@ -11,6 +11,10 @@ class UsageError(Exception):
 
 class DataError(Exception):
     """Malformed or inconsistent input data / on-disk artifacts."""
+
+
+class ChildDiedError(DataError):
+    """A forked child ended (killed by a signal, or exited) before it sent its result."""
 
 
 class NumericError(Exception):

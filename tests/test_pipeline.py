@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -714,18 +715,27 @@ def test_forked_report_raises_the_serial_error(selected_out, workdir, tmp_path, 
 @pytest.mark.parametrize("case", ["child sends nothing", "fork fails", "another thread"])
 def test_report_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, monkeypatch,
                                               capsys, case):
-    """A child that dies before it sends its loss leaves its training to this
-    process; a failing ``os.fork``, or a live second thread, keeps every
-    training here. Either way the tables are the serial ones."""
+    """A failing ``os.fork``, or a live second thread, keeps every training in
+    this process, and the tables are the serial ones. A child that ends before
+    it sends its loss stops ``report`` with exit 2 and one line naming the
+    first such child and its exit status; no training runs again here, and
+    the tables keep their bytes."""
     import threading
 
-    from influence_select import forking
+    from influence_select import forking, trainer
 
     root, cfg = workdir
     out = tmp_path / "out"
     shutil.copytree(selected_out, out)
     code, _, serial, _ = _report_on(1, cfg, out, monkeypatch, capsys)
     assert code == 0
+    train, trained = trainer.train, []  # trained: this process's trainings
+
+    def recording(*args):
+        trained.append(args)
+        return train(*args)
+
+    monkeypatch.setattr(trainer, "train", recording)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
     if case == "child sends nothing":
@@ -738,14 +748,19 @@ def test_report_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, m
     else:
         other.start()
     try:
-        code, _, tables, pids = _report_on(2, cfg, out, monkeypatch, capsys)
+        code, err, tables, pids = _report_on(2, cfg, out, monkeypatch, capsys)
     finally:
         release.set()
         if other.is_alive():
             other.join(30)
     assert not other.is_alive()
-    assert code == 0 and tables == serial
-    assert len(pids) == (2 if case == "child sends nothing" else 0)
+    assert tables == serial
+    if case == "child sends nothing":
+        assert len(pids) == 2 and len(trained) == 1
+        assert (code, err) == (
+            2, f"data error: forked child {pids[0]} exited with status 1 before it sent a result\n")
+    else:
+        assert pids == [] and len(trained) == 3 and code == 0
 
 
 # ----------------------------------------------------- forked scoring setup
@@ -861,22 +876,81 @@ def test_a_bad_reference_pipe_gives_its_error(workdir, tmp_path):
         assert done.stderr == f"data error: {fifo}: reference id 1 has token id >= vocab_size 24\n"
 
 
+# `score`, with the influence setup SIGKILLed when it runs in a forked child:
+# after the child has read the reference
+_SETUP_CHILD_KILLED = """
+import os, signal, sys
+from influence_select import cli, influence
+parent, setup = os.getpid(), influence.scoring_setup
+
+def killed_in_a_child(*args):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return setup(*args)
+
+influence.scoring_setup = killed_in_a_child
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_killed_setup_child_after_a_reference_pipe_is_an_error(workdir, tmp_path):
+    """A setup child killed after it read a reference given as a pipe stops
+    ``score`` at once with exit 2 and one line naming the child and its
+    signal, and leaves no child: the setup does not run again here, where
+    it would wait for the pipe forever. On one CPU there is no child, and
+    ``score`` runs the setup itself."""
+    root, cfg = workdir
+    fifo = tmp_path / "reference.fifo"
+    os.mkfifo(fifo)
+    argv = [sys.executable, "-c", _SETUP_CHILD_KILLED, "score", "--config", str(cfg), "--ids", "0",
+            "--set", f"paths.reference={fifo}", "--set", f"paths.output_dir={tmp_path / 'out'}"]
+    write = "import sys; open(sys.argv[2], 'w').write(open(sys.argv[1]).read())"
+    cpus = os.sched_getaffinity(0)
+    for run_on in ({min(cpus)}, cpus) if len(cpus) > 1 else ({min(cpus)},):
+        writer = subprocess.Popen([sys.executable, "-c", write, str(root / "reference.tsv"),
+                                   str(fifo)])
+        try:
+            done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src")),
+                                  capture_output=True, text=True, timeout=30,
+                                  preexec_fn=lambda: os.sched_setaffinity(0, run_on))
+        finally:
+            writer.kill()
+            writer.wait()
+        if len(run_on) == 1:
+            assert (done.returncode, done.stderr) == (0, "")
+            continue
+        child = int(done.stderr.split()[4])
+        assert done.returncode == 2
+        assert done.stderr == (f"data error: forked child {child} was killed by signal 9 "
+                               f"({signal.strsignal(signal.SIGKILL)}) before it sent a result\n")
+        assert not os.path.exists(f"/proc/{child}")
+
+
 @pytest.mark.parametrize("case", ["child sends nothing", "fork fails", "another thread"])
 @pytest.mark.parametrize("command", ["score", "select"])
 def test_setup_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, monkeypatch,
                                              capsys, command, case):
-    """A setup child that dies before it sends the iHVP leaves the setup to
-    this process; a failing ``os.fork``, or a live second thread, keeps it
-    here from the start. Either way the outputs are the serial ones."""
+    """A failing ``os.fork``, or a live second thread, keeps the setup in this
+    process from the start, and the outputs are the serial ones. A setup
+    child that ends before it sends the iHVP stops the command with exit 2
+    and one line naming the child and its exit status; the setup does not
+    run again here, and the outputs keep their bytes."""
     import threading
 
-    from influence_select import forking
+    from influence_select import forking, influence
 
     root, cfg = workdir
     out = tmp_path / "out"
     shutil.copytree(selected_out, out)
     code, _, serial, _ = _setup_run_on(1, command, cfg, out, monkeypatch, capsys)
     assert code == 0
+    setup, set_up = influence.scoring_setup, []  # set_up: this process's setups
+
+    def recording(*args):
+        set_up.append(args)
+        return setup(*args)
+
+    monkeypatch.setattr(influence, "scoring_setup", recording)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
     if case == "child sends nothing":
@@ -889,14 +963,19 @@ def test_setup_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, mo
     else:
         other.start()
     try:
-        code, _, files, pids = _setup_run_on(2, command, cfg, out, monkeypatch, capsys)
+        code, err, files, pids = _setup_run_on(2, command, cfg, out, monkeypatch, capsys)
     finally:
         release.set()
         if other.is_alive():
             other.join(30)
     assert not other.is_alive()
-    assert code == 0 and files == serial
-    assert len(pids) == (1 if case == "child sends nothing" else 0)
+    assert files == serial
+    if case == "child sends nothing":
+        assert len(pids) == 1 and set_up == []
+        assert (code, err) == (
+            2, f"data error: forked child {pids[0]} exited with status 1 before it sent a result\n")
+    else:
+        assert pids == [] and len(set_up) == 1 and code == 0
 
 
 def test_score_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
