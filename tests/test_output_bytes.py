@@ -1,75 +1,106 @@
-"""The output bytes of ``cluster``, ``select``, ``score`` and ``report`` at
-acceptance 9's scale, pinned by their sha256 in ``tests/data/outputs.sha256``.
+"""The one byte-identity gate: the sha256 of every output file of every
+``STAGES`` command, pinned in ``tests/data/outputs.sha256``.
 
-Each command runs in a fresh ``python -m influence_select`` process (one BLAS
-thread) from the corpus directory, with relative paths, so the config
-fingerprint in each file carries no temporary path. The hashes hold only under
-the numpy, BLAS and machine type that the manifest names; under any other the
-test skips and says which it found. A change that alters output bytes on
-purpose regenerates the manifest, from the repository root, with
-
-    PYTHONPATH=src python tests/test_output_bytes.py
-
-which runs the commands with the ``influence_select`` that ``PYTHONPATH``
-selects and rewrites the manifest.
+The commands run on the default synthetic corpus (10,000 instances, the only
+corpus here that reaches the multi-block k-means path) under the config of
+``scripts/run_end_to_end.py``, each in a fresh ``python -m influence_select``
+process, from the corpus directory with relative paths, so the config
+fingerprints carry no temporary path; ``tests/test_pipeline.py`` checks that
+forked children write the one-CPU bytes. Under an environment other than the
+manifest's the test skips and says why. ``PYTHONPATH=src python
+tests/test_output_bytes.py`` rewrites the manifest with the program that
+``PYTHONPATH`` selects; pointed at another checkout's ``src``, it lets this
+test byte-compare the two programs.
 """
 
+import ctypes
+import dataclasses
+import glob
 import hashlib
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import influence_select
+from influence_select import cli
 from influence_select.corpus import write_embeddings, write_tokens
+from influence_select.model import ModelConfig
 from influence_select.synthetic import SyntheticSpec, generate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from run_end_to_end import CONFIG_TEMPLATE  # noqa: E402
 
 MANIFEST = Path(__file__).resolve().parent / "data" / "outputs.sha256"
 REGENERATE = "PYTHONPATH=src python tests/test_output_bytes.py"
-CONFIG = (
-    "paths.embeddings = embeddings.bin\n"
-    "paths.tokens = tokens.tsv\n"
-    "paths.reference = reference.tsv\n"
-    "paths.output_dir = out\n"
-    "clustering.k = 8\n"
-    "model.vocab_size = 24\nmodel.hidden_dim = 16\nmodel.n_layers = 1\n"
-    "model.n_heads = 2\nmodel.max_context = 16\nmodel.mlp_ratio = 2.0\n"
-    "bandit.alpha = 10.0\nbandit.tau = 20.0\nbandit.gamma = 0.1\n"
-    "bandit.top_k = 3\nbandit.batch_size = 6\nbandit.reward_mode = mean\n"
-    "selection.budget = 40\ntrainer.steps = 5\ntrainer.batch_size = 8\n"
-)
-COMMANDS = [["cluster"], ["select"], ["score", "--ids", "0,3,9"], ["report"]]
+SCORE_IDS = "0,5,9,100,2000"
+DEFAULT_SHAPE = [f"model.{f.name}={getattr(ModelConfig(), f.name)!r}"
+                 for f in dataclasses.fields(ModelConfig)]
+# stage -> (its --set overrides, its commands)
+STAGES = {
+    "pipeline": ([], [["cluster"], ["select"], ["score", "--ids", SCORE_IDS], ["report"]]),
+    "sketch": (["influence.use_sketch=true", "influence.sketch_dim=64"],
+               [["cluster"], ["select"]]),
+    "default-shape": (DEFAULT_SHAPE, [["score", "--ids", SCORE_IDS]]),
+    "oracle-check": ([], [["oracle-check"]]),
+    "simulate-bandit": (["sim.arms=10", "sim.steps=200", "sim.trials=4"], [["simulate-bandit"]]),
+}
+
+
+def openblas_core() -> str:
+    """The kernel set OpenBLAS chose at run time, which numpy's build config
+    does not name; ``unknown`` when numpy's bundled OpenBLAS has no such call."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def environment() -> str:
-    """The numpy version, BLAS and machine type the outputs are made under."""
+    """The numpy, BLAS build, OpenBLAS core and machine the outputs are made under."""
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, {platform.machine()}"
+    return (f"numpy {np.__version__}, {blas['name']} {blas['version']} "
+            f"(core {openblas_core()}), {platform.machine()}")
+
+
+def run_stage(root: Path, stage: str) -> None:
+    """Runs ``stage``'s commands in ``root`` into ``out-<stage>``; a command
+    that fails raises, naming the stage, the command and its stderr."""
+    sets, commands = STAGES[stage]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(influence_select.__file__)))
+    for cmd in commands:
+        argv = [sys.executable, "-m", "influence_select", *cmd, "--config", "run.cfg",
+                *(arg for kv in [f"paths.output_dir=out-{stage}", *sets] for arg in ("--set", kv))]
+        done = subprocess.run(argv, cwd=root, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        if done.returncode:
+            raise RuntimeError(f"{stage}: `{' '.join(cmd)}` exited {done.returncode}:\n"
+                               f"{done.stderr}")
 
 
 def output_hashes(root: Path) -> dict[str, str]:
-    """Writes acceptance 9's corpus and config into ``root``, runs
-    ``COMMANDS`` there and returns ``{out/<name>: sha256}`` of every output."""
-    data = generate(SyntheticSpec(
-        n_instances=400, embed_dim=8, n_components=8, n_aligned=2, vocab_size=24,
-        seq_len=10, n_reference=16, pattern_tokens=6, seed=21,
-    ))
+    """Writes the default corpus and the end-to-end config into ``root``, runs
+    every stage there and returns ``{out-<stage>/<name>: sha256}`` of every
+    output."""
+    data = generate(SyntheticSpec())
     write_embeddings(root / "embeddings.bin", data.embeddings)
     write_tokens(root / "tokens.tsv", data.instances)
     write_tokens(root / "reference.tsv", data.reference)
-    (root / "run.cfg").write_text(CONFIG)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(influence_select.__file__)))
-    for cmd in COMMANDS:
-        subprocess.run([sys.executable, "-m", "influence_select", *cmd, "--config", "run.cfg"],
-                       cwd=root, env=dict(os.environ, PYTHONPATH=src), check=True,
-                       capture_output=True)
-    return {f"out/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted((root / "out").iterdir())}
+    (root / "run.cfg").write_text(CONFIG_TEMPLATE.format(data=".", out="out"))
+    # two at a time: the pipeline stage takes about as long as the other four
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(lambda stage: run_stage(root, stage), STAGES))
+    return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for stage in STAGES for p in sorted((root / f"out-{stage}").iterdir())}
 
 
 def test_outputs_keep_their_bytes(tmp_path):
@@ -78,7 +109,36 @@ def test_outputs_keep_their_bytes(tmp_path):
     if made_under != environment():
         pytest.skip(f"{MANIFEST.name} was made under {made_under}, this is {environment()}")
     want = dict(reversed(line.split("  ")) for line in lines if not line.startswith("#"))
-    assert output_hashes(tmp_path) == want, f"outputs changed; if on purpose, run {REGENERATE}"
+    got = output_hashes(tmp_path)
+    changed = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not changed, f"{', '.join(changed)} changed; if on purpose, run {REGENERATE}"
+
+
+def test_another_environment_skips_and_runs_nothing(tmp_path, monkeypatch):
+    other = "numpy 0.0, other-blas 0.0 (core Other), other"
+    manifest = tmp_path / "outputs.sha256"
+    manifest.write_text(f"# made under: {other}\n")
+    monkeypatch.setattr(sys.modules[__name__], "MANIFEST", manifest)
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("a command ran"))
+    with pytest.raises(pytest.skip.Exception) as skipped:
+        test_outputs_keep_their_bytes(tmp_path)
+    assert str(skipped.value) == f"outputs.sha256 was made under {other}, this is {environment()}"
+
+
+def test_the_manifest_covers_every_command_and_stage():
+    ran = {cmd[0] for _, commands in STAGES.values() for cmd in commands}
+    assert ran == set(cli.COMMANDS)
+    lines = MANIFEST.read_text().splitlines()
+    assert lines[0].startswith("# made under: ") and "(core " in lines[0]
+    pinned = {line.split("  ")[1].split("/")[0] for line in lines if not line.startswith("#")}
+    assert pinned == {f"out-{stage}" for stage in STAGES}
+
+
+def test_a_failing_command_names_itself_and_its_stderr(tmp_path):
+    (tmp_path / "run.cfg").write_text(CONFIG_TEMPLATE.format(data=".", out="out"))
+    with pytest.raises(RuntimeError, match=r"(?s)pipeline: `cluster` exited 2:\n"
+                                           r"data error: .*embeddings\.bin"):
+        run_stage(tmp_path, "pipeline")
 
 
 if __name__ == "__main__":
