@@ -7,11 +7,13 @@ assigned centroid, which keeps k fixed (the bandit needs k arms).
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import forking
 from .corpus import EmbeddingCorpus
 from .errors import DataError
 
@@ -21,6 +23,13 @@ CLUSTER_MAGIC = b"KMC1"
 # 122 ms in blocks of 256 or 512 rows, 128 ms in 1024, 138 ms in 2048, 185 ms
 # unblocked; at 10000 x 16, k=64, 512 rows were within 5% of the fastest.
 ASSIGN_BLOCK_ROWS = 512
+# kmeans gives a forked child part of the rows of its seeding and Lloyd
+# passes when the pool has at least this many entries (count x dim). Two
+# processes against one, run to convergence on a 64-blob pool, 1 BLAS
+# thread, medians of 12: at k=64, +19% at 16000 x 32, -1% at 32000 x 32,
+# +3% at 20000 x 64, -8% at 32000 x 64; at 20000 x 64, k=256, -27%. Below
+# about 1M entries the seeds' round trips cost what the split work saves.
+SPLIT_MIN_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -71,7 +80,7 @@ def _pairwise_sq_dists(
 
 
 def _kmeans_pp_init(
-    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
+    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator, other=None
 ) -> np.ndarray:
     """k-means++ seeding (D^2 sampling); ``x_sq`` is np.sum(x * x, axis=1).
 
@@ -102,38 +111,97 @@ def _kmeans_pp_init(
     2^-49) closest[r] + 5 dim eta, and its float64 direct form, at least
     (1 - (dim + 3) 2^-53) D - dim 2^-1074, is >= closest[r]: the seed cannot
     lower it. closest, and so every draw, is bitwise the direct form's.
+
+    With ``other``, a forking.Served _Upper, a forked child screens the rows
+    from _split_row(n) on while this process screens the rows before, and
+    sends back the rows whose closest fell, with their new values. The
+    screen only chooses which rows get the direct form, and a row's direct
+    form depends on that row alone, so closest and every draw are the same
+    whichever process screens a row. The draw stays here.
     """
     n, dim = x.shape
-    kappa = (2 * dim + 8) * 2.0**-24 if dim <= 2**22 else np.inf
-    tau = 8 * dim * 2.0**-150
-    # The test, with per-row terms that change only with closest[r]: skip iff
-    # -inf < g[r] - half[r] <= (low[idx] - tau) / 2, low = (1 - kappa) x_sq and
-    # half = (low - (1 + kappa) closest) / 2. closest starts at inf: no skips.
-    low = x_sq * (1.0 - kappa)
-    half = np.full(n, -np.inf)
     closest = np.full(n, np.inf)
-    g, t = np.empty(n, dtype=np.float32), np.empty(n)
+    mid = n if other is None else _split_row(n)
+    mine = _Screen(x[:mid], x_sq[:mid], closest[:mid])
     centroids = np.empty((k, dim), dtype=np.float64)
     idx = int(rng.integers(n))
-    with np.errstate(over="ignore", invalid="ignore"):  # the test handles overflow
-        x32 = np.empty((dim, n), dtype=np.float32)
-        for lo in range(0, n, ASSIGN_BLOCK_ROWS):  # in blocks: one whole transpose is slower
-            x32[:, lo : lo + ASSIGN_BLOCK_ROWS] = x[lo : lo + ASSIGN_BLOCK_ROWS].T
-        for i in range(k):
-            if i:
-                total = closest.sum()
-                if total <= 0.0:
-                    # all remaining points coincide with chosen centroids
-                    idx = int(rng.integers(n))
-                else:
-                    idx = _d2_draw(closest, total, rng)
-            centroids[i] = x[idx]
-            np.matmul(np.ascontiguousarray(x32[:, idx]), x32, out=g)
-            np.subtract(g, half, out=t)
-            rows = np.flatnonzero(~((t <= (low[idx] - tau) / 2) & (t > -np.inf)))
-            _lower_closest(x, x[idx], rows, closest)
-            half[rows] = (low[rows] - (1.0 + kappa) * closest[rows]) / 2
+    for i in range(k):
+        if i:
+            total = closest.sum()
+            if total <= 0.0:
+                # all remaining points coincide with chosen centroids
+                idx = int(rng.integers(n))
+            else:
+                idx = _d2_draw(closest, total, rng)
+        centroids[i] = x[idx]
+        if other is not None:
+            other.submit("screen", idx)
+        mine.screen(x[idx], x_sq[idx])
+        if other is not None:
+            rows, values = other.collect()
+            closest[mid + rows] = values
     return centroids
+
+
+class _Screen:
+    """The k-means++ screen of the rows x (see _kmeans_pp_init): their
+    float32 copy, built at the first seed, their per-row terms and closest."""
+
+    def __init__(self, x, x_sq, closest=None):
+        dim = x.shape[1]
+        self.kappa = (2 * dim + 8) * 2.0**-24 if dim <= 2**22 else np.inf
+        self.tau = 8 * dim * 2.0**-150
+        # The test, with per-row terms that change only with closest[r]: skip iff
+        # -inf < g[r] - half[r] <= (low_c - tau) / 2, low = (1 - kappa) x_sq (low_c
+        # the seed's) and half = (low - (1 + kappa) closest) / 2. closest starts
+        # at inf: no skips.
+        self.x, self.low = x, x_sq * (1.0 - self.kappa)
+        self.half = np.full(x.shape[0], -np.inf)
+        self.closest = np.full(x.shape[0], np.inf) if closest is None else closest
+        self.x32 = None
+
+    def screen(self, c, c_sq) -> np.ndarray:
+        """Lower closest by the seed c, with c_sq = np.sum(c * c); the rows
+        whose closest fell."""
+        x, half, closest, kappa = self.x, self.half, self.closest, self.kappa
+        with np.errstate(over="ignore", invalid="ignore"):  # the test handles overflow
+            if self.x32 is None:  # in blocks: one whole transpose is slower
+                self.x32 = np.empty((x.shape[1], x.shape[0]), dtype=np.float32)
+                for lo in range(0, x.shape[0], ASSIGN_BLOCK_ROWS):
+                    self.x32[:, lo : lo + ASSIGN_BLOCK_ROWS] = x[lo : lo + ASSIGN_BLOCK_ROWS].T
+                self.g, self.t = np.empty(x.shape[0], dtype=np.float32), np.empty(x.shape[0])
+            np.matmul(c.astype(np.float32), self.x32, out=self.g)
+            t = np.subtract(self.g, half, out=self.t)
+            low_c = c_sq * (1.0 - kappa)
+            rows = np.flatnonzero(~((t <= (low_c - self.tau) / 2) & (t > -np.inf)))
+            before = closest[rows]
+            _lower_closest(x, c, rows, closest)
+            half[rows] = (self.low[rows] - (1.0 + kappa) * closest[rows]) / 2
+        return rows[closest[rows] < before]
+
+
+def _split_row(n: int) -> int:
+    """The first of the rows kmeans' forked child screens: the last block
+    boundary at or below 0.55 n. The process, which also draws, takes more:
+    on pool-large's inputs seeding took 0.40 s at 0.55 n, 0.41 s at 0.6 n
+    and 0.44 s at n / 2 (in-process, medians of 6)."""
+    return ASSIGN_BLOCK_ROWS * int(0.55 * n / ASSIGN_BLOCK_ROWS)
+
+
+class _Upper:
+    """What kmeans' forked child serves, over its copy of x: the screen of the
+    rows from _split_row(n) on, and the assign blocks it is sent."""
+
+    def __init__(self, x, x_sq):
+        self.x, self.x_sq, mid = x, x_sq, _split_row(x.shape[0])
+        self.seeds = _Screen(x[mid:], x_sq[mid:])
+
+    def __call__(self, task, *args):
+        if task == "assign":
+            return _assign_blocks(self.x, self.x_sq, *args)
+        idx = args[0]
+        rows = self.seeds.screen(self.x[idx], self.x_sq[idx])
+        return rows, self.seeds.closest[rows]
 
 
 def _d2_draw(closest: np.ndarray, total: float, rng: np.random.Generator) -> int:
@@ -177,16 +245,24 @@ def kmeans(corpus: EmbeddingCorpus, k: int, seed: int = 0, max_iters: int = 100)
         # seeding sums n squared distances, each at most 4 max(x_sq), with margin
         if not np.isfinite(8.0 * corpus.count * x_sq.max()):
             raise DataError("embedding values too large: squared distances overflow float64")
-    centroids = _kmeans_pp_init(x, x_sq, k, np.random.default_rng(seed))
-    assignment = np.full(corpus.count, -1, dtype=np.int64)
+    split = x.size >= SPLIT_MIN_ENTRIES and forking.may_fork()
+    with forking.Served(_Upper(x, x_sq)) if split else contextlib.nullcontext() as other:
+        centroids = _kmeans_pp_init(x, x_sq, k, np.random.default_rng(seed), other)
+        return _lloyd(x, x_sq, centroids, max_iters, other)
+
+
+def _lloyd(x, x_sq, centroids, max_iters, other) -> ClusterModel:
+    """kmeans' assign/update passes from the seeds ``centroids``."""
+    k = centroids.shape[0]
+    assignment = np.full(x.shape[0], -1, dtype=np.int64)
     # Hamerly bounds; upper = inf sends a row to the distance pass (see _assign_pruned)
-    upper, lower = np.full(corpus.count, np.inf), np.zeros(corpus.count)
+    upper, lower = np.full(x.shape[0], np.inf), np.zeros(x.shape[0])
     buf = np.empty_like(x)  # serves the means gather and the repair
     converged = False
     it = 0
     while it < max_iters:
         it += 1
-        new_assignment = _assign_pruned(x, x_sq, centroids, assignment, upper, lower)
+        new_assignment = _assign_pruned(x, x_sq, centroids, assignment, upper, lower, other)
         moved = np.flatnonzero(new_assignment != assignment)
         if moved.size == 0:
             converged = True
@@ -216,7 +292,7 @@ def kmeans(corpus: EmbeddingCorpus, k: int, seed: int = 0, max_iters: int = 100)
     )
 
 
-def _assign_pruned(x, x_sq, centroids, assignment, upper, lower) -> np.ndarray:
+def _assign_pruned(x, x_sq, centroids, assignment, upper, lower, other=None) -> np.ndarray:
     """Nearest centroid of every row, as argmin over the full _pairwise_sq_dists
     matrix gives it, with distances computed only for rows that may move.
 
@@ -273,7 +349,7 @@ def _assign_pruned(x, x_sq, centroids, assignment, upper, lower) -> np.ndarray:
     if short > 0:  # small gemms take another kernel: fill the pass with kept rows
         stale[np.flatnonzero(~stale)[:short]] = True
     rows = np.flatnonzero(stale)
-    best, first, second = _assign_rows(x, x_sq, centroids, rows)
+    best, first, second = _assign_rows(x, x_sq, centroids, rows, other)
     upper[rows] = _up(np.sqrt(_up(first + eps[rows])))
     lower[rows] = _down(np.sqrt(np.maximum(_down(second - eps[rows]), 0.0)))
     new_assignment = assignment.copy()
@@ -308,17 +384,29 @@ def _down(v):
     return np.nextafter(v, -np.inf, out=v)
 
 
-def _assign_rows(x, x_sq, centroids, rows):
+def _assign_rows(x, x_sq, centroids, rows, other=None):
     """Best index, best entry and second-best entry of _pairwise_sq_dists for
-    x[rows], by row blocks.
+    x[rows], by row blocks; ``other``, a forking.Served _Upper, takes the
+    second half of the blocks if there are 2 or more.
 
     Blocks split ``rows`` evenly and are never below ASSIGN_BLOCK_ROWS unless
     ``rows`` is: gemms of 1-4 rows take another OpenBLAS kernel that differs
     from the full product in the last bit, while blocks of 5+ rows match it."""
-    m, k = rows.size, centroids.shape[0]
+    m = rows.size
     n_blocks = max(1, m // ASSIGN_BLOCK_ROWS)
     bounds = np.arange(n_blocks + 1) * m // n_blocks
-    buf = np.empty((-(-m // n_blocks), k), dtype=np.float64)
+    if other is None or n_blocks < 2:
+        return _assign_blocks(x, x_sq, centroids, rows, bounds)
+    h = bounds[n_blocks // 2]
+    other.submit("assign", centroids, rows[h:], bounds[n_blocks // 2 :] - h)
+    here = _assign_blocks(x, x_sq, centroids, rows[:h], bounds[: n_blocks // 2 + 1])
+    return tuple(np.concatenate(pair) for pair in zip(here, other.collect()))
+
+
+def _assign_blocks(x, x_sq, centroids, rows, bounds):
+    """_assign_rows over the blocks rows[bounds[i]:bounds[i + 1]]."""
+    m, k = rows.size, centroids.shape[0]
+    buf = np.empty((int(np.diff(bounds).max()), k), dtype=np.float64)
     best, first, second = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         r = rows[lo:hi]

@@ -1,10 +1,12 @@
 import itertools
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from influence_select import clustering
+from influence_select import clustering, forking
 from influence_select.clustering import (
     ASSIGN_BLOCK_ROWS,
     _kmeans_pp_init,
@@ -15,7 +17,7 @@ from influence_select.clustering import (
     encode_cluster_model,
 )
 from influence_select.corpus import EmbeddingCorpus
-from influence_select.errors import DataError
+from influence_select.errors import ChildDiedError, DataError
 
 
 def test_two_points_two_clusters():
@@ -289,6 +291,7 @@ def test_seeding_equals_direct_form(name, seed):
 
 @pytest.mark.parametrize("name", sorted(_SEEDING_CORPORA))
 def test_screen_skips_only_rows_the_seed_cannot_bring_closer(name, monkeypatch):
+    monkeypatch.setattr(forking, "may_fork", lambda: False)  # a child's spy calls are not seen here
     x, k = _SEEDING_CORPORA[name]
     sizes = []
     lower_closest = clustering._lower_closest
@@ -307,6 +310,7 @@ def test_screen_skips_only_rows_the_seed_cannot_bring_closer(name, monkeypatch):
 
 
 def test_screen_leaves_few_rows_to_the_direct_form(monkeypatch):
+    monkeypatch.setattr(forking, "may_fork", lambda: False)  # a child's spy calls are not seen here
     x, k = _SEEDING_CORPORA["blobs-20000x64"]
     sizes = []
     lower_closest = clustering._lower_closest
@@ -462,18 +466,19 @@ _PRUNING_CORPORA = {
 
 @pytest.mark.parametrize("name", sorted(_PRUNING_CORPORA))
 def test_pruned_pass_keeps_only_rows_whose_argmin_cannot_change(name, monkeypatch):
+    monkeypatch.setattr(forking, "may_fork", lambda: False)  # a child's spy calls are not seen here
     x, k, kwargs = _PRUNING_CORPORA[name]
     n = x.shape[0]
     assign_pruned, assign_rows = clustering._assign_pruned, clustering._assign_rows
     pairwise = clustering._pairwise_sq_dists
     recomputed, gemm_rows = [], []
 
-    def rows_spy(x, x_sq, centroids, rows):
+    def rows_spy(x, x_sq, centroids, rows, other=None):
         recomputed.append(rows)
-        return assign_rows(x, x_sq, centroids, rows)
+        return assign_rows(x, x_sq, centroids, rows, other)
 
-    def pruned_spy(x, x_sq, centroids, assignment, upper, lower):
-        new = assign_pruned(x, x_sq, centroids, assignment, upper, lower)
+    def pruned_spy(x, x_sq, centroids, assignment, upper, lower, other=None):
+        new = assign_pruned(x, x_sq, centroids, assignment, upper, lower, other)
         kept = np.setdiff1d(np.arange(n), recomputed[-1])
         full = np.argmin(pairwise(x, centroids, x_sq), axis=1)
         np.testing.assert_array_equal(new[kept], assignment[kept])
@@ -499,7 +504,8 @@ def test_pruned_pass_keeps_only_rows_whose_argmin_cannot_change(name, monkeypatc
         assert np.mean(sizes[1:]) < 0.1 * n
 
 
-def test_kmeans_never_holds_an_n_by_k_matrix():
+def test_kmeans_never_holds_an_n_by_k_matrix(monkeypatch):
+    monkeypatch.setattr(forking, "may_fork", lambda: False)  # a child's allocations are not seen here
     n, k = 20_000, 128
     corpus = EmbeddingCorpus(vectors=np.random.default_rng(59).normal(size=(n, 8)))
     tracemalloc.start()
@@ -509,3 +515,79 @@ def test_kmeans_never_holds_an_n_by_k_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * k * 8
+
+
+# ------------------------------------------------------- k-means on two processes
+
+@pytest.fixture
+def split(monkeypatch):
+    """kmeans splits every pool with a forked child, whatever its size and
+    the CPU count; the pids forked, and afterwards no child is left."""
+    monkeypatch.setattr(forking, "may_fork", lambda: True)
+    monkeypatch.setattr(clustering, "SPLIT_MIN_ENTRIES", 0)
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CORPORA))
+def test_two_process_kmeans_equals_the_serial_run(name, seed, split, monkeypatch):
+    x, k, kwargs = _REFERENCE_CORPORA[name]
+    with monkeypatch.context() as m:
+        m.setattr(forking, "may_fork", lambda: False)
+        want = kmeans(EmbeddingCorpus(vectors=x), k, seed=seed, **kwargs)
+    assert split == []
+    got = kmeans(EmbeddingCorpus(vectors=x), k, seed=seed, **kwargs)
+    assert len(split) == 1
+    np.testing.assert_array_equal(got.centroids, want.centroids)
+    np.testing.assert_array_equal(got.assignment, want.assignment)
+    assert (got.n_iters, got.converged) == (want.n_iters, want.converged)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDING_CORPORA))
+def test_two_process_seeding_equals_direct_form(name, split):
+    x, k = _SEEDING_CORPORA[name]
+    x_sq = np.sum(x * x, axis=1)
+    for seed in (0, 1):
+        with forking.Served(clustering._Upper(x, x_sq)) as other:
+            got = _kmeans_pp_init(x, x_sq, k, np.random.default_rng(seed), other)
+        np.testing.assert_array_equal(got, _direct_kmeans_pp_init(x, k, np.random.default_rng(seed)))
+    assert len(split) == 2
+
+
+def test_only_a_pool_of_split_min_entries_forks(split, monkeypatch):
+    x = _SEEDING_CORPORA["blobs-1500x64"][0]
+    monkeypatch.setattr(clustering, "SPLIT_MIN_ENTRIES", x.size + 1)
+    kmeans(EmbeddingCorpus(vectors=x), 40, seed=0)
+    assert split == []
+    monkeypatch.setattr(clustering, "SPLIT_MIN_ENTRIES", x.size)
+    kmeans(EmbeddingCorpus(vectors=x), 40, seed=0)
+    assert len(split) == 1
+
+
+def test_a_child_killed_while_seeding_is_an_error(split, monkeypatch):
+    """The child dies at its third seed: kmeans raises ChildDiedError naming
+    it and its signal, and reaps it (the fixture checks)."""
+    parent, screen, calls = os.getpid(), clustering._Screen.screen, []
+
+    def killed_in_the_child(self, c, c_sq):
+        calls.append(c)
+        if os.getpid() != parent and len(calls) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return screen(self, c, c_sq)
+
+    monkeypatch.setattr(clustering._Screen, "screen", killed_in_the_child)
+    x, k = _SEEDING_CORPORA["blobs-1500x64"]
+    with pytest.raises(ChildDiedError, match=r"^forked child (\d+) was killed by signal 9 ") as err:
+        kmeans(EmbeddingCorpus(vectors=x), k, seed=0)
+    assert str(err.value).split()[2] == str(split[0])

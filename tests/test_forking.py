@@ -80,3 +80,65 @@ def test_the_first_error_in_list_order_is_raised(forks):
         forking.run_all([lambda: 0, lambda: fail("first"), lambda: fail("second")])
     with pytest.raises(ValueError, match="^here$"):
         forking.run_all([lambda: fail("here"), lambda: fail("child")])
+
+
+def _fail(message):
+    raise KeyError(message)
+
+
+def test_a_served_child_answers_calls_in_turn(forks):
+    here = os.getpid()
+    with forking.Served(lambda *args: (os.getpid(), args)) as served:
+        answers = []
+        for args in [(1,), ("two", [3]), ()]:
+            served.submit(*args)
+            answers.append(served.collect())
+    assert [args for _, args in answers] == [(1,), ("two", [3]), ()]
+    assert len({pid for pid, _ in answers}) == 1 and answers[0][0] != here
+
+
+def test_a_served_call_raises_its_error_and_the_child_serves_on(forks):
+    with forking.Served(lambda f, *args: f(*args)) as served:
+        served.submit(_fail, "no such key")
+        with pytest.raises(KeyError, match="no such key"):
+            served.collect()
+        served.submit(os.getpid)
+        assert served.collect() != os.getpid()
+
+
+@pytest.mark.parametrize("case", ["one CPU", "fork fails"])
+def test_a_served_call_runs_here_without_a_child(monkeypatch, case):
+    """Without a child, a call runs in this process when it is collected."""
+    ran = []
+    if case == "one CPU":
+        monkeypatch.setattr(forking, "may_fork", lambda: False)
+    else:
+        monkeypatch.setattr(forking, "may_fork", lambda: True)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    with forking.Served(lambda x: ran.append((os.getpid(), x)) or x * 2) as served:
+        served.submit(21)
+        assert ran == []
+        assert served.collect() == 42
+        served.submit(1)
+        with pytest.raises(TypeError):
+            served.collect() + "s"
+    assert ran == [(os.getpid(), 21), (os.getpid(), 1)]
+
+
+def test_a_killed_served_child_is_an_error(forks):
+    """A child killed between calls raises ChildDiedError at the next
+    collect, whether the submit reached it or not; no call runs here."""
+    ran = []
+    with forking.Served(lambda: ran.append(os.getpid()) or os.getpid()) as served:
+        served.submit()
+        pid = served.collect()
+        os.kill(pid, signal.SIGKILL)
+        time.sleep(0.05)  # let it die first, so the submit meets a closed pipe
+        served.submit()
+        with pytest.raises(ChildDiedError, match=rf"^forked child {pid} was killed by signal 9 "):
+            served.collect()
+    assert ran == []

@@ -1094,3 +1094,73 @@ def test_traced_cluster_score_report_read_their_attributes(selected_out, workdir
     assert report["trainer.steps"] == 3 * 8  # trainer.steps = 8 in the fixture's config
     if len(cpus) > 1:
         assert _traced(tmp_path, "report", *args)["trainer.steps"] == 8
+
+
+# ------------------------------------------------------------ forked k-means
+
+_CLUSTER_OUTPUTS = ("clusters.bin", "clusters.bin.meta.json")
+
+
+@pytest.fixture(scope="module")
+def split_pool(tmp_path_factory):
+    """A 20000 x 64 blob pool, above ``clustering.SPLIT_MIN_ENTRIES``, and its
+    config: at most 10 Lloyd passes, which the pruned passes reach."""
+    from influence_select import clustering
+    from influence_select.corpus import EmbeddingCorpus
+
+    root = tmp_path_factory.mktemp("split-pool")
+    rng = np.random.default_rng(71)
+    x = rng.normal(0.0, 4.0, size=(64, 64))[rng.integers(0, 64, size=20_000)]
+    x += rng.normal(0.0, 1.0, size=x.shape)
+    assert x.size >= clustering.SPLIT_MIN_ENTRIES
+    write_embeddings(root / "embeddings.bin", EmbeddingCorpus(vectors=x))
+    cfg = root / "run.cfg"
+    cfg.write_text(f"paths.embeddings = {root}/embeddings.bin\n"
+                   "clustering.k = 64\nclustering.max_iters = 10\n")
+    return root, cfg
+
+
+def test_forked_kmeans_writes_the_serial_bytes(split_pool, tmp_path, monkeypatch, capsys):
+    """On a pool above the split gate, two CPUs run k-means in two processes;
+    ``clusters.bin`` and its meta are the one-CPU run's, byte for byte."""
+    root, cfg = split_pool
+    out = tmp_path / "out"
+    argv = ["cluster", "--config", str(cfg), "--set", f"paths.output_dir={out}"]
+    serial = _run_on(1, out, _CLUSTER_OUTPUTS, monkeypatch, capsys, *argv)
+    forked = _run_on(2, out, _CLUSTER_OUTPUTS, monkeypatch, capsys, *argv)
+    assert serial[0] == forked[0] == 0
+    assert serial[3] == [] and len(forked[3]) == 1
+    assert None not in serial[2].values()
+    assert forked[2] == serial[2]
+
+
+def test_cluster_below_the_split_gate_forks_nothing(workdir, tmp_path, monkeypatch, capsys):
+    root, cfg = workdir
+    out = tmp_path / "out"
+    argv = ["cluster", "--config", str(cfg), "--set", f"paths.output_dir={out}"]
+    serial = _run_on(1, out, _CLUSTER_OUTPUTS, monkeypatch, capsys, *argv)
+    two = _run_on(2, out, _CLUSTER_OUTPUTS, monkeypatch, capsys, *argv)
+    assert serial[0] == two[0] == 0 and serial[3] == two[3] == []
+    assert two[2] == serial[2]
+
+
+def test_a_killed_kmeans_child_is_an_error(split_pool, tmp_path, monkeypatch, capsys):
+    """A k-means child killed while it seeds stops ``cluster`` with exit 2 and
+    one line naming it and its signal; it is reaped, and nothing is written."""
+    from influence_select import clustering
+
+    root, cfg = split_pool
+    out = tmp_path / "out"
+    parent, screen = os.getpid(), clustering._Screen.screen
+
+    def killed_in_the_child(self, c, c_sq):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return screen(self, c, c_sq)
+
+    monkeypatch.setattr(clustering._Screen, "screen", killed_in_the_child)
+    code, err, files, pids = _run_on(2, out, _CLUSTER_OUTPUTS, monkeypatch, capsys, "cluster",
+                                     "--config", str(cfg), "--set", f"paths.output_dir={out}")
+    assert (code, err) == (2, f"data error: forked child {pids[0]} was killed by signal 9 "
+                              f"({signal.strsignal(signal.SIGKILL)}) before it sent a result\n")
+    assert len(pids) == 1 and files == dict.fromkeys(_CLUSTER_OUTPUTS)
