@@ -71,15 +71,13 @@ def _load_candidates(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: boo
                                   max_context=cfg.model.max_context, cover_all=cover_all)
 
 
-def _influence_setup(cfg: RunConfig, keep_factors: bool = False):
+def _influence_setup(cfg: RunConfig):
     """``influence.scoring_setup``'s ``(scoring params, ihvp, factors)`` for the
-    initial parameters and the reference set, which it reads and checks;
-    ``factors`` is None unless ``keep_factors``. It needs no other input, so it is
-    the job ``score`` and ``select`` may fork, after the job of their own checks."""
+    initial parameters and the reference set, which it reads and checks. It
+    needs no other input, so ``score`` may fork it beside its reads."""
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
     ref = corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size, cfg.model.max_context)
-    params32, ihvp, factors = influence.scoring_setup(params, ref, cfg.influence)
-    return params32, ihvp, factors if keep_factors else None
+    return influence.scoring_setup(params, ref, cfg.influence)
 
 
 def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clustering.ClusterModel:
@@ -131,8 +129,8 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
             raise DataError(f"no token record for instance id(s) {missing[:5]}")
         return table, row_of
 
-    (table, row_of), (params, ihvp, _) = forking.run_all(
-        [read_inputs, functools.partial(_influence_setup, cfg)])
+    (table, row_of), (params, ihvp) = forking.run_all(
+        [read_inputs, lambda: _influence_setup(cfg)[:2]])
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params)
     _publish(cfg, {"scores.csv": encode_csv(fp, "instance_id,score,method",
@@ -143,24 +141,27 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
 
 def cmd_select(cfg: RunConfig) -> int:
     fp = fingerprint(cfg)
+    emb = corpus.load_embeddings(cfg.paths.embeddings)
+    table, row_of = _load_candidates(cfg, emb, cover_all=True)
+    cmodel = _load_cluster_model(cfg, emb)
+    bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
+    params, ihvp, factors = _influence_setup(cfg)
 
-    def read_inputs():
-        emb = corpus.load_embeddings(cfg.paths.embeddings)
-        table, row_of = _load_candidates(cfg, emb, cover_all=True)
-        cmodel = _load_cluster_model(cfg, emb)
-        bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
-        return table, row_of, cmodel
+    def score(ids):
+        return influence.score_batch(table.take(row_of[np.asarray(ids, dtype=np.int64)]),
+                                     ihvp, params)
 
-    (table, row_of, cmodel), (params, ihvp, factors) = forking.run_all(
-        [read_inputs, functools.partial(_influence_setup, cfg, keep_factors=True)])
+    # each scorer call: the child, which holds the setup as of the fork, scores
+    # the second half of the ids while this process scores the first
+    with forking.Served(score) as half:
+        def scorer(ids):
+            cut = (len(ids) + 1) // 2
+            half.submit(ids[cut:])
+            return score(ids[:cut]) + half.collect()
 
-    def scorer(ids):
-        rows = row_of[np.asarray(ids, dtype=np.int64)]
-        return influence.score_batch(table.take(rows), ihvp, params)
-
-    ledger = bandit_mod.run(
-        cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
-    )
+        ledger = bandit_mod.run(
+            cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
+        )
     _publish(cfg, {"selection.txt": bandit_mod.encode_selection(ledger, fingerprint=fp),
                    "ledger.jsonl": bandit_mod.encode_ledger(ledger, fingerprint=fp),
                    "factors.ntc": curvature.encode_factors(factors),

@@ -1,9 +1,12 @@
 """How the program forks: a ``Served`` child serves calls of one function,
 and ``run_all`` runs jobs in such children while this process runs the first.
-``score`` and ``select`` build their influence setup while they read their
-inputs, ``report`` trains two baselines while it trains the third, and
+``score`` builds its influence setup while it reads its inputs, ``select``
+forks after its setup a child that scores the second half of each bandit
+scorer call, ``report`` trains two baselines while it trains the third, and
 ``clustering.kmeans`` gives a child part of the rows of each seed and Lloyd
-pass. A child computes what this process would, so only the time differs."""
+pass. A child computes what this process would, so only the time differs.
+It inherits ``__main__``'s frozen import-time heap, which its collections
+skip."""
 
 from __future__ import annotations
 
@@ -49,7 +52,8 @@ class Served:
     runs here when it is collected. A child that ends without sending a
     result (the OOM killer, say) raises ``ChildDiedError`` naming its signal
     or exit status, and no call runs again. ``close``, or leaving a ``with``
-    block, kills and reaps the child."""
+    block, kills and reaps the child. Inside a ``with`` block this process
+    and the child run on CPUs of their own (``_apart``)."""
 
     def __init__(self, fn):
         self.fn, self.args = fn, None
@@ -90,10 +94,13 @@ class Served:
         return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
     def __enter__(self):
+        self.cpus = self.child and _apart(self.child[0])
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+        if self.cpus:
+            os.sched_setaffinity(0, self.cpus)
 
 
 def _fork(fn):
@@ -140,3 +147,19 @@ def _die_with(parent: int) -> None:
         pass
     if os.getppid() != parent:
         os._exit(1)
+
+
+def _apart(pid: int):
+    """Run this process on the first CPU of its affinity set and the child
+    ``pid`` on the others; the set to restore, or None where the OS has no
+    affinity calls or refuses them. A child that a pipe write wakes is
+    otherwise often placed on the writer's CPU, where the two share one core
+    while the other idles: on a 2-CPU host ``select``'s split scorer calls
+    and a two-process ``kmeans`` then ran slower than one process alone."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(pid, cpus - {min(cpus)})
+        os.sched_setaffinity(0, {min(cpus)})
+        return cpus
+    except (AttributeError, OSError):
+        return None

@@ -129,6 +129,19 @@ def test_a_served_call_runs_here_without_a_child(monkeypatch, case):
     assert ran == [(os.getpid(), 21), (os.getpid(), 1)]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+def test_a_served_block_runs_this_process_and_its_child_apart(forks):
+    """Inside a ``with`` block this process runs on the first CPU of its set
+    and the child on the others; leaving the block gives this process its
+    set back. On one CPU nothing moves."""
+    cpus = os.sched_getaffinity(0)
+    first = {min(cpus)} if len(cpus) > 1 else cpus
+    with forking.Served(lambda: os.sched_getaffinity(0)) as served:
+        served.submit()
+        assert (os.sched_getaffinity(0), served.collect()) == (first, cpus - first or cpus)
+    assert os.sched_getaffinity(0) == cpus
+
+
 def test_a_killed_served_child_is_an_error(forks):
     """A child killed between calls raises ChildDiedError at the next
     collect, whether the submit reached it or not; no call runs here."""

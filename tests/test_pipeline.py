@@ -622,6 +622,66 @@ def test_numeric_failure_prints_one_stderr_line(selected_out, workdir, tmp_path)
     assert len(lines) == 1 and lines[0].startswith("numeric failure:"), done.stderr
 
 
+# ------------------------------------------------------------ the entry point
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["cluster"]),
+    (1, ["select", "--set", "no.such_key=1"]),
+    (2, ["cluster", "--set", "paths.embeddings=missing.bin"]),
+    (3, ["report", "--set", "trainer.learning_rate=1e300"]),
+])
+def test_the_entry_point_keeps_exit_codes_and_output(selected_out, workdir, tmp_path, capsys,
+                                                     code, argv):
+    """``python -m influence_select``, which freezes the import-time heap,
+    exits as ``cli.main`` returns, and its stdout and stderr arrive whole
+    through a pipe, buffered: the bytes ``cli.main`` prints in this process."""
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    argv = [*argv, "--config", str(cfg), "--set", f"paths.output_dir={out}"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-m", "influence_select", *argv], cwd=tmp_path,
+                          env=dict(env, PYTHONPATH=os.path.join(_REPO, "src")),
+                          capture_output=True, text=True)
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as m:
+        m.chdir(tmp_path)
+        assert _run(*argv) == code
+    assert (done.returncode, done.stdout, done.stderr) == (code, *capsys.readouterr())
+
+
+# a `simulate-bandit` whose command prints the collector's state in its
+# process and in a forked `Served` child: pid, frozen objects?, enabled?
+_FREEZE_PROBE = """
+import gc, os, sys
+from influence_select import cli, forking
+from influence_select.__main__ import main
+
+def probe(cfg, args):
+    state = lambda: (os.getpid(), gc.get_freeze_count() > 0, gc.isenabled())
+    with forking.Served(state) as child:
+        child.submit()
+        print(*state(), *child.collect())
+    return 0
+
+assert gc.get_freeze_count() == 0 and gc.isenabled()
+forking.may_fork = lambda: True
+cli.COMMANDS["simulate-bandit"] = probe
+sys.exit(main())
+"""
+
+
+def test_a_command_and_its_served_child_run_frozen_with_the_collector_on():
+    done = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, "simulate-bandit"],
+                          env=dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    here, here_frozen, here_on, child, child_frozen, child_on = done.stdout.split()
+    assert here != child
+    assert [here_frozen, here_on, child_frozen, child_on] == ["True"] * 4
+
+
 
 # ------------------------------------------------------------ forked report
 
@@ -782,8 +842,10 @@ def _setup_run_on(cpus, command, cfg, out, monkeypatch, capsys, *extra):
 @pytest.mark.parametrize("command", ["score", "select"])
 def test_forked_setup_writes_the_serial_bytes(selected_out, workdir, tmp_path, monkeypatch,
                                               capsys, command):
-    """With two CPUs the influence setup runs in a forked child while the
-    command reads its inputs; the outputs are the one-CPU run's, byte for byte."""
+    """With two CPUs ``score`` runs its influence setup in a forked child while
+    it reads its inputs, and ``select`` forks one child after its setup that
+    scores the second half of each bandit scorer call; the outputs are the
+    one-CPU run's, byte for byte."""
     root, cfg = workdir
     out = tmp_path / "out"
     shutil.copytree(selected_out, out)
@@ -802,13 +864,17 @@ def test_forked_setup_writes_the_serial_bytes(selected_out, workdir, tmp_path, m
     ("score", "bad reference file, missing --ids id"),
     ("select", "bad reference file, stale clusters.bin"),
     ("score", "numeric failure in the setup"), ("select", "numeric failure in the setup"),
+    ("select", "non-finite score in the child's half"),
 ])
 def test_forked_setup_raises_the_serial_error(selected_out, workdir, tmp_path, monkeypatch,
                                               capsys, command, case):
-    """An input the command checks while the child runs its setup, a
-    reference the setup checks, and an error of the setup itself each stop
-    the command with the one-CPU run's message and exit code; the command's
-    own checks come before the reference's. No output changes."""
+    """An input the command checks, a reference the setup checks, and an
+    error of the setup itself each stop the command with the one-CPU run's
+    message and exit code; the command's own checks come before the
+    reference's. ``score`` meets them while its setup child runs; ``select``
+    reads and sets up before it forks, so it meets them with no child. A
+    non-finite score in the half of a scorer call that ``select``'s child
+    scores gives the one-CPU ``numeric failure:`` line. No output changes."""
     from influence_select import influence
     from influence_select.errors import NumericError
 
@@ -841,6 +907,18 @@ def test_forked_setup_raises_the_serial_error(selected_out, workdir, tmp_path, m
 
         monkeypatch.setattr(influence, "scoring_setup", diverging)
         code, needle = 3, "numeric failure: setup diverged"
+    if case == "non-finite score in the child's half":
+        first_call = _scorer_calls(selected_out / "ledger.jsonl")[0]
+        halves = _halves(first_call)
+        score_batch = influence.score_batch
+
+        def poisoned(table, ihvp, params):  # the last id's half scores nan
+            if first_call[-1] in table.ids.tolist():
+                ihvp = influence.IhvpVector({k: v * np.nan for k, v in ihvp.vectors.items()})
+            return score_batch(table, ihvp, params)
+
+        monkeypatch.setattr(influence, "score_batch", poisoned)
+        code, needle = 3, f"numeric failure: non-finite influence score for instance {halves[1][0]}"
     before = {name: (out / name).read_bytes() if (out / name).exists() else None
               for name in _SETUP_OUTPUTS[command]}
     serial = _setup_run_on(1, command, cfg, out, monkeypatch, capsys, *extra)
@@ -848,7 +926,79 @@ def test_forked_setup_raises_the_serial_error(selected_out, workdir, tmp_path, m
     assert serial[:3] == forked[:3]
     assert serial[0] == code and serial[1].startswith(needle) and serial[1].count("\n") == 1
     assert serial[2] == before
-    assert serial[3] == [] and len(forked[3]) == 1
+    forks = command == "score" or case == "non-finite score in the child's half"
+    assert serial[3] == [] and len(forked[3]) == forks
+
+
+def _scorer_calls(ledger):
+    """The ids of each scorer call of the ``select`` that wrote ``ledger``, in
+    call order: per iteration, its sampled ids that no earlier call scored."""
+    calls, scored = [], set()
+    for line in ledger.read_text().splitlines():
+        fresh = [i for pull in json.loads(line).get("pulls", []) for i in pull["sampled_ids"]
+                 if i not in scored]
+        scored.update(fresh)
+        calls += [fresh] if fresh else []
+    return calls
+
+
+def _halves(ids):
+    """``select``'s split of one scorer call: (its process's ids, its child's)."""
+    cut = (len(ids) + 1) // 2
+    return ids[:cut], ids[cut:]
+
+
+def test_a_killed_scoring_child_is_an_error(selected_out, workdir, tmp_path, monkeypatch,
+                                            capsys):
+    """A scoring child of ``select`` killed on its second call stops the
+    command with exit 2 and one line naming it and its signal; it is reaped,
+    and none of ``select``'s outputs is written."""
+    from influence_select import influence
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    for name in _SETUP_OUTPUTS["select"]:
+        (out / name).unlink()
+    parent, score_batch, child_calls = os.getpid(), influence.score_batch, []
+
+    def killed_on_its_second_call(*args):
+        if os.getpid() != parent:
+            child_calls.append(args)  # the child's own copy of the list
+            if len(child_calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return score_batch(*args)
+
+    monkeypatch.setattr(influence, "score_batch", killed_on_its_second_call)
+    code, err, files, pids = _setup_run_on(2, "select", cfg, out, monkeypatch, capsys)
+    assert (code, err) == (2, f"data error: forked child {pids[0]} was killed by signal 9 "
+                              f"({signal.strsignal(signal.SIGKILL)}) before it sent a result\n")
+    assert len(pids) == 1 and files == dict.fromkeys(_SETUP_OUTPUTS["select"])
+
+
+def test_a_scorer_call_of_one_id_or_none(selected_out, workdir, tmp_path, monkeypatch, capsys):
+    """``select``'s scorer, with its child, scores a call of no id, of one id
+    (the child's half is empty) and of three, as ``score_batch`` does here."""
+    from influence_select import bandit, corpus, influence
+    from influence_select.config import load_config
+
+    root, cfg = workdir
+    out = tmp_path / "out"
+    shutil.copytree(selected_out, out)
+    run, got = bandit.run, []
+
+    def probing(bandit_cfg, cmodel, scorer, **kwargs):
+        got.extend(scorer(ids) for ids in ([], [7], [7, 8, 9]))
+        return run(bandit_cfg, cmodel, scorer, **kwargs)
+
+    monkeypatch.setattr(bandit, "run", probing)
+    code, _, _, pids = _setup_run_on(2, "select", cfg, out, monkeypatch, capsys)
+    assert code == 0 and len(pids) == 1
+    run_cfg = load_config(str(cfg), [])
+    table, row_of = cli._load_candidates(run_cfg, corpus.load_embeddings(run_cfg.paths.embeddings))
+    params, ihvp, _ = cli._influence_setup(run_cfg)
+    want = influence.score_batch(table.take(row_of[[7, 8, 9]]), ihvp, params)
+    assert got == [[], want[:1], want]
 
 
 def test_a_bad_reference_pipe_gives_its_error(workdir, tmp_path):
@@ -934,7 +1084,9 @@ def test_setup_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, mo
     process from the start, and the outputs are the serial ones. A setup
     child that ends before it sends the iHVP stops the command with exit 2
     and one line naming the child and its exit status; the setup does not
-    run again here, and the outputs keep their bytes."""
+    run again here, and the outputs keep their bytes. ``select`` sets up
+    here and forks its scoring child after, so there the child that sends
+    nothing is the scoring child, and the setup ran here once."""
     import threading
 
     from influence_select import forking, influence
@@ -971,7 +1123,7 @@ def test_setup_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, mo
     assert not other.is_alive()
     assert files == serial
     if case == "child sends nothing":
-        assert len(pids) == 1 and set_up == []
+        assert len(pids) == 1 and len(set_up) == (command == "select")
         assert (code, err) == (
             2, f"data error: forked child {pids[0]} exited with status 1 before it sent a result\n")
     else:
@@ -1053,9 +1205,10 @@ def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_p
     """``perfbench/tracing.py`` runs ``select`` and reads ``model.tokens`` from the
     ``tokens`` argument of every ``model.forward`` call: the reference set once,
     then each distinct sampled id once (the bandit caches scores). The tracer
-    keeps no span of a forked child, so the reference pass is counted on one
-    CPU, where ``select`` runs its setup itself; on more CPUs the setup runs
-    in a child and the count is the sampled ids' alone."""
+    keeps no span of a forked child, so every sampled id is counted on one
+    CPU, where ``select`` scores them all itself; on more CPUs a child scores
+    the second half of each scorer call, and the count is the reference
+    set's and the first halves'."""
     from influence_select.corpus import load_tokens
 
     root, cfg = workdir
@@ -1068,10 +1221,11 @@ def test_traced_select_reads_the_engine_token_count(selected_out, workdir, tmp_p
     length = dict(zip(tokens.ids.tolist(), tokens.lengths.tolist()))
     sampled = {i for line in (out / "ledger.jsonl").read_text().splitlines()
                for pull in json.loads(line).get("pulls", []) for i in pull["sampled_ids"]}
-    want = int(load_tokens(root / "reference.tsv").lengths.sum()) + sum(length[i] for i in sampled)
-    assert metrics["model.tokens"] == want
+    reference = int(load_tokens(root / "reference.tsv").lengths.sum())
+    assert metrics["model.tokens"] == reference + sum(length[i] for i in sampled)
     if len(cpus) > 1:
-        assert _traced(tmp_path, *args)["model.tokens"] == sum(length[i] for i in sampled)
+        here = [i for ids in _scorer_calls(out / "ledger.jsonl") for i in _halves(ids)[0]]
+        assert _traced(tmp_path, *args)["model.tokens"] == reference + sum(length[i] for i in here)
 
 
 def test_traced_cluster_score_report_read_their_attributes(selected_out, workdir, tmp_path):
