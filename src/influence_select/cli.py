@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bandit as bandit_mod
-from . import clustering, corpus, curvature, forking, influence, trainer
+from . import clustering, corpus, forking, influence, tensorio, trainer
 from . import model as model_mod
 from .config import RunConfig, fingerprint, load_config
 from .errors import DataError, NumericError, UsageError
@@ -52,10 +52,6 @@ def _require(path: str, producer: str) -> str:
     return path
 
 
-def _encode_meta(fp: str, **extra) -> str:
-    return json.dumps({"config_fingerprint": fp, **extra}, sort_keys=True) + "\n"
-
-
 def encode_csv(fp: str, header: str, rows) -> str:
     """The one encoder of fingerprinted CSVs: a ``# config_fingerprint=`` line,
     the ``header`` line, then one line per row; floats at 17 significant digits."""
@@ -72,9 +68,9 @@ def _load_candidates(cfg: RunConfig, emb: corpus.EmbeddingCorpus, cover_all: boo
 
 
 def _influence_setup(cfg: RunConfig):
-    """``influence.scoring_setup``'s ``(scoring params, ihvp, factors)`` for the
-    initial parameters and the reference set, which it reads and checks. It
-    needs no other input, so ``score`` may fork it beside its reads."""
+    """``influence.scoring_setup``'s ``(scoring params, ihvp)`` for the initial
+    parameters and the reference set, which it reads and checks. It needs no
+    other input, so ``score`` may fork it beside its reads."""
     params = model_mod.init_params(cfg.model, seed=cfg.model.init_seed)
     ref = corpus.load_reference(cfg.paths.reference, cfg.model.vocab_size, cfg.model.max_context)
     return influence.scoring_setup(params, ref, cfg.influence)
@@ -82,7 +78,7 @@ def _influence_setup(cfg: RunConfig):
 
 def _load_cluster_model(cfg: RunConfig, emb: corpus.EmbeddingCorpus) -> clustering.ClusterModel:
     path = _require(os.path.join(cfg.paths.output_dir, "clusters.bin"), "cluster")
-    cmodel = clustering.load_cluster_model(path)
+    cmodel = tensorio.load_cluster_model(path)
     if cmodel.k != cfg.clustering.k:
         raise DataError(
             f"{path} holds k={cmodel.k} clusters but clustering.k is {cfg.clustering.k}; "
@@ -108,10 +104,11 @@ def cmd_cluster(cfg: RunConfig) -> int:
     model = clustering.kmeans(
         emb, k=cfg.clustering.k, seed=cfg.clustering.seed, max_iters=cfg.clustering.max_iters
     )
-    meta = _encode_meta(fp, k=model.k, count=model.count, iterations=model.n_iters,
-                        converged=model.converged,
-                        objective=f"{clustering.objective(model, emb):.17g}")
-    _publish(cfg, {"clusters.bin": clustering.encode_cluster_model(model),
+    meta = json.dumps({"config_fingerprint": fp, "k": model.k, "count": model.count,
+                       "iterations": model.n_iters, "converged": model.converged,
+                       "objective": f"{clustering.objective(model, emb):.17g}"},
+                      sort_keys=True) + "\n"
+    _publish(cfg, {"clusters.bin": tensorio.encode_cluster_model(model),
                    "clusters.bin.meta.json": meta})
     print(f"clustered {model.count} instances into k={model.k} "
           f"({model.n_iters} iterations, converged={model.converged})")
@@ -130,7 +127,7 @@ def cmd_score(cfg: RunConfig, ids: list[int]) -> int:
         return table, row_of
 
     (table, row_of), (params, ihvp) = forking.run_all(
-        [read_inputs, lambda: _influence_setup(cfg)[:2]])
+        [read_inputs, lambda: _influence_setup(cfg)])
     rows = row_of[np.asarray(ids, dtype=np.int64)]
     scores = influence.score_batch(table.take(rows), ihvp, params)
     _publish(cfg, {"scores.csv": encode_csv(fp, "instance_id,score,method",
@@ -145,7 +142,7 @@ def cmd_select(cfg: RunConfig) -> int:
     table, row_of = _load_candidates(cfg, emb, cover_all=True)
     cmodel = _load_cluster_model(cfg, emb)
     bandit_mod.check_run(cfg.bandit, cmodel, cfg.selection.budget)
-    params, ihvp, factors = _influence_setup(cfg)
+    params, ihvp = _influence_setup(cfg)
 
     def score(ids):
         return influence.score_batch(table.take(row_of[np.asarray(ids, dtype=np.int64)]),
@@ -163,9 +160,7 @@ def cmd_select(cfg: RunConfig) -> int:
             cfg.bandit, cmodel, scorer, budget=cfg.selection.budget, seed=cfg.selection.seed
         )
     _publish(cfg, {"selection.txt": bandit_mod.encode_selection(ledger, fingerprint=fp),
-                   "ledger.jsonl": bandit_mod.encode_ledger(ledger, fingerprint=fp),
-                   "factors.ntc": curvature.encode_factors(factors),
-                   "factors.ntc.meta.json": _encode_meta(fp)})
+                   "ledger.jsonl": bandit_mod.encode_ledger(ledger, fingerprint=fp)})
     print(
         f"selected {len(ledger.selected)} / budget {cfg.selection.budget} "
         f"in {len(ledger.iterations)} iterations"

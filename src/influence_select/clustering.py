@@ -8,8 +8,8 @@ assigned centroid, which keeps k fixed (the bandit needs k arms).
 from __future__ import annotations
 
 import contextlib
-import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from . import forking
 from .corpus import EmbeddingCorpus
 from .errors import DataError
 
-CLUSTER_MAGIC = b"KMC1"
 # Rows per block of the assign step and of the seeding's exact distances.
 # One assign step at 64000 x 64, k=256, 1 BLAS thread:
 # 122 ms in blocks of 256 or 512 rows, 128 ms in 1024, 138 ms in 2048, 185 ms
@@ -25,10 +24,11 @@ CLUSTER_MAGIC = b"KMC1"
 ASSIGN_BLOCK_ROWS = 512
 # kmeans gives a forked child part of the rows of its seeding and Lloyd
 # passes when the pool has at least this many entries (count x dim). Two
-# processes against one, run to convergence on a 64-blob pool, 1 BLAS
-# thread, medians of 12: at k=64, +19% at 16000 x 32, -1% at 32000 x 32,
-# +3% at 20000 x 64, -8% at 32000 x 64; at 20000 x 64, k=256, -27%. Below
-# about 1M entries the seeds' round trips cost what the split work saves.
+# processes, each placed on its own CPU, against one, run to convergence on
+# a 64-blob pool at k=64, 1 BLAS thread, fresh processes, medians of 24 on
+# 2 cores: +37% at 4096 x 64 (two faster in 0 of 24), +13% at 8192 x 64
+# (3 of 24), +0% at 16384 x 64, 2^20 entries (14 of 24). Below about 1M
+# entries the seeds' round trips cost what the split work saves.
 SPLIT_MIN_ENTRIES = 1 << 20
 
 
@@ -48,14 +48,14 @@ class ClusterModel:
     def count(self) -> int:
         return self.assignment.shape[0]
 
+    @cached_property
+    def _members(self) -> list[np.ndarray]:
+        order, bounds = _member_slices(self.assignment, self.k)
+        return [order[bounds[j] : bounds[j + 1]] for j in range(self.k)]
+
     def members(self, cluster: int) -> np.ndarray:
         """Instance ids assigned to ``cluster``, ascending."""
-        cache = getattr(self, "_members_cache", None)
-        if cache is None:
-            order, bounds = _member_slices(self.assignment, self.k)
-            cache = [order[bounds[j] : bounds[j + 1]] for j in range(self.k)]
-            object.__setattr__(self, "_members_cache", cache)
-        return cache[cluster]
+        return self._members[cluster]
 
 
 def _member_slices(assignment: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -465,29 +465,3 @@ def objective(model: ClusterModel, corpus: EmbeddingCorpus) -> float:
     x = corpus.vectors.astype(np.float64, copy=False)
     return float(np.sum(_squared_errors(x, model.centroids, model.assignment, np.empty_like(x))))
 
-
-def encode_cluster_model(model: ClusterModel) -> bytes:
-    """Binary layout: (k, dim, count) uint64 LE, float64 centroids, uint32 assignment."""
-    return b"".join([CLUSTER_MAGIC, struct.pack("<QQQ", model.k, model.dim, model.count),
-                     model.centroids.astype("<f8").tobytes(),
-                     model.assignment.astype("<u4").tobytes()])
-
-
-def load_cluster_model(path) -> ClusterModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CLUSTER_MAGIC:
-        raise DataError(f"{path}: not a cluster model file (bad magic)")
-    if len(data) < 4 + 24:
-        raise DataError(f"{path}: truncated cluster header")
-    k, dim, count = struct.unpack_from("<QQQ", data, 4)
-    off = 4 + 24
-    want = k * dim * 8 + count * 4
-    if len(data) - off != want:
-        raise DataError(f"{path}: truncated cluster payload")
-    centroids = np.frombuffer(data, dtype="<f8", count=k * dim, offset=off).reshape(k, dim).copy()
-    off += k * dim * 8
-    assignment = np.frombuffer(data, dtype="<u4", count=count, offset=off).copy()
-    if assignment.size and assignment.max() >= k:
-        raise DataError(f"{path}: assignment index out of range")
-    return ClusterModel(k=int(k), centroids=centroids, assignment=assignment)

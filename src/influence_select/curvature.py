@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .corpus import TokenTable
 from .errors import DataError, SingularFactorError
 from .model import LayerTap, ParamSet, TrackedLayer, chunk_taps, sequence_grads, tracked_layers
@@ -200,37 +199,3 @@ def qkv_independent_ihvp(factor: KroneckerFactor, damping: float, v: np.ndarray)
         parts.append(kron_ihvp(inv, v[idx * per : (idx + 1) * per]))
     return np.concatenate(parts)
 
-
-def encode_factors(factors: dict[str, KroneckerFactor]) -> bytes:
-    """Factor checkpoint in the named-tensor container format.
-
-    Per layer: `<name>/kind` (uint8 UTF-8), `<name>/meta` = [d_out, d_in,
-    sample_count] (int64), `<name>/Delta` and `<name>/X` (float64 means).
-    """
-    tensors: dict[str, np.ndarray] = {}
-    for name, fac in sorted(factors.items()):
-        tensors[f"{name}/kind"] = np.frombuffer(fac.kind.encode("utf-8"), dtype=np.uint8)
-        tensors[f"{name}/meta"] = np.array([fac.d_out, fac.d_in, fac.sample_count], dtype=np.int64)
-        tensors[f"{name}/Delta"] = fac.Delta
-        tensors[f"{name}/X"] = fac.X
-    return tensorio.encode_tensors(tensors)
-
-
-def load_factors(path) -> dict[str, KroneckerFactor]:
-    tensors = tensorio.read_tensors(path)
-    names = sorted({key.rsplit("/", 1)[0] for key in tensors})
-    out: dict[str, KroneckerFactor] = {}
-    for name in names:
-        try:
-            kind = tensors[f"{name}/kind"].tobytes().decode("utf-8")
-            d_out, d_in, count = (int(v) for v in tensors[f"{name}/meta"])
-            delta, x = tensors[f"{name}/Delta"], tensors[f"{name}/X"]
-        except KeyError as exc:
-            raise DataError(f"{path}: incomplete factor record for {name!r}") from exc
-        if delta.shape != (d_out, d_out) or x.shape != (d_in, d_in):
-            raise DataError(f"{path}: factor {name!r} has inconsistent shapes")
-        out[name] = KroneckerFactor(
-            layer=name, kind=kind, d_out=d_out, d_in=d_in,
-            delta_sum=delta * count, x_sum=x * count, sample_count=count,
-        )
-    return out

@@ -109,9 +109,9 @@ def pullback_ihvp(projector: SketchProjector, ihvp: IhvpVector) -> IhvpVector:
 
 def scoring_setup(params: ParamSet, ref: TokenTable, cfg: InfluenceConfig):
     """What scoring needs, from float64 ``params`` and the reference set:
-    ``(scoring params, ihvp, factors)``. The scoring params are a float32 copy
-    of ``params``, and the reference pass runs on them too; the factor sums,
-    the reference gradient and its iHVP (with the JL sketch folded in when
+    ``(scoring params, ihvp)``. The scoring params are a float32 copy of
+    ``params``, and the reference pass runs on them too; the factor sums, the
+    reference gradient and its iHVP (with the JL sketch folded in when
     ``cfg.use_sketch`` is set) are float64."""
     params32 = params.astype(np.float32)
     factors, ref_grad = curvature.collect_factors(params32, ref)
@@ -119,7 +119,7 @@ def scoring_setup(params: ParamSet, ref: TokenTable, cfg: InfluenceConfig):
                                      for name, fac in factors.items()})
     if cfg.use_sketch:
         ihvp = pullback_ihvp(SketchProjector(cfg.sketch_dim, cfg.sketch_seed), ihvp)
-    return params32, ihvp, factors
+    return params32, ihvp
 
 
 def score_batch(table: TokenTable, ihvp: IhvpVector, params: ParamSet) -> list[float]:

@@ -250,8 +250,8 @@ def _end_to_end_once(master_seed: int):
                          max_context=32, mlp_ratio=2.0)
     params = M.init_params(mcfg, seed=s_model)
     # select's setup: float32 reference pass and scoring parameters, float64 iHVP
-    scoring_params, ihvp, _ = I.scoring_setup(params, data.reference,
-                                              InfluenceConfig(damping=1e-3))
+    scoring_params, ihvp = I.scoring_setup(params, data.reference,
+                                           InfluenceConfig(damping=1e-3))
     tokens = data.instances  # record i is instance i
 
     def scorer(ids):

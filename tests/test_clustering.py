@@ -12,12 +12,11 @@ from influence_select.clustering import (
     _kmeans_pp_init,
     _pairwise_sq_dists,
     kmeans,
-    load_cluster_model,
     objective,
-    encode_cluster_model,
 )
 from influence_select.corpus import EmbeddingCorpus
 from influence_select.errors import ChildDiedError, DataError
+from influence_select.tensorio import encode_cluster_model, load_cluster_model
 
 
 def test_two_points_two_clusters():

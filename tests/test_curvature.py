@@ -204,24 +204,3 @@ def test_eq10_three_way_agreement():
         assert np.linalg.norm(fast - matrix_form) / scale <= 1e-10
         assert np.linalg.norm(fast - dense) / scale <= 1e-10
 
-
-def test_factor_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    tl_a = _tl(4, 3, "attn-out")
-    tl_b = TrackedLayer("layer0.qkv-joint", 0, "qkv-joint", 6, 3)
-    factors = {}
-    for tl in (tl_a, tl_b):
-        fac = C.zero_factor(tl)
-        for _ in range(3):
-            fac = C.accumulate(fac, LayerTap(0, tl.kind, x=rng.normal(size=(5, tl.d_in)),
-                                             delta=rng.normal(size=(5, tl.d_out))))
-        factors[tl.name] = fac
-    path = tmp_path / "factors.ntc"
-    path.write_bytes(C.encode_factors(factors))
-    again = C.load_factors(path)
-    assert set(again) == set(factors)
-    for name in factors:
-        assert again[name].kind == factors[name].kind
-        assert again[name].sample_count == factors[name].sample_count
-        np.testing.assert_allclose(again[name].Delta, factors[name].Delta, rtol=1e-15)
-        np.testing.assert_allclose(again[name].X, factors[name].X, rtol=1e-15)

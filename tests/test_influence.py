@@ -158,13 +158,14 @@ def test_float32_scoring_tracks_float64_scores():
     rng = np.random.default_rng(12)
     ref = TokenTable.from_sequences([rng.integers(0, 64, size=24) for _ in range(16)])
     candidates = TokenTable.from_sequences([rng.integers(0, 64, size=24) for _ in range(64)])
-    scoring_params, ihvp, factors = I.scoring_setup(params, ref, InfluenceConfig(damping=1e-3))
+    scoring_params, ihvp = I.scoring_setup(params, ref, InfluenceConfig(damping=1e-3))
     assert {a.dtype for _, a in scoring_params.iter_named()} == {np.dtype(np.float32)}
     assert {v.dtype for v in ihvp.vectors.values()} == {np.dtype(np.float64)}
-    assert {f.delta_sum.dtype for f in factors.values()} == {np.dtype(np.float64)}
     for (_, a32), (_, a64) in zip(scoring_params.iter_named(), params.iter_named()):
         np.testing.assert_array_equal(a32, a64.astype(np.float32))
     factors32, grad32 = C.collect_factors(params.astype(np.float32), ref)
+    assert {a.dtype for f in factors32.values() for a in (f.delta_sum, f.x_sum)} == {
+        np.dtype(np.float64)}
     want_ihvp = I.reference_ihvp(grad32, {
         n: C.inverse_of_factor(f, 1e-3) for n, f in factors32.items()})
     for name, vec in want_ihvp.vectors.items():

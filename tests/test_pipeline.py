@@ -81,6 +81,17 @@ def test_select_and_ledger(workdir):
     assert lines[-1]["selected_total"] == len(selected)
 
 
+def test_select_adds_its_two_outputs(workdir, tmp_path):
+    """In a fresh output directory holding the cluster model, ``select``
+    adds exactly ``selection.txt`` and ``ledger.jsonl``."""
+    root, cfg = workdir
+    out = _clustered_copy(root, cfg, tmp_path)
+    before = {p.name for p in out.iterdir()}
+    assert before == {"clusters.bin", "clusters.bin.meta.json"}
+    assert _run("select", "--config", str(cfg), "--set", f"paths.output_dir={out}") == 0
+    assert {p.name for p in out.iterdir()} == before | {"selection.txt", "ledger.jsonl"}
+
+
 def test_budget_zero_empty_selection(workdir, tmp_path):
     root, cfg = workdir
     out = tmp_path / "out0"
@@ -293,7 +304,6 @@ def test_select_non_finite_score_is_typed_error(workdir, tmp_path, monkeypatch, 
     assert "non-finite influence score" in capsys.readouterr().err
     assert not (out / "ledger.jsonl").exists()
     assert not (out / "selection.txt").exists()
-    assert not (out / "factors.ntc").exists()
 
 
 @pytest.mark.parametrize("command", ["select", "report"])
@@ -550,7 +560,7 @@ def test_select_that_cannot_publish_leaves_the_directory_as_it_was(
     """A ``select`` whose last file fails to encode (a full disk, say), or
     whose ``ledger.jsonl`` cannot be staged, exits 2 and leaves every file of
     the output directory byte-identical, with no ``*.partial`` file."""
-    from influence_select import curvature
+    from influence_select import bandit
 
     root, cfg = workdir
     out = tmp_path / "out"
@@ -559,7 +569,7 @@ def test_select_that_cannot_publish_leaves_the_directory_as_it_was(
         def full(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(curvature, "encode_factors", full)
+        monkeypatch.setattr(bandit, "encode_ledger", full)
         needle = os.strerror(errno.ENOSPC)
     else:  # selection.txt.partial is written, then ledger.jsonl.partial is refused
         (out / "ledger.jsonl.partial").mkdir()
@@ -718,20 +728,6 @@ def _report_on(cpus, cfg, out, monkeypatch, capsys):
                    "report", "--config", str(cfg), "--set", f"paths.output_dir={out}")
 
 
-def test_forked_report_writes_the_serial_bytes(selected_out, workdir, tmp_path, monkeypatch,
-                                               capsys):
-    """With two CPUs ``random`` and ``top-clusters`` train in forked children;
-    the three tables are the one-CPU run's, byte for byte."""
-    root, cfg = workdir
-    out = tmp_path / "out"
-    shutil.copytree(selected_out, out)
-    serial = _report_on(1, cfg, out, monkeypatch, capsys)
-    forked = _report_on(2, cfg, out, monkeypatch, capsys)
-    assert serial[0] == forked[0] == 0
-    assert serial[3] == [] and len(forked[3]) == 2
-    assert forked[2] == serial[2]
-
-
 @pytest.mark.parametrize("failing", [["random"], ["top-clusters"], ["selected"],
                                      ["random", "top-clusters"], ["selected", "top-clusters"]])
 def test_forked_report_raises_the_serial_error(selected_out, workdir, tmp_path, monkeypatch,
@@ -827,7 +823,7 @@ def test_report_falls_back_to_the_serial_path(selected_out, workdir, tmp_path, m
 
 _SETUP_OUTPUTS = {
     "score": ("scores.csv",),
-    "select": ("selection.txt", "ledger.jsonl", "factors.ntc", "factors.ntc.meta.json"),
+    "select": ("selection.txt", "ledger.jsonl"),
 }
 
 
@@ -837,24 +833,6 @@ def _setup_run_on(cpus, command, cfg, out, monkeypatch, capsys, *extra):
     ids = ["--ids", "0,5,10"] if command == "score" and "--ids" not in extra else []
     return _run_on(cpus, out, _SETUP_OUTPUTS[command], monkeypatch, capsys, command,
                    "--config", str(cfg), "--set", f"paths.output_dir={out}", *ids, *extra)
-
-
-@pytest.mark.parametrize("command", ["score", "select"])
-def test_forked_setup_writes_the_serial_bytes(selected_out, workdir, tmp_path, monkeypatch,
-                                              capsys, command):
-    """With two CPUs ``score`` runs its influence setup in a forked child while
-    it reads its inputs, and ``select`` forks one child after its setup that
-    scores the second half of each bandit scorer call; the outputs are the
-    one-CPU run's, byte for byte."""
-    root, cfg = workdir
-    out = tmp_path / "out"
-    shutil.copytree(selected_out, out)
-    serial = _setup_run_on(1, command, cfg, out, monkeypatch, capsys)
-    forked = _setup_run_on(2, command, cfg, out, monkeypatch, capsys)
-    assert serial[0] == forked[0] == 0
-    assert serial[3] == [] and len(forked[3]) == 1
-    assert None not in serial[2].values()
-    assert forked[2] == serial[2]
 
 
 @pytest.mark.parametrize("command, case", [
@@ -996,7 +974,7 @@ def test_a_scorer_call_of_one_id_or_none(selected_out, workdir, tmp_path, monkey
     assert code == 0 and len(pids) == 1
     run_cfg = load_config(str(cfg), [])
     table, row_of = cli._load_candidates(run_cfg, corpus.load_embeddings(run_cfg.paths.embeddings))
-    params, ihvp, _ = cli._influence_setup(run_cfg)
+    params, ihvp = cli._influence_setup(run_cfg)
     want = influence.score_batch(table.take(row_of[[7, 8, 9]]), ihvp, params)
     assert got == [[], want[:1], want]
 
@@ -1272,20 +1250,6 @@ def split_pool(tmp_path_factory):
     cfg.write_text(f"paths.embeddings = {root}/embeddings.bin\n"
                    "clustering.k = 64\nclustering.max_iters = 10\n")
     return root, cfg
-
-
-def test_forked_kmeans_writes_the_serial_bytes(split_pool, tmp_path, monkeypatch, capsys):
-    """On a pool above the split gate, two CPUs run k-means in two processes;
-    ``clusters.bin`` and its meta are the one-CPU run's, byte for byte."""
-    root, cfg = split_pool
-    out = tmp_path / "out"
-    argv = ["cluster", "--config", str(cfg), "--set", f"paths.output_dir={out}"]
-    serial = _run_on(1, out, _CLUSTER_OUTPUTS, monkeypatch, capsys, *argv)
-    forked = _run_on(2, out, _CLUSTER_OUTPUTS, monkeypatch, capsys, *argv)
-    assert serial[0] == forked[0] == 0
-    assert serial[3] == [] and len(forked[3]) == 1
-    assert None not in serial[2].values()
-    assert forked[2] == serial[2]
 
 
 def test_cluster_below_the_split_gate_forks_nothing(workdir, tmp_path, monkeypatch, capsys):
